@@ -1,9 +1,9 @@
 """Command-line front end: ``reduce``, ``simulate``, ``spectrum``,
 ``regions``, and ``verify``.
 
-All inputs come from a JSON config file (flags select only the command,
-output path, and thread count) so that every run is reproducible from a
-checked-in document.  Outputs are canonical: object keys sorted, floats
+All inputs come from a JSON config file (flags select only the command
+and output path) so that every run is reproducible from a checked-in
+document.  Outputs are canonical: object keys sorted, floats
 printed with 17 significant digits, so identical runs are byte-identical.
 
 Exit codes: 0 success, 2 validation failure, 3 integration failure,
@@ -152,7 +152,11 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"unknown grid key: {unknown[0]}")
     grid_kv = dict(_GRID_DEFAULTS)
     grid_kv.update(grid_raw)
-    grid_kv["nx"], grid_kv["ny"] = int(grid_kv["nx"]), int(grid_kv["ny"])
+    for key in ("x_min", "x_max", "y_min", "y_max"):
+        grid_kv[key] = _number(grid_kv, key)
+    for key in ("nx", "ny"):
+        if isinstance(grid_kv[key], bool) or not isinstance(grid_kv[key], int):
+            raise ConfigError(f"grid {key}: expected an integer")
     grid = GridSpec(**grid_kv)
 
     samples = doc.get("samples", 2001)
@@ -232,11 +236,11 @@ def cmd_spectrum(cfg: RunConfig, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def cmd_regions(cfg: RunConfig, out: Optional[str], threads: int) -> int:
+def cmd_regions(cfg: RunConfig, out: Optional[str]) -> int:
     if not identical_pendula(cfg.params):
         raise ParamError("m2", "region analysis requires identical pendula")
     rp = reduce_params(cfg.params)
-    rmap = region_map(cfg.grid, rp.eta, rp.mu, threads=threads)
+    rmap = region_map(cfg.grid, rp.eta, rp.mu)
     path = out or cfg.out or "regions.csv"
     rmap.write_csv(path)
     print(canonical_json({
@@ -280,8 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--config", required=True, help="JSON configuration file")
         sp.add_argument("--out", default=None, help="output file path")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid sweeps")
     return ap
 
 
@@ -296,7 +298,7 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(cfg, args.out)
         if args.command == "regions":
-            return cmd_regions(cfg, args.out, max(1, args.threads))
+            return cmd_regions(cfg, args.out)
         return cmd_verify(cfg)
     except (ConfigError, ParamError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,22 +17,22 @@ annulus [ρm, ρM].  Comparing the two yields, per quadrant point:
 * a refined bound for quartics with two complex root pairs: whenever
   a2/a4 ≤ 2ρm², every root real part lies left of the negative root of
   r² + (a3/a4) r/2 + (a2/a4 − 2ρm²)/4 = 0; pushing that root left of
-  −ηω/2 certifies antiphase tendency without computing roots.
+  −ηω/2 certifies antiphase tendency without computing roots.  The
+  premise never holds in the open quadrant (see ``complex_root_bound``),
+  so grid sweeps report the refined verdict as ``na``.
 
 All verdicts here are dimensionless (ω ≡ 1).  Analyses specific to the
-η ≤ 1 branch refuse η > 1 rather than guess.  Grid sweeps are
-deterministic and parallelize over rows with no shared mutable state.
+η ≤ 1 branch refuse η > 1 rather than guess.  Grid sweeps evaluate every
+node at once and keep the verdicts as numpy columns.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import spectral
 from .dynamics import DampingModel, Trajectory, integrate
@@ -201,11 +201,12 @@ def complex_root_bound(q: QuadrantPoint) -> RootBound:
     whether that bound clears −ηω/2.  Real or mixed patterns return
     not-applicable; the direct root comparison is used instead.
 
-    Beware that for the stable quartics arising here the premise cannot
-    actually hold: a2/a4 = |λ1|² + |λ2|² + 4ξ1ξ2 with both real parts
-    negative, so it exceeds 2ρm² strictly.  The check is kept for
-    completeness but region verdicts in practice always use the direct
-    root comparison.
+    The premise never holds in the open quadrant, whatever the root
+    pattern.  With a0 = Y, a2 = ηX + Y + 1 and a4 = 1 − 2μ ∈ (0, 1):
+    ρm² ≤ (a0/a1)(a1/a2) = a0/a2, and a2² ≥ (Y + 1)² ≥ 4Y = 4a0, so
+    2ρm² ≤ a2/2; since a2/a4 ≥ a2, a2/a4 − 2ρm² ≥ a2/2 > 0 for every
+    X, Y, η > 0 and μ ∈ (0, ½).  The check is kept as the scalar
+    reference; grid sweeps report the refined verdict as ``na``.
     """
     quart = spectral.quartic_from_dimensionless(q.eta, q.X, q.Y, q.mu, omega=1.0)
     roots = spectral.poly_roots(quart)
@@ -242,6 +243,9 @@ class GridSpec:
     spacing: str = "log"
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParamError(name, "grid bounds must be finite")
         if not 0.0 < self.x_min <= self.x_max:
             raise ParamError("x_min", "grid must satisfy 0 < x_min <= x_max")
         if not 0.0 < self.y_min <= self.y_max:
@@ -263,8 +267,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class RegionVerdict:
-    """All per-node verdicts; Optional fields are None when η > 1 or the
-    refined bound does not apply."""
+    """All verdicts at one node; Optional fields are None when η > 1.
+
+    ``refined`` is always None in grid sweeps: the premise of the refined
+    bound never holds (see ``complex_root_bound``).
+    """
 
     zone: str
     conics: tuple[bool, bool, bool, bool]
@@ -277,138 +284,101 @@ class RegionVerdict:
     rho_M_over_omega: float
 
 
+_ZONES = ("Z1", "Z2", "Z3", "Z4")
 _CSV_HEADER = ("X,Y,zone,conic1,conic2,conic3,conic4,condA,condB,inA,"
                "semicircle,refined,rho_m_over_omega,rho_M_over_omega")
+# CSV cells of four flags, indexed by the flags packed as bits 0-3.
+_FLAG_CELLS = [",".join("true" if code >> k & 1 else "false" for k in range(4))
+               for code in range(16)]
 
 
-def _flag(v: Optional[bool]) -> str:
-    return "na" if v is None else ("true" if v else "false")
+def _flag_cells(flags: np.ndarray) -> list[str]:
+    codes = np.packbits(flags, axis=1, bitorder="little")[:, 0]
+    return [_FLAG_CELLS[c] for c in codes.tolist()]
 
 
 @dataclass(frozen=True)
 class RegionMap:
-    """Verdicts over a grid, row-major in Y then X."""
+    """Verdicts over a grid as per-node columns, row-major in Y then X.
+
+    ``zone`` indexes Z1-Z4; ``conics`` holds the four conic signs and
+    ``branch`` the condA, condB, inA and semicircle flags, both (n, 4),
+    with ``branch`` None when η > 1.
+    """
 
     grid: GridSpec
     eta: float
     mu: float
     xs: np.ndarray
     ys: np.ndarray
-    verdicts: list[RegionVerdict]
+    zone: np.ndarray
+    conics: np.ndarray
+    branch: Optional[np.ndarray]
+    rho_m: np.ndarray
+    rho_M: np.ndarray
 
     def verdict_at(self, ix: int, iy: int) -> RegionVerdict:
-        return self.verdicts[iy * self.grid.nx + ix]
+        i = iy * self.grid.nx + ix
+        branch = (None,) * 4 if self.branch is None else self.branch[i].tolist()
+        return RegionVerdict(zone=_ZONES[self.zone[i]], conics=tuple(self.conics[i].tolist()),
+                             cond_a=branch[0], cond_b=branch[1], in_a_set=branch[2],
+                             semicircle=branch[3], refined=None,
+                             rho_m_over_omega=float(self.rho_m[i]),
+                             rho_M_over_omega=float(self.rho_M[i]))
 
     def zone_fractions(self) -> dict[str, float]:
-        total = len(self.verdicts)
-        return {z: sum(v.zone == z for v in self.verdicts) / total
-                for z in ("Z1", "Z2", "Z3", "Z4")}
+        counts = np.bincount(self.zone, minlength=len(_ZONES)).tolist()
+        return {z: c / self.zone.size for z, c in zip(_ZONES, counts)}
 
     def in_a_fraction(self) -> Optional[float]:
-        flags = [v.in_a_set for v in self.verdicts]
-        if any(f is None for f in flags):
+        if self.branch is None:
             return None
-        return sum(flags) / len(flags)
+        return int(np.count_nonzero(self.branch[:, 2])) / len(self.branch)
 
     def write_csv(self, path) -> None:
+        nx, ny = self.grid.nx, self.grid.ny
+        xs = [format(x, ".9e") for x in self.xs.tolist()] * ny
+        y_cells = [format(y, ".9e") for y in self.ys.tolist()]
+        ys = [y for y in y_cells for _ in range(nx)]
+        zones = [_ZONES[z] for z in self.zone.tolist()]
+        branch = (["na,na,na,na"] * len(zones) if self.branch is None
+                  else _flag_cells(self.branch))
         with open(path, "w") as fh:
             fh.write(_CSV_HEADER + "\n")
-            for iy in range(self.grid.ny):
-                for ix in range(self.grid.nx):
-                    v = self.verdicts[iy * self.grid.nx + ix]
-                    cells = [format(self.xs[ix], ".9e"), format(self.ys[iy], ".9e"),
-                             v.zone,
-                             *(_flag(c) for c in v.conics),
-                             _flag(v.cond_a), _flag(v.cond_b), _flag(v.in_a_set),
-                             _flag(v.semicircle), _flag(v.refined),
-                             format(v.rho_m_over_omega, ".9e"),
-                             format(v.rho_M_over_omega, ".9e")]
-                    fh.write(",".join(cells) + "\n")
+            fh.writelines(f"{x},{y},{z},{c},{b},na,{m:.9e},{M:.9e}\n"
+                          for x, y, z, c, b, m, M in zip(
+                              xs, ys, zones, _flag_cells(self.conics), branch,
+                              self.rho_m.tolist(), self.rho_M.tolist()))
 
 
-def _quartic_roots_batch(eta: float, X: np.ndarray, Y: np.ndarray, mu: float) -> np.ndarray:
-    """Roots of the ω=1 quartic at each node, via batched companions."""
-    one = 1.0 - 2.0 * mu
-    n = X.size
-    a0 = Y
-    a1 = eta * Y + X + 2.0 * mu * eta
-    a2 = eta * X + Y + 1.0
-    a3 = X + one * eta
-    comp = np.zeros((n, 4, 4))
-    comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
-    comp[:, 0, 3] = -a0 / one
-    comp[:, 1, 3] = -a1 / one
-    comp[:, 2, 3] = -a2 / one
-    comp[:, 3, 3] = -a3 / one
-    return np.linalg.eigvals(comp)
-
-
-def _sweep_rows(xs: np.ndarray, ys_chunk: np.ndarray, eta: float, mu: float) -> list[RegionVerdict]:
-    nx, ny = xs.size, ys_chunk.size
-    X = np.tile(xs, ny)
-    Y = np.repeat(ys_chunk, nx)
-    r = spectral.ek_ratios_dimensionless(eta, X, Y, mu)  # (n, 4)
-    rm_first = r[:, 0] <= r[:, 1]
-    rM_first = r[:, 2] >= r[:, 3]
-    rho_m = np.minimum(r[:, 0], r[:, 1])
-    rho_M = np.maximum(r[:, 2], r[:, 3])
-    conics = np.stack(_conic_values(X, Y, eta, mu), axis=-1) > 0
-
-    branch = eta <= 1.0
-    one = 1.0 - 2.0 * mu
-    if branch:
-        cond_a = eta < 2.0 * r[:, 0]
-        cond_b = eta < 2.0 * r[:, 1]
-        in_a = np.where(rm_first, cond_a, cond_b)
-        semi = np.where(rM_first,
-                        Y > (1.0 - eta) * X + one * eta - 1.0,
-                        X > one * (1.0 - eta))
-
-    roots = _quartic_roots_batch(eta, X, Y, mu)
-    scale = np.maximum(np.abs(roots), 1e-30)
-    n_real = np.sum(np.abs(roots.imag) <= _REAL_ROOT_RTOL * scale, axis=1)
-    a24 = (eta * X + Y + 1.0) / one
-    h = (X + one * eta) / one / 2.0
-    c = a24 - 2.0 * rho_m**2
-    applicable = (n_real == 0) & (c <= 0.0)
-    with np.errstate(invalid="ignore"):
-        b_bound = 0.5 * (-h - np.sqrt(np.maximum(h * h - c, 0.0)))
-
-    out = []
-    for i in range(X.size):
-        zone = ("Z1" if rM_first[i] else "Z2") if rm_first[i] else ("Z3" if rM_first[i] else "Z4")
-        refined = bool(-0.5 * eta >= b_bound[i]) if applicable[i] else None
-        out.append(RegionVerdict(
-            zone=zone,
-            conics=tuple(bool(v) for v in conics[i]),
-            cond_a=bool(cond_a[i]) if branch else None,
-            cond_b=bool(cond_b[i]) if branch else None,
-            in_a_set=bool(in_a[i]) if branch else None,
-            semicircle=bool(semi[i]) if branch else None,
-            refined=refined,
-            rho_m_over_omega=float(rho_m[i]),
-            rho_M_over_omega=float(rho_M[i]),
-        ))
-    return out
-
-
-def region_map(grid: GridSpec, eta: float, mu: float, threads: int = 1) -> RegionMap:
-    """Evaluate every verdict on the grid; deterministic for any thread count."""
+def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:
+    """Evaluate every verdict on the grid."""
     if not eta > 0:
         raise ParamError("eta", "must be positive")
     if not 0.0 < mu < 0.5:
         raise ParamError("mu", "must lie in (0, 1/2)")
     xs = grid.axis("x")
     ys = grid.axis("y")
-    if threads <= 1 or grid.ny == 1:
-        verdicts = _sweep_rows(xs, ys, eta, mu)
-    else:
-        chunks = np.array_split(np.arange(grid.ny), min(threads, grid.ny))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_sweep_rows, xs, ys[idx], eta, mu)
-                       for idx in chunks if idx.size]
-            verdicts = [v for fut in futures for v in fut.result()]
-    return RegionMap(grid=grid, eta=eta, mu=mu, xs=xs, ys=ys, verdicts=verdicts)
+    X = np.tile(xs, ys.size)
+    Y = np.repeat(ys, xs.size)
+    r = spectral.ek_ratios_dimensionless(eta, X, Y, mu)  # (n, 4)
+    rm_first = r[:, 0] <= r[:, 1]
+    rM_first = r[:, 2] >= r[:, 3]
+    branch = None
+    if eta <= 1.0:
+        one = 1.0 - 2.0 * mu
+        cond_a = eta < 2.0 * r[:, 0]
+        cond_b = eta < 2.0 * r[:, 1]
+        semi = np.where(rM_first, Y > (1.0 - eta) * X + one * eta - 1.0,
+                        X > one * (1.0 - eta))
+        branch = np.stack([cond_a, cond_b, np.where(rm_first, cond_a, cond_b), semi],
+                          axis=-1)
+    return RegionMap(grid=grid, eta=eta, mu=mu, xs=xs, ys=ys,
+                     zone=2 * ~rm_first + ~rM_first,
+                     conics=np.stack(_conic_values(X, Y, eta, mu), axis=-1) > 0,
+                     branch=branch,
+                     rho_m=np.minimum(r[:, 0], r[:, 1]),
+                     rho_M=np.maximum(r[:, 2], r[:, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +386,14 @@ def region_map(grid: GridSpec, eta: float, mu: float, threads: int = 1) -> Regio
 # ---------------------------------------------------------------------------
 
 
+def _strict_peaks(a: np.ndarray) -> np.ndarray:
+    """Indices of samples strictly greater than both neighbours."""
+    return np.flatnonzero((a[1:-1] > a[:-2]) & (a[1:-1] > a[2:])) + 1
+
+
 def _envelope_rate(times: np.ndarray, signal: np.ndarray, t_start: float) -> float:
     """Exponential decay rate from log-envelope peaks past t_start."""
-    peaks, _ = find_peaks(np.abs(signal))
+    peaks = _strict_peaks(np.abs(signal))
     peaks = peaks[(times[peaks] >= t_start) & (np.abs(signal[peaks]) > 1e-300)]
     if peaks.size < 5:
         raise ValueError(f"only {peaks.size} envelope peaks in the fit window; "

@@ -193,13 +193,25 @@ def test_regions_rejects_asymmetric(tmp_path, capsys):
     assert code == 2
 
 
-def test_regions_threads_flag(tmp_path, capsys):
-    path = write_config(tmp_path, grid={"nx": 10, "ny": 10})
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(capsys, "regions", "--config", path, "--out", str(a))[0] == 0
-    assert run(capsys, "regions", "--config", path, "--out", str(b),
-               "--threads", "4")[0] == 0
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("grid, field", [
+    ({"nx": 2.9}, "nx"),
+    ({"ny": True}, "ny"),
+    ({"nx": "a"}, "nx"),
+    ({"x_max": math.inf}, "x_max"),
+    ({"y_min": "a"}, "y_min"),
+])
+def test_regions_grid_entry_rejected(tmp_path, capsys, grid, field):
+    path = write_config(tmp_path, grid=grid)
+    code, _, err = run(capsys, "regions", "--config", path,
+                       "--out", str(tmp_path / "map.csv"))
+    assert code == 2 and field in err
+    assert not (tmp_path / "map.csv").exists()
+
+
+def test_threads_flag_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["regions", "--config", write_config(tmp_path), "--threads", "4"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from coupled_pendula import (
     BranchUnsupportedError,
+    DampingModel,
     GridSpec,
     ParamError,
     QuadrantPoint,
@@ -12,6 +13,7 @@ from coupled_pendula import (
     complex_root_bound,
     conic_conditions,
     empirical_decay_rates,
+    integrate,
     mu_threshold,
     no_inphase_check,
     params_from_dimensionless,
@@ -19,7 +21,9 @@ from coupled_pendula import (
     region_map,
     semicircle_condition,
 )
+from coupled_pendula.regions import _strict_peaks
 from coupled_pendula.spectral import ek_ratios_dimensionless, quartic_from_dimensionless
+from coupled_pendula.verification import DECAY_PANEL
 
 
 def rand_points(rng, n, eta_hi=1.0):
@@ -195,25 +199,21 @@ def test_vieta_identity_constructed_quartic():
 
 
 def test_refined_bound_premise_never_holds_for_stable_quartics(rng):
-    # For a stable quartic with two conjugate pairs, the pairwise-product
-    # sum a2/a4 equals |l1|^2 + |l2|^2 + 4 xi1 xi2 > 2 rho_m^2 because
-    # xi1 xi2 > 0, so the coefficient-only premise is provably empty and
-    # the verdict always falls back to the direct root comparison.
+    # rho_m^2 <= (a0/a1)(a1/a2) = a0/a2 and a2^2 >= (Y+1)^2 >= 4 a0, so
+    # 2 rho_m^2 <= a2/2; with a2/a4 >= a2 the premise a2/a4 <= 2 rho_m^2
+    # fails by at least a2/2 at every quadrant point, for any eta.
     for _ in range(20_000):
-        eta = rng.uniform(0.05, 1.0)
+        eta = rng.uniform(0.05, 3.0)
         X, Y = 10 ** rng.uniform(-2, 2, 2)
         mu = rng.uniform(0.01, 0.49)
         q = QuadrantPoint(X=X, Y=Y, eta=eta, mu=mu)
         rb = complex_root_bound(q)
         assert not rb.applicable
-        if rb.pattern == "complex":
-            r = q.ratios()
-            a24 = (eta * X + Y + 1.0) / (1.0 - 2.0 * mu)
-            assert a24 > 2.0 * min(r[0], r[1]) ** 2
-        # whenever the bound were to certify a point, the roots must obey it
-        if rb.refined_ok:
-            roots = poly_roots(quartic_from_dimensionless(eta, X, Y, mu, 1.0))
-            assert np.all(np.abs(roots.real) >= 0.5 * eta * (1 - 1e-9))
+        r = q.ratios()
+        a2 = eta * X + Y + 1.0
+        margin = a2 / (1.0 - 2.0 * mu) - 2.0 * min(r[0], r[1]) ** 2
+        assert margin > 0
+        assert margin >= 0.5 * a2 * (1 - 1e-12)
 
 
 def test_real_pattern_not_applicable():
@@ -252,13 +252,6 @@ def test_map_refinement_stability():
             assert coarse.verdict_at(ix, iy).zone == fine.verdict_at(2 * ix, 2 * iy).zone
 
 
-def test_map_threads_deterministic():
-    grid = GridSpec(0.01, 10.0, 0.01, 10.0, 30, 30, "log")
-    a = region_map(grid, eta=0.5, mu=0.2, threads=1)
-    b = region_map(grid, eta=0.5, mu=0.2, threads=4)
-    assert a.verdicts == b.verdicts
-
-
 def test_map_low_mu_excludes_origin_region():
     rmap = region_map(GridSpec(0.02, 2.0, 0.02, 2.0, 40, 40, "linear"), eta=1.0, mu=0.1)
     near_origin = [rmap.verdict_at(ix, iy) for ix in range(4) for iy in range(4)]
@@ -281,6 +274,37 @@ def test_map_csv_format(tmp_path):
     assert len(ys) == 1
 
 
+def _scalar_csv_row(X, Y, eta, mu):
+    """One CSV row rebuilt from the scalar public verdicts."""
+    flag = {True: "true", False: "false", None: "na"}
+    q = QuadrantPoint(X=X, Y=Y, eta=eta, mu=mu)
+    if eta <= 1.0:
+        anti = antiphase_conditions(q)
+        branch = [anti.cond_a, anti.cond_b, anti.in_a_set, semicircle_condition(q)]
+    else:
+        branch = [None] * 4
+    bound = complex_root_bound(q)
+    r = q.ratios()
+    return ",".join([format(X, ".9e"), format(Y, ".9e"), classify_zone(q),
+                     *(flag[c] for c in conic_conditions(q)),
+                     *(flag[b] for b in branch),
+                     flag[bound.refined_ok if bound.applicable else None],
+                     format(min(r[0], r[1]), ".9e"), format(max(r[2], r[3]), ".9e")])
+
+
+@pytest.mark.parametrize("grid, eta, mu", [
+    (GridSpec(0.01, 10.0, 0.01, 10.0, 12, 9, "log"), 0.5, 0.25),
+    (GridSpec(0.1, 4.0, 0.1, 4.0, 6, 5, "linear"), 1.5, 0.2),
+])
+def test_map_csv_rows_match_scalar_verdicts(tmp_path, grid, eta, mu):
+    path = tmp_path / "map.csv"
+    region_map(grid, eta=eta, mu=mu).write_csv(path)
+    rows = path.read_text().splitlines()[1:]
+    expected = [_scalar_csv_row(float(X), float(Y), eta, mu)
+                for Y in grid.axis("y") for X in grid.axis("x")]
+    assert rows == expected
+
+
 def test_grid_touching_axes_rejected():
     with pytest.raises(ParamError):
         GridSpec(0.0, 1.0, 0.1, 1.0, 5, 5, "linear")
@@ -288,7 +312,7 @@ def test_grid_touching_axes_rejected():
 
 def test_map_eta_above_one_refuses_branch_verdicts():
     rmap = region_map(GridSpec(0.1, 1.0, 0.1, 1.0, 4, 4, "linear"), eta=1.5, mu=0.2)
-    v = rmap.verdicts[0]
+    v = rmap.verdict_at(0, 0)
     assert v.cond_a is None and v.in_a_set is None and v.semicircle is None
     assert v.zone in ("Z1", "Z2", "Z3", "Z4")
     assert rmap.in_a_fraction() is None
@@ -304,6 +328,17 @@ def test_delta_rate_matches_prediction():
     y0 = SystemState.from_y(0.0005, 0.002, 0.002)
     _, rate_delta = empirical_decay_rates(p, y0, 14.0)
     assert rate_delta == pytest.approx(0.5 * omega / 2, rel=0.05)
+
+
+def test_strict_peaks_match_find_peaks():
+    find_peaks = pytest.importorskip("scipy.signal").find_peaks
+    eta, X, Y, mu, n_periods = DECAY_PANEL[0]
+    p = params_from_dimensionless(eta, X, Y, mu, omega=np.pi)
+    y0 = SystemState.from_y(0.002 * p.g / np.pi**2, 0.002, 0.002)
+    traj = integrate(y0, p, DampingModel.FULL_VELOCITY, 2.0 * n_periods, samples=4001)
+    for column in (1, 2):
+        a = np.abs(traj.states[:, column])
+        assert np.array_equal(_strict_peaks(a), find_peaks(a)[0])
 
 
 def test_decay_requires_enough_peaks():
