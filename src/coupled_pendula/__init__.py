@@ -29,7 +29,6 @@ from .params import (
 from .dynamics import (
     CrossCheckError,
     DampingModel,
-    DegenerateStateError,
     StiffnessError,
     Trajectory,
     accel_q,

@@ -154,9 +154,6 @@ def load_config(path: str) -> RunConfig:
     grid_kv.update(grid_raw)
     for key in ("x_min", "x_max", "y_min", "y_max"):
         grid_kv[key] = _number(grid_kv, key)
-    for key in ("nx", "ny"):
-        if isinstance(grid_kv[key], bool) or not isinstance(grid_kv[key], int):
-            raise ConfigError(f"grid {key}: expected an integer")
     grid = GridSpec(**grid_kv)
 
     samples = doc.get("samples", 2001)

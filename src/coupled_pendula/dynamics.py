@@ -22,16 +22,25 @@ Two independent right-hand sides are maintained on purpose:
 Cross-validating the two paths (see the test suite and the ``verify``
 command) guards against transcription mistakes in either one.
 
+The closed form is written once and takes its cos/sin from a module
+argument: numpy for :func:`accel_y` and the batched cross-checks, and
+``math`` on plain floats for the integrator's right-hand side, where
+numpy's per-call overhead on scalars would dominate.  Both give the same
+bits.  Θ = m0 + m1 sin²θ1 + m2 sin²θ2 ≥ m0 > 0, so the division by Θ
+needs no guard.
+
 The integrator is an explicit adaptive Runge-Kutta embedded 5(4) pair
 (scipy's RK45) with tight default tolerances; the system is non-stiff
-for physically sensible damping.  Right-hand sides are pure functions
-and each integration owns its state, so separate trajectories may run
-concurrently.
+for physically sensible damping.  A run whose state blows up to inf or
+nan stalls the solver and raises :class:`StiffnessError`.  Right-hand
+sides are pure functions and each integration owns its state, so
+separate trajectories may run concurrently.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +50,6 @@ from .params import EscapementSpec, PhysicalParams, SystemState, ZERO_ESCAPEMENT
 
 __all__ = [
     "DampingModel",
-    "DegenerateStateError",
     "StiffnessError",
     "CrossCheckError",
     "Trajectory",
@@ -71,10 +79,6 @@ class DampingModel(enum.Enum):
 
     FULL_VELOCITY = "full"
     ROTATIONAL_ONLY = "rotational"
-
-
-class DegenerateStateError(RuntimeError):
-    """The inertial denominator Θ fell below the safe threshold."""
 
 
 class StiffnessError(RuntimeError):
@@ -185,9 +189,6 @@ def accel_q(state: SystemState, p: PhysicalParams,
 # Accelerations: explicit path (y-form)
 # ---------------------------------------------------------------------------
 
-THETA_FLOOR = 1e-12  # relative to total mass
-
-
 def theta_factor(state: SystemState, p: PhysicalParams) -> float:
     """Inertial denominator Θ = m − m1 cos²θ1 − m2 cos²θ2 (kg).
 
@@ -200,20 +201,21 @@ def theta_factor(state: SystemState, p: PhysicalParams) -> float:
 
 
 def _accel_y_arrays(x, sg, dl, xd, sgd, dld, p: PhysicalParams,
-                    model: DampingModel, f1=0.0, f2=0.0):
-    """Batched explicit accelerations (ẍ, σ̈, δ̈); requires m1, m2 > 0."""
-    x, sg, dl, xd, sgd, dld = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, sg, dl, xd, sgd, dld)))
+                    model: DampingModel, f1=0.0, f2=0.0, trig=np):
+    """Explicit accelerations (ẍ, σ̈, δ̈); requires m1, m2 > 0.
+
+    ``trig`` supplies cos and sin: ``np`` for arrays or numpy scalars,
+    ``math`` for the plain floats the integrator feeds in.  Scalars get
+    the same bits either way, because numpy's float64 cos, sin and
+    scalar ``**`` call the same libm functions as ``math`` and ``float``.
+    """
     t1, t2 = 0.5 * (sg + dl), 0.5 * (sg - dl)
     t1d, t2d = 0.5 * (sgd + dld), 0.5 * (sgd - dld)
-    c1, s1 = np.cos(t1), np.sin(t1)
-    c2, s2 = np.cos(t2), np.sin(t2)
+    c1, s1 = trig.cos(t1), trig.sin(t1)
+    c2, s2 = trig.cos(t2), trig.sin(t2)
     full = model is DampingModel.FULL_VELOCITY
 
     theta = p.m - p.m1 * c1**2 - p.m2 * c2**2
-    if np.any(np.abs(theta) < THETA_FLOOR * p.m):
-        raise DegenerateStateError("inertial denominator below threshold")
-
     drag_x = p.beta0 + p.beta1 * s1**2 + p.beta2 * s2**2 if full else p.beta0
     xdd = (-p.k * x
            + p.g * (p.m1 * s1 * c1 + p.m2 * s2 * c2)
@@ -245,6 +247,16 @@ def accel_y(state: SystemState, p: PhysicalParams,
 # ---------------------------------------------------------------------------
 
 
+def _energy_q(x, t1, t2, xd, t1d, t2d, p: PhysicalParams):
+    """Energy from q-form coordinates; scalar or array inputs."""
+    kin = (0.5 * p.m * xd**2
+           + 0.5 * p.m1 * p.l1**2 * t1d**2 + 0.5 * p.m2 * p.l2**2 * t2d**2
+           + p.m1 * p.l1 * xd * t1d * np.cos(t1)
+           + p.m2 * p.l2 * xd * t2d * np.cos(t2))
+    pot = 0.5 * p.k * x**2 - p.m1 * p.g * p.l1 * np.cos(t1) - p.m2 * p.g * p.l2 * np.cos(t2)
+    return kin + pot
+
+
 def energy(state: SystemState, p: PhysicalParams) -> float:
     """Total mechanical energy (J).
 
@@ -257,27 +269,14 @@ def energy(state: SystemState, p: PhysicalParams) -> float:
     without friction E is conserved.
     """
     q = state.to_q()
-    x, t1, t2 = q.coords
-    xd, t1d, t2d = q.vels
-    kin = (0.5 * p.m * xd**2
-           + 0.5 * p.m1 * p.l1**2 * t1d**2 + 0.5 * p.m2 * p.l2**2 * t2d**2
-           + p.m1 * p.l1 * xd * t1d * np.cos(t1)
-           + p.m2 * p.l2 * xd * t2d * np.cos(t2))
-    pot = 0.5 * p.k * x**2 - p.m1 * p.g * p.l1 * np.cos(t1) - p.m2 * p.g * p.l2 * np.cos(t2)
-    return float(kin + pot)
+    return float(_energy_q(*q.coords, *q.vels, p))
 
 
 def _energy_arrays(y6: np.ndarray, p: PhysicalParams) -> np.ndarray:
     """Energy along an (N, 6) array of y-form states."""
     x, sg, dl, xd, sgd, dld = (y6[:, i] for i in range(6))
-    t1, t2 = 0.5 * (sg + dl), 0.5 * (sg - dl)
-    t1d, t2d = 0.5 * (sgd + dld), 0.5 * (sgd - dld)
-    kin = (0.5 * p.m * xd**2
-           + 0.5 * p.m1 * p.l1**2 * t1d**2 + 0.5 * p.m2 * p.l2**2 * t2d**2
-           + p.m1 * p.l1 * xd * t1d * np.cos(t1)
-           + p.m2 * p.l2 * xd * t2d * np.cos(t2))
-    pot = 0.5 * p.k * x**2 - p.m1 * p.g * p.l1 * np.cos(t1) - p.m2 * p.g * p.l2 * np.cos(t2)
-    return kin + pot
+    return _energy_q(x, 0.5 * (sg + dl), 0.5 * (sg - dl),
+                     xd, 0.5 * (sgd + dld), 0.5 * (sgd - dld), p)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +336,20 @@ def integrate(state0: SystemState, p: PhysicalParams,
     zero_esc = escapement.is_zero
 
     def rhs(t, y):
+        y = y.tolist()
         if zero_esc:
             f1 = f2 = 0.0
         else:
             f1, f2 = escapement.forces(SystemState.from_y(*y).to_q(), t)
-        xdd, sdd, ddd = _accel_y_arrays(y[0], y[1], y[2], y[3], y[4], y[5],
-                                        p, model, f1, f2)
-        return (y[3], y[4], y[5], xdd, sdd, ddd)
+        try:
+            acc = _accel_y_arrays(*y, p, model, f1, f2, math)
+        except (ValueError, OverflowError):
+            # The state has blown up: math.cos(inf) and float ** overflow
+            # raise where numpy returns nan or inf.  NaN derivatives make
+            # the solver reject every step until it stalls, which is
+            # reported as StiffnessError.
+            acc = (math.nan,) * 3
+        return (y[3], y[4], y[5], *acc)
 
     t_eval = np.linspace(0.0, t_end, samples)
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45",

@@ -29,6 +29,7 @@ node at once and keep the verdicts as numpy columns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -244,14 +245,20 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParamError(name, "grid bounds must be finite")
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not math.isfinite(v)):
+                raise ParamError(name, "grid bounds must be finite numbers")
         if not 0.0 < self.x_min <= self.x_max:
             raise ParamError("x_min", "grid must satisfy 0 < x_min <= x_max")
         if not 0.0 < self.y_min <= self.y_max:
             raise ParamError("y_min", "grid must satisfy 0 < y_min <= y_max")
-        if self.nx < 1 or self.ny < 1:
-            raise ParamError("nx", "grid must have at least one node per axis")
+        for name in ("nx", "ny"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ParamError(name, "must be an integer")
+            if v < 1:
+                raise ParamError(name, "grid must have at least one node per axis")
         if self.spacing not in ("log", "linear"):
             raise ParamError("spacing", "must be 'log' or 'linear'")
 
@@ -318,6 +325,9 @@ class RegionMap:
     rho_M: np.ndarray
 
     def verdict_at(self, ix: int, iy: int) -> RegionVerdict:
+        if not (0 <= ix < self.grid.nx and 0 <= iy < self.grid.ny):
+            raise IndexError(f"node ({ix}, {iy}) outside the "
+                             f"{self.grid.nx}x{self.grid.ny} grid")
         i = iy * self.grid.nx + ix
         branch = (None,) * 4 if self.branch is None else self.branch[i].tolist()
         return RegionVerdict(zone=_ZONES[self.zone[i]], conics=tuple(self.conics[i].tolist()),

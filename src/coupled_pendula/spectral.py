@@ -203,23 +203,67 @@ def char_poly_identical(p: PhysicalParams) -> tuple[PolyCoeffs, PolyCoeffs]:
 # ---------------------------------------------------------------------------
 
 
-def poly_roots(c: PolyCoeffs) -> np.ndarray:
-    """All complex roots via companion-matrix eigenvalues + Newton polish.
+def _horner(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.polyval``: desc is (n, N), z is (n, k)."""
+    y = np.zeros_like(z)
+    for j in range(desc.shape[1]):
+        y = y * z + desc[:, j:j + 1]
+    return y
 
-    One Newton step is applied per root and kept only when it reduces
-    the residual |p(r)|.
-    """
-    if c.degree < 1:
-        raise ValueError("polynomial must have degree >= 1")
-    desc = c.coeffs[::-1]
-    roots = np.roots(desc)
-    deriv = np.polyder(desc)
-    pv = np.polyval(desc, roots)
-    dv = np.polyval(deriv, roots)
+
+def _polish(desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """One Newton step per root, kept only where it lowers |p(r)|."""
+    deriv = desc[:, :-1] * np.arange(desc.shape[1] - 1, 0, -1)
+    pv = _horner(desc, roots)
+    dv = _horner(deriv, roots)
     safe = np.abs(dv) > 0
     polished = np.where(safe, roots - np.where(safe, pv, 0) / np.where(safe, dv, 1), roots)
-    better = np.abs(np.polyval(desc, polished)) < np.abs(pv)
+    better = np.abs(_horner(desc, polished)) < np.abs(pv)
     return np.where(better, polished, roots)
+
+
+def poly_roots(c) -> np.ndarray:
+    """All complex roots via companion-matrix eigenvalues + Newton polish.
+
+    ``c`` is a :class:`PolyCoeffs`, giving a (degree,) array, or an
+    (n, degree+1) array of ascending coefficients with nonzero leading
+    terms, giving (n, degree).  A batch is solved with one stacked
+    eigenvalue call; each row gets exactly the bits ``np.roots`` and
+    ``np.polyval`` would give it alone: the companion matrices are
+    built the same way, zero constant terms become appended zero roots,
+    and rows whose eigenvalues are all real are polished in real
+    arithmetic.  One Newton step is applied per root and kept only when
+    it reduces the residual |p(r)|.
+    """
+    single = isinstance(c, PolyCoeffs)
+    asc = np.atleast_2d(c.coeffs if single else np.asarray(c, dtype=float))
+    n, size = asc.shape
+    if size < 2:
+        raise ValueError("polynomial must have degree >= 1")
+    if np.any(asc[:, -1] == 0.0):
+        raise ValueError("leading coefficient must be nonzero")
+    desc = asc[:, ::-1]
+    # zero constant terms: np.roots strips them and appends roots at 0
+    n_zero = np.argmax(asc != 0.0, axis=1)
+    eig = np.zeros((n, size - 1), dtype=complex)
+    real = np.ones(n, dtype=bool)
+    for t in np.unique(n_zero).tolist():
+        rows = np.flatnonzero(n_zero == t)
+        m = size - 1 - t  # companion size after stripping
+        if m == 0:
+            continue
+        comp = np.zeros((rows.size, m, m))
+        comp[:, 1:, :-1] = np.eye(m - 1)
+        comp[:, 0, :] = -desc[rows, 1:m + 1] / desc[rows, :1]
+        w = np.linalg.eigvals(comp)
+        eig[rows, :m] = w
+        real[rows] = np.all(w.imag == 0.0, axis=1)
+    roots = np.empty((n, size - 1), dtype=complex)
+    roots[real] = _polish(desc[real], eig[real].real)
+    roots[~real] = _polish(desc[~real], eig[~real])
+    if single:
+        return roots[0].real if real[0] else roots[0]
+    return roots
 
 
 # ---------------------------------------------------------------------------

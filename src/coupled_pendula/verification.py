@@ -84,21 +84,38 @@ def check_factorization(rng: np.random.Generator, n: int = 200,
                        f"max relative coefficient error {worst:.3e} (tol 1e-12)")
 
 
+# Polynomials are drawn one at a time, in the same RNG order as a plain
+# loop, into blocks of at most this many rows; each block is solved with
+# one batched ``poly_roots`` call.  The bound keeps the stacked companion
+# matrices and polish temporaries small.
+_ROOT_BLOCK = 256
+
+
+def _blocks(n: int):
+    """Index ranges of the blocks that cover n polynomials."""
+    return (range(start, min(start + _ROOT_BLOCK, n)) for start in range(0, n, _ROOT_BLOCK))
+
+
 def check_ek_containment(rng: np.random.Generator, n: int = 2000,
                          fault: bool = False) -> CheckResult:
     """Every sextic root modulus inside the annulus [ρm, ρM]."""
     worst = 0.0
-    for _ in range(n):
-        p = random_params(rng)
-        poly = spectral.char_poly_general(p)
-        rho_m, rho_M = spectral.enestrom_kakeya(poly)
-        mod = np.abs(spectral.poly_roots(poly))
-        if fault:  # plant a root just outside the annulus
-            mod = np.append(mod, rho_M * 1.001)
+    coeffs = np.empty((_ROOT_BLOCK, 7))
+    annulus = np.empty((_ROOT_BLOCK, 2))
+    for block in _blocks(n):
+        size = len(block)
+        for j in range(size):
+            poly = spectral.char_poly_general(random_params(rng))
+            coeffs[j] = poly.coeffs
+            annulus[j] = spectral.enestrom_kakeya(poly)
+        mod = np.abs(spectral.poly_roots(coeffs[:size]))
+        rho_m, rho_M = annulus[:size].T
+        if fault:  # plant a root just outside the first annulus
+            mod[0, 0] = rho_M[0] * 1.001
             fault = False
-        worst = max(worst,
-                    float(np.max(rho_m * (1 - 1e-9) - mod) / rho_m),
-                    float(np.max(mod - rho_M * (1 + 1e-9)) / rho_M))
+        below = np.max(rho_m[:, None] * (1 - 1e-9) - mod, axis=1) / rho_m
+        above = np.max(mod - rho_M[:, None] * (1 + 1e-9), axis=1) / rho_M
+        worst = max(worst, float(np.max(below)), float(np.max(above)))
     return CheckResult("ek_containment", worst <= 0.0,
                        f"max relative annulus violation {worst:.3e}")
 
@@ -107,21 +124,26 @@ def check_rh_vs_roots(rng: np.random.Generator, n: int = 2000,
                       fault: bool = False) -> CheckResult:
     """Chain verdict equals the root-sign verdict, stable and unstable."""
     bad = 0
-    for i in range(n):
-        if i % 4 == 0:
-            # constructed polynomial, possibly unstable
-            roots = rng.uniform(-2.0, 0.8, 6) + 0j
-            re, im = rng.uniform(-2.0, 0.8), rng.uniform(0.1, 2.0)
-            roots[:2] = (re + 1j * im, re - 1j * im)
-            poly = spectral.PolyCoeffs(np.real(np.poly(roots))[::-1])
-        else:
-            poly = spectral.char_poly_general(random_params(rng))
-        rh = spectral.routh_hurwitz(poly)
-        stable_roots = bool(np.all(spectral.poly_roots(poly).real < 0))
-        verdict = rh.stable if not fault else not rh.stable
-        fault = False
-        if verdict != stable_roots:
-            bad += 1
+    coeffs = np.empty((_ROOT_BLOCK, 7))
+    verdicts = np.empty(_ROOT_BLOCK, dtype=bool)
+    for block in _blocks(n):
+        size = len(block)
+        for j, i in enumerate(block):
+            if i % 4 == 0:
+                # constructed polynomial, possibly unstable
+                roots = rng.uniform(-2.0, 0.8, 6) + 0j
+                re, im = rng.uniform(-2.0, 0.8), rng.uniform(0.1, 2.0)
+                roots[:2] = (re + 1j * im, re - 1j * im)
+                poly = spectral.PolyCoeffs(np.real(np.poly(roots))[::-1])
+            else:
+                poly = spectral.char_poly_general(random_params(rng))
+            coeffs[j] = poly.coeffs
+            verdicts[j] = spectral.routh_hurwitz(poly).stable
+        if fault:
+            verdicts[0] = not verdicts[0]
+            fault = False
+        stable_roots = np.all(spectral.poly_roots(coeffs[:size]).real < 0, axis=1)
+        bad += int(np.count_nonzero(verdicts[:size] != stable_roots))
     return CheckResult("rh_vs_roots", bad == 0, f"{bad} verdict mismatches out of {n}")
 
 

@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite only.
 
 These deliberately avoid the production code paths they check: a second
-root finder (Aberth-Ehrlich), a generic Routh table, congruence products
-by plain matrix multiplication, and eigendecomposition propagation of
-the linear system.
+root finder (Aberth-Ehrlich), the one-polynomial-at-a-time root finder
+that the batched ``poly_roots`` must reproduce bit for bit, a generic
+Routh table, congruence products by plain matrix multiplication, and
+eigendecomposition propagation of the linear system.
 """
 
 from __future__ import annotations
@@ -32,6 +33,18 @@ def aberth_roots(asc: np.ndarray, tol: float = 1e-14, max_iter: int = 200) -> np
         if np.max(np.abs(corr)) < tol * max(1.0, np.max(np.abs(z))):
             break
     return z
+
+
+def np_roots_polished(asc) -> np.ndarray:
+    """``np.roots`` plus one guarded Newton step by ``np.polyval`` per root."""
+    desc = np.asarray(asc, dtype=float)[::-1]
+    roots = np.roots(desc)
+    pv = np.polyval(desc, roots)
+    dv = np.polyval(np.polyder(desc), roots)
+    safe = np.abs(dv) > 0
+    polished = np.where(safe, roots - np.where(safe, pv, 0) / np.where(safe, dv, 1), roots)
+    better = np.abs(np.polyval(desc, polished)) < np.abs(pv)
+    return np.where(better, polished, roots)
 
 
 def routh_first_column(asc) -> np.ndarray:

@@ -218,6 +218,27 @@ def test_threads_flag_rejected(tmp_path):
 # verify
 # ---------------------------------------------------------------------------
 
+VERIFY_GOLDEN = {
+    1: ("PASS formulation_equivalence: max relative disagreement 1.889e-15 (tol 1e-9)\n"
+        "PASS factorization: max relative coefficient error 5.941e-16 (tol 1e-12)\n"),
+    7: ("PASS formulation_equivalence: max relative disagreement 1.831e-15 (tol 1e-9)\n"
+        "PASS factorization: max relative coefficient error 6.129e-16 (tol 1e-12)\n"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_GOLDEN))
+def test_verify_stdout_golden(tmp_path, capsys, seed):
+    # pinned bytes: a change in the random draws or in any check's
+    # arithmetic shows up here
+    code, out, _ = run(capsys, "verify", "--config", write_config(tmp_path, seed=seed))
+    assert code == 0
+    assert out == VERIFY_GOLDEN[seed] + (
+        "PASS ek_containment: max relative annulus violation 0.000e+00\n"
+        "PASS rh_vs_roots: 0 verdict mismatches out of 2000\n"
+        "PASS decay_panel: 0 of 4 panel points failed\n"
+        "verify: 5/5 checks passed\n")
+
+
 def test_verification_fast_passes():
     results = run_verification(seed=7, fast=True)
     assert all(r.ok for r in results)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,17 @@ def test_accel_formulations_agree(rng):
                                            t1d + t2d, t1d - t2d, p, model))
             scale = np.maximum(1.0, np.abs(ref).max(axis=0))
             assert np.max(np.abs(got - ref).max(axis=0) / scale) <= 1e-9
+
+
+def test_plain_float_accel_matches_numpy_bits(rng):
+    # the integrator evaluates the closed form with math on floats,
+    # accel_y with numpy; both must give the same bits
+    for _ in range(20):
+        p = draw_params(rng)
+        for v in rng.uniform(-3, 3, (50, 6)).tolist():
+            for model in (FULL, ROT):
+                plain = _accel_y_arrays(*v, p, model, 0.0, 0.0, math)
+                assert list(plain) == accel_y(SystemState.from_y(*v), p, model).tolist()
 
 
 def test_identical_pendula_delta_equation(identical_params):
@@ -253,3 +266,16 @@ def test_finite_time_blowup_raises_stiffness_error(identical_params):
         integrate(SystemState.from_y(0, 0, 0), identical_params, FULL,
                   t_end=2.0, samples=101, escapement=esc)
     assert 0.0 < exc.value.t_reached <= 1.05
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_infinite_drive_raises_stiffness_error(identical_params):
+    # the state blows up to inf on the first trial step (scipy's inf * 0
+    # warns); the plain-float right-hand side must stall the solver, not
+    # leak math's ValueError
+    from coupled_pendula import EscapementSpec, StiffnessError
+    esc = EscapementSpec(f1=lambda s, t: float("inf"))
+    with pytest.raises(StiffnessError) as exc:
+        integrate(SystemState.from_y(0.01, 0.02, 0.015), identical_params, FULL,
+                  t_end=5.0, samples=11, escapement=esc)
+    assert exc.value.t_reached == 0.0

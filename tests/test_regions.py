@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,26 @@ def test_map_csv_rows_match_scalar_verdicts(tmp_path, grid, eta, mu):
 def test_grid_touching_axes_rejected():
     with pytest.raises(ParamError):
         GridSpec(0.0, 1.0, 0.1, 1.0, 5, 5, "linear")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nx", 2.9), ("ny", True), ("nx", "3"), ("ny", None),
+    ("x_min", "a"), ("y_max", None), ("x_max", False), ("y_min", math.nan),
+])
+def test_grid_entry_rejected_with_field(field, value):
+    kw = dict(x_min=0.1, x_max=1.0, y_min=0.1, y_max=1.0, nx=3, ny=3, spacing="log")
+    kw[field] = value
+    with pytest.raises(ParamError) as exc:
+        GridSpec(**kw)
+    assert exc.value.field == field
+
+
+def test_map_verdict_at_bounds_checked():
+    rmap = region_map(GridSpec(0.1, 1.0, 0.1, 1.0, 3, 3, "linear"), eta=0.5, mu=0.2)
+    assert rmap.verdict_at(2, 2).rho_m_over_omega == rmap.rho_m[8]
+    for ix, iy in ((3, 0), (-1, 0), (0, 3), (0, -1)):
+        with pytest.raises(IndexError):
+            rmap.verdict_at(ix, iy)
 
 
 def test_map_eta_above_one_refuses_branch_verdicts():

@@ -24,10 +24,19 @@ from coupled_pendula import (
     spectrum_report,
 )
 from coupled_pendula.dynamics import _accel_y_arrays
-from coupled_pendula.spectral import ek_ratios_dimensionless, zone_from_ratios
+from coupled_pendula.spectral import (
+    ek_ratios_dimensionless,
+    quartic_from_dimensionless,
+    zone_from_ratios,
+)
 
 from conftest import draw_params
-from oracles import aberth_roots, central_difference_jacobian, routh_first_column
+from oracles import (
+    aberth_roots,
+    central_difference_jacobian,
+    np_roots_polished,
+    routh_first_column,
+)
 
 FULL = DampingModel.FULL_VELOCITY
 ROT = DampingModel.ROTATIONAL_ONLY
@@ -171,6 +180,51 @@ def test_roots_against_aberth_oracle(rng):
         dist = np.abs(got[:, None] - ref[None, :])
         assert np.max(np.min(dist, axis=1)) <= 1e-9 * scale
         assert np.max(np.min(dist, axis=0)) <= 1e-9 * scale
+
+
+def _assert_batch_matches_one_at_a_time(asc):
+    asc = np.asarray(asc, dtype=float)
+    batch = poly_roots(asc)
+    assert batch.shape == (len(asc), asc.shape[1] - 1)
+    for row, got in zip(asc, batch):
+        ref = np_roots_polished(row)
+        single = poly_roots(PolyCoeffs(row))
+        assert np.array_equal(got, ref)
+        assert np.array_equal(single, ref) and single.dtype == ref.dtype
+
+
+def test_batched_roots_bit_identical_sextics(rng):
+    _assert_batch_matches_one_at_a_time(
+        [char_poly_general(draw_params(rng)).coeffs for _ in range(500)])
+
+
+def test_batched_roots_bit_identical_quartics(rng):
+    eta = rng.uniform(0.05, 3.0, 500)
+    X, Y = 10 ** rng.uniform(-2, 2, (2, 500))
+    mu = rng.uniform(0.01, 0.49, 500)
+    _assert_batch_matches_one_at_a_time(
+        [quartic_from_dimensionless(*v).coeffs for v in zip(eta, X, Y, mu)])
+
+
+def test_batched_roots_bit_identical_real_roots(rng):
+    # all-real spectra: np.roots returns a real array, so these rows take
+    # the real-arithmetic polish and a single call returns float roots
+    roots = -10 ** rng.uniform(-1, 1, (300, 6))
+    _assert_batch_matches_one_at_a_time([np.poly(r)[::-1] for r in roots])
+
+
+def test_batched_roots_bit_identical_quadratics():
+    quads = [char_poly_identical(params_from_dimensionless(
+        eta=eta, X=0.3, Y=1.0, mu=0.25, omega=2.0))[0].coeffs for eta in (0.5, 3.0)]
+    # double root, plus zero constant terms, which np.roots strips and
+    # returns as roots at the origin
+    _assert_batch_matches_one_at_a_time(quads + [[1.0, 2.0, 1.0], [0.0, 1.0, 1.0],
+                                                 [0.0, 0.0, 1.0]])
+
+
+def test_batched_roots_reject_zero_leading_coefficient():
+    with pytest.raises(ValueError):
+        poly_roots(np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 0.0]]))
 
 
 def test_root_residuals(rng):
