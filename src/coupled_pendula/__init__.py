@@ -23,8 +23,6 @@ from .params import (
     psi2,
     psi2_approx,
     reduce_params,
-    to_q_form,
-    to_y_form,
 )
 from .dynamics import (
     CrossCheckError,

@@ -109,9 +109,15 @@ def _number(doc: dict, key: str, default=None) -> float:
             raise ConfigError(f"missing required key: {key}")
         return default
     v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key}: expected a number")
+    if not _is_finite_number(v):
+        raise ConfigError(f"{key}: expected a finite number")
     return float(v)
+
+
+def _is_finite_number(v) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def load_config(path: str) -> RunConfig:
@@ -139,9 +145,9 @@ def load_config(path: str) -> RunConfig:
 
     state_raw = doc.get("initial_state", [0.0] * 6)
     if (not isinstance(state_raw, list) or len(state_raw) != 6
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in state_raw)):
-        raise ConfigError("initial_state: expected a list of 6 numbers (x, sigma, delta, "
-                          "xdot, sigmadot, deltadot)")
+            or not all(map(_is_finite_number, state_raw))):
+        raise ConfigError("initial_state: expected a list of 6 finite numbers (x, sigma, "
+                          "delta, xdot, sigmadot, deltadot)")
     state = SystemState.from_y(*(float(v) for v in state_raw))
 
     grid_raw = doc.get("grid", {})

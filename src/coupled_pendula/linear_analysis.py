@@ -34,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dynamics import CrossCheckError
 from .params import (
     ParamError,
     PhysicalParams,
@@ -139,9 +140,11 @@ def fundamental_frequencies(p: PhysicalParams) -> FundamentalFrequencies:
     asc = frequency_cubic(rp)
     roots = np.roots(asc[::-1])
     scale = float(np.max(np.abs(roots)))
-    assert np.all(np.abs(roots.imag) <= 1e-9 * scale), "complex mode frequencies"
+    if not np.all(np.abs(roots.imag) <= 1e-9 * scale):
+        raise CrossCheckError("complex mode frequencies")
     lams = np.sort(roots.real)
-    assert lams[0] > 0, "non-positive mode frequency"
+    if not lams[0] > 0:
+        raise CrossCheckError("non-positive mode frequency")
     return FundamentalFrequencies(lambdas=lams, equal_length=False)
 
 
@@ -149,7 +152,8 @@ def coupling_b(p: PhysicalParams) -> float:
     """Modal coupling length B (m) for equal rod lengths.
 
     Cross-checks the closed form against the frequency-product identity
-    to 1e-10 relative before returning.
+    to 1e-10 relative before returning; a violation raises
+    :class:`CrossCheckError`.
     """
     if not _equal_lengths(p):
         raise ParamError("l2", "coupling length requires l1 = l2")
@@ -164,7 +168,8 @@ def coupling_b(p: PhysicalParams) -> float:
     # corresponding floating-point floor on top of the 1e-10 tolerance
     floor = (length**2 / (2.0 * p.g) * (w2s - ws) / (w2s - w1s)
              * 64.0 * np.finfo(float).eps * max(w1s, ws))
-    assert abs(lhs - b) <= 1e-10 * b + floor, "coupling-length identity violated"
+    if not abs(lhs - b) <= 1e-10 * b + floor:
+        raise CrossCheckError("coupling-length identity violated")
     return b
 
 

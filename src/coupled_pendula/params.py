@@ -62,8 +62,6 @@ __all__ = [
     "derived_constants",
     "params_from_dimensionless",
     "identical_pendula",
-    "to_y_form",
-    "to_q_form",
     "psi1",
     "psi2",
     "psi1_approx",
@@ -106,6 +104,9 @@ class PhysicalParams:
     g: float = 9.81  # gravity [m/s^2]
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ParamError(name, "must be finite")
         for name in ("m0", "l1", "l2", "k", "g"):
             if not getattr(self, name) > 0:
                 raise ParamError(name, "must be positive")
@@ -329,16 +330,6 @@ class SystemState:
             (x, 0.5 * (sg + dl), 0.5 * (sg - dl)),
             (vx, 0.5 * (vs + vd), 0.5 * (vs - vd)),
         )
-
-
-def to_y_form(s: SystemState) -> SystemState:
-    """Apply y = Lq (sum/difference angles); identity if already in y-form."""
-    return s.to_y()
-
-
-def to_q_form(s: SystemState) -> SystemState:
-    """Apply q = L⁻¹y; identity if already in q-form."""
-    return s.to_q()
 
 
 # ---------------------------------------------------------------------------

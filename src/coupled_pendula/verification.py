@@ -7,6 +7,8 @@ annulus, the Routh-Hurwitz verdict vs computed root signs, and fitted
 nonlinear decay rates vs the spectral prediction.  ``fault`` injects a
 deliberate perturbation into the named check so the harness can confirm
 a broken formula is actually caught.
+The acceptance suite runs these same checks at larger sizes and asserts
+``CheckResult.worst``, the number each verdict compares to its tolerance.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
+    worst: float  # worst error or violation, or a count of failures
 
 
 def random_params(rng: np.random.Generator, *, damped: bool = True,
@@ -45,12 +48,12 @@ def random_params(rng: np.random.Generator, *, damped: bool = True,
                           beta0=b0, beta1=b1, beta2=b2, k=k)
 
 
-def check_formulation_equivalence(rng: np.random.Generator, n_states: int = 10_000,
+def check_formulation_equivalence(rng: np.random.Generator, n: int = 10_000,
                                   fault: bool = False) -> CheckResult:
-    """Explicit y-form accelerations vs the mass-matrix solve."""
+    """Explicit y-form accelerations vs the mass-matrix solve, both damping models."""
     worst = 0.0
     per_set = 500
-    for _ in range(max(1, n_states // per_set)):
+    for _ in range(max(1, n // per_set)):
         p = random_params(rng)
         x = rng.uniform(-1, 1, per_set)
         t1, t2 = rng.uniform(-1, 1, (2, per_set))
@@ -65,7 +68,7 @@ def check_formulation_equivalence(rng: np.random.Generator, n_states: int = 10_0
         scale = np.maximum(1.0, np.max(np.abs(ref), axis=0))
         worst = max(worst, float(np.max(np.max(np.abs(got - ref), axis=0) / scale)))
     return CheckResult("formulation_equivalence", worst <= 1e-9,
-                       f"max relative disagreement {worst:.3e} (tol 1e-9)")
+                       f"max relative disagreement {worst:.3e} (tol 1e-9)", worst)
 
 
 def check_factorization(rng: np.random.Generator, n: int = 200,
@@ -81,7 +84,7 @@ def check_factorization(rng: np.random.Generator, n: int = 200,
         ref = spectral.char_poly_general(p).coeffs
         worst = max(worst, float(np.max(np.abs(prod - ref) / np.abs(ref))))
     return CheckResult("factorization", worst <= 1e-12,
-                       f"max relative coefficient error {worst:.3e} (tol 1e-12)")
+                       f"max relative coefficient error {worst:.3e} (tol 1e-12)", worst)
 
 
 # Polynomials are drawn one at a time, in the same RNG order as a plain
@@ -117,7 +120,7 @@ def check_ek_containment(rng: np.random.Generator, n: int = 2000,
         above = np.max(mod - rho_M[:, None] * (1 + 1e-9), axis=1) / rho_M
         worst = max(worst, float(np.max(below)), float(np.max(above)))
     return CheckResult("ek_containment", worst <= 0.0,
-                       f"max relative annulus violation {worst:.3e}")
+                       f"max relative annulus violation {worst:.3e}", worst)
 
 
 def check_rh_vs_roots(rng: np.random.Generator, n: int = 2000,
@@ -144,7 +147,7 @@ def check_rh_vs_roots(rng: np.random.Generator, n: int = 2000,
             fault = False
         stable_roots = np.all(spectral.poly_roots(coeffs[:size]).real < 0, axis=1)
         bad += int(np.count_nonzero(verdicts[:size] != stable_roots))
-    return CheckResult("rh_vs_roots", bad == 0, f"{bad} verdict mismatches out of {n}")
+    return CheckResult("rh_vs_roots", bad == 0, f"{bad} verdict mismatches out of {n}", bad)
 
 
 # Curated (eta, X, Y, mu, t_end_periods) quadrant points for the decay
@@ -176,12 +179,13 @@ DECAY_PANEL: list[tuple[float, float, float, float, float]] = [
     (1.00, 0.0157, 3.7815, 0.1899, 5.0),   # Z3
     (1.00, 0.1690, 0.1523, 0.0230, 11.4),  # Z4
 ]
+PANEL_OMEGA = np.pi  # pendulum frequency ω of every panel point (1/s)
 
 
-def check_decay_panel(panel=None, fault: bool = False,
-                      omega: float = np.pi) -> CheckResult:
+def check_decay_panel(panel=None, fault: bool = False) -> CheckResult:
     """Nonlinear σ/δ decay ordering vs the spectral prediction."""
     panel = DECAY_PANEL[:4] if panel is None else panel
+    omega = PANEL_OMEGA
     period = 2.0 * np.pi / omega
     bad = []
     for eta, X, Y, mu, n_periods in panel:
@@ -204,7 +208,7 @@ def check_decay_panel(panel=None, fault: bool = False,
             bad.append((eta, X, Y, mu, rs, rd, sigma_rate_pred, delta_rate_pred))
     return CheckResult("decay_panel", not bad,
                        f"{len(bad)} of {len(panel)} panel points failed" +
-                       (f"; first: {bad[0]}" if bad else ""))
+                       (f"; first: {bad[0]}" if bad else ""), len(bad))
 
 
 ALL_CHECKS = ("formulation_equivalence", "factorization", "ek_containment",
@@ -219,7 +223,7 @@ def run_verification(seed: int, fault: Optional[str] = None,
     rng = np.random.default_rng(seed)
     scale = 5 if fast else 1
     return [
-        check_formulation_equivalence(rng, n_states=10_000 // scale,
+        check_formulation_equivalence(rng, n=10_000 // scale,
                                       fault=fault == "formulation_equivalence"),
         check_factorization(rng, n=200 // scale, fault=fault == "factorization"),
         check_ek_containment(rng, n=2000 // scale, fault=fault == "ek_containment"),

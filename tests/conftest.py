@@ -7,7 +7,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from coupled_pendula import PhysicalParams
-from coupled_pendula.verification import random_params
 
 
 @pytest.fixture
@@ -26,7 +25,3 @@ def asymmetric_params() -> PhysicalParams:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260809)
-
-
-def draw_params(rng, **kw) -> PhysicalParams:
-    return random_params(rng, **kw)

@@ -54,6 +54,21 @@ def test_missing_key_rejected(tmp_path, capsys):
     assert code == 2 and "k" in err
 
 
+@pytest.mark.parametrize("command, field, overrides", [
+    ("spectrum", "beta0", {"beta0": math.nan}),
+    ("simulate", "initial_state", {"initial_state": [0.01, math.nan, 0, 0, 0, 0]}),
+    ("simulate", "t_end", {"t_end": math.inf}),
+])
+def test_non_finite_input_rejected(tmp_path, capsys, command, field, overrides):
+    # json writes and reads NaN/Infinity literals; each must fail
+    # validation instead of reaching the solver
+    path = write_config(tmp_path, **overrides)
+    code, _, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith(f"error: {field}:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from coupled_pendula import (
     theta_factor,
 )
 from coupled_pendula.dynamics import CSV_HEADER, _accel_q_arrays, _accel_y_arrays
+from coupled_pendula.verification import random_params
 
-from conftest import draw_params
 from oracles import propagate_linear
 
 FULL = DampingModel.FULL_VELOCITY
@@ -37,7 +37,7 @@ def accel_q_as_y(state, p, model=FULL):
 def test_origin_is_equilibrium(rng):
     rest = SystemState.from_q(0, 0, 0)
     for _ in range(50):
-        p = draw_params(rng)
+        p = random_params(rng)
         for model in (FULL, ROT):
             assert np.max(np.abs(accel_q(rest, p, model))) == 0.0
             assert np.max(np.abs(accel_y(rest, p, model))) == 0.0
@@ -73,7 +73,7 @@ def test_theta_factor_at_origin(asymmetric_params):
 
 def test_accel_formulations_agree(rng):
     for _ in range(40):
-        p = draw_params(rng)
+        p = random_params(rng)
         n = 50
         x = rng.uniform(-1, 1, n)
         t1, t2, xd, t1d, t2d = rng.uniform(-1, 1, (5, n))
@@ -90,7 +90,7 @@ def test_plain_float_accel_matches_numpy_bits(rng):
     # the integrator evaluates the closed form with math on floats,
     # accel_y with numpy; both must give the same bits
     for _ in range(20):
-        p = draw_params(rng)
+        p = random_params(rng)
         for v in rng.uniform(-3, 3, (50, 6)).tolist():
             for model in (FULL, ROT):
                 plain = _accel_y_arrays(*v, p, model, 0.0, 0.0, math)
@@ -148,7 +148,7 @@ def test_energy_reference_at_rest(asymmetric_params):
 
 
 def test_energy_conserved_without_friction(rng):
-    p = draw_params(rng, damped=False)
+    p = random_params(rng, damped=False)
     y0 = SystemState.from_y(0.02, 0.05, -0.03, 0, 0, 0)
     traj = integrate(y0, p, FULL, t_end=20.0, samples=2001)
     e0 = traj.energies[0]
@@ -157,7 +157,7 @@ def test_energy_conserved_without_friction(rng):
 
 def test_energy_monotone_under_full_damping(rng):
     for _ in range(3):
-        p = draw_params(rng)
+        p = random_params(rng)
         y0 = SystemState.from_y(0.05, 0.3, -0.2, 0.02, 0.1, 0.05)
         traj = integrate(y0, p, FULL, t_end=15.0, samples=3001)
         e = traj.energies
@@ -166,7 +166,7 @@ def test_energy_monotone_under_full_damping(rng):
 
 def test_energy_rate_is_damping_power(rng):
     # dE/dt = qdot . Phi for both damping models, spot-checked by finite differences
-    p = draw_params(rng)
+    p = random_params(rng)
     s = SystemState.from_q(0.1, 0.4, -0.3, 0.2, -0.5, 0.3)
     for model in (FULL, ROT):
         acc = accel_q(s, p, model)
@@ -210,12 +210,6 @@ def test_linear_regime_matches_jacobian_system(identical_params):
     scale = np.max(np.abs(ref), axis=0)
     err = np.max(np.abs(traj.states - ref), axis=0) / scale
     assert np.max(err) <= 1e-3
-
-
-def test_cross_check_hook_runs(identical_params):
-    traj = integrate(SystemState.from_y(0.01, 0.05, -0.02), identical_params,
-                     FULL, 2.0, samples=201, cross_check_every=50)
-    assert len(traj.times) == 201
 
 
 def test_rotational_model_integrates(identical_params):
@@ -270,12 +264,24 @@ def test_finite_time_blowup_raises_stiffness_error(identical_params):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_infinite_drive_raises_stiffness_error(identical_params):
-    # the state blows up to inf on the first trial step (scipy's inf * 0
-    # warns); the plain-float right-hand side must stall the solver, not
-    # leak math's ValueError
+    # the drive switches on after t=0, so the state blows up to inf on the
+    # first trial step (scipy's inf * 0 warns); the plain-float right-hand
+    # side must stall the solver, not leak math's ValueError
     from coupled_pendula import EscapementSpec, StiffnessError
-    esc = EscapementSpec(f1=lambda s, t: float("inf"))
+    esc = EscapementSpec(f1=lambda s, t: float("inf") if t > 0 else 0.0)
     with pytest.raises(StiffnessError) as exc:
+        integrate(SystemState.from_y(0.01, 0.02, 0.015), identical_params, FULL,
+                  t_end=5.0, samples=11, escapement=esc)
+    assert exc.value.t_reached == 0.0
+
+
+@pytest.mark.parametrize("force", [math.nan, math.inf])
+def test_non_finite_drive_at_start_raises_before_solving(identical_params, force):
+    # a NaN right-hand side at t=0 gives scipy a NaN first step, and the
+    # solver would never return
+    from coupled_pendula import EscapementSpec, StiffnessError
+    esc = EscapementSpec(f1=lambda s, t: force)
+    with pytest.raises(StiffnessError, match="not finite at t=0") as exc:
         integrate(SystemState.from_y(0.01, 0.02, 0.015), identical_params, FULL,
                   t_end=5.0, samples=11, escapement=esc)
     assert exc.value.t_reached == 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from coupled_pendula import (
+    CrossCheckError,
     DampingModel,
     ParamError,
     PhysicalParams,
@@ -24,8 +25,8 @@ from coupled_pendula import (
     reduce_params,
 )
 from coupled_pendula.linear_analysis import frequency_cubic
+from coupled_pendula.verification import random_params
 
-from conftest import draw_params
 from oracles import congruence, propagate_linear
 
 FULL = DampingModel.FULL_VELOCITY
@@ -56,7 +57,7 @@ def test_linearize_rejects_massless():
 def test_congruence_oracle(rng):
     l_inv = np.array([[1, 0, 0], [0, 0.5, 0.5], [0, 0.5, -0.5]])
     for _ in range(50):
-        p = draw_params(rng)
+        p = random_params(rng)
         abar = np.array([[p.m, p.m1 * p.l1, p.m2 * p.l2],
                          [p.m1 * p.l1, p.m1 * p.l1**2, 0],
                          [p.m2 * p.l2, 0, p.m2 * p.l2**2]])
@@ -106,7 +107,7 @@ def test_mu_near_half_limits():
 
 def test_frequency_ordering_random(rng):
     for _ in range(2000):
-        p = draw_params(rng, damped=False, identical=True)
+        p = random_params(rng, damped=False, identical=True)
         ff = fundamental_frequencies(p)
         assert ff.omega1_sq < ff.omega_sq < ff.omega2_sq
         rp = reduce_params(p)
@@ -115,11 +116,22 @@ def test_frequency_ordering_random(rng):
 
 def test_general_lengths_match_generalized_eigenproblem(rng):
     for _ in range(100):
-        p = draw_params(rng, damped=False)
+        p = random_params(rng, damped=False)
         lm = linearize_frictionless(p)
         ref = np.sort(np.linalg.eigvals(np.linalg.solve(lm.a1, lm.v1)).real)
         ff = fundamental_frequencies(p)
         assert np.allclose(ff.lambdas, ref, rtol=1e-8)
+
+
+@pytest.mark.parametrize("roots, message", [
+    ([1 + 1j, 1 - 1j, 2], "complex mode frequencies"),
+    ([-1.0, 1.0, 2.0], "non-positive mode frequency"),
+])
+def test_bad_mode_frequencies_raise_cross_check_error(monkeypatch, asymmetric_params,
+                                                     roots, message):
+    monkeypatch.setattr(np, "roots", lambda c: np.array(roots))
+    with pytest.raises(CrossCheckError, match=message):
+        fundamental_frequencies(asymmetric_params)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +218,7 @@ def test_antiphase_initial_data_keeps_sigma_zero():
 
 def test_closed_form_reproduces_initial_data(rng):
     for _ in range(50):
-        p = draw_params(rng, damped=False, identical=True)
+        p = random_params(rng, damped=False, identical=True)
         p = dataclasses.replace(p, m2=p.m2 * rng.uniform(0.5, 1.5))  # masses may differ
         y0 = rng.uniform(-0.3, 0.3, 6)
         sol = closed_form(p, SystemState.from_y(*y0))
@@ -216,7 +228,7 @@ def test_closed_form_reproduces_initial_data(rng):
 
 def test_closed_form_satisfies_linear_ode(rng):
     for _ in range(20):
-        p = draw_params(rng, damped=False, identical=True)
+        p = random_params(rng, damped=False, identical=True)
         y0 = rng.uniform(-0.2, 0.2, 6)
         sol = closed_form(p, SystemState.from_y(*y0))
         lm = linearize_frictionless(p)
@@ -360,7 +372,7 @@ def test_perturbation_vanishes_for_equal_lengths(identical_params):
 def test_perturbation_reference_closed_form(rng):
     # P(lambda_bar) == (1 - Lambda^2)(1 - 2mu - Y) + 2 Lambda^2 rho
     for _ in range(200):
-        p = draw_params(rng)
+        p = random_params(rng)
         rp = reduce_params(p)
         expected = (1 - rp.Lambda**2) * (1 - 2 * rp.mu - rp.Y) + 2 * rp.Lambda**2 * rp.rho
         got = perturbation_p(p)[0]
@@ -371,7 +383,7 @@ def test_perturbation_sign_matches_root_shift(rng):
     # oracle: middle root of the perturbed cubic vs the reference lambda_bar
     checked = 0
     for _ in range(500):
-        base = draw_params(rng, damped=False)
+        base = random_params(rng, damped=False)
         p = dataclasses.replace(base, l2=base.l1 * rng.uniform(0.93, 1.07),
                                 m2=base.m1 * rng.uniform(0.8, 1.25))
         rp = reduce_params(p)

