@@ -166,14 +166,17 @@ def load_config(path: str) -> RunConfig:
     seed = doc.get("seed", 1)
     if not isinstance(samples, int) or samples < 2:
         raise ConfigError("samples: expected an integer >= 2")
-    if not isinstance(seed, int):
-        raise ConfigError("seed: expected an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("seed: expected a non-negative integer")
+    t_end = _number(doc, "t_end", 60.0)
+    if not t_end > 0:
+        raise ConfigError("t_end: expected a positive number")
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out: expected a string path")
 
     return RunConfig(params=params, damping=_DAMPING_NAMES[damping_name],
-                     initial_state=state, t_end=_number(doc, "t_end", 60.0),
+                     initial_state=state, t_end=t_end,
                      samples=samples, grid=grid, seed=seed, out=out)
 
 

@@ -24,6 +24,18 @@ annulus [ρm, ρM].  Comparing the two yields, per quadrant point:
 All verdicts here are dimensionless (ω ≡ 1).  Analyses specific to the
 η ≤ 1 branch refuse η > 1 rather than guess.  Grid sweeps evaluate every
 node at once and keep the verdicts as numpy columns.
+
+``RegionMap.write_csv`` builds the CSV in blocks of at most 16,384 rows
+without a Python string per row.  Each cell is a zero-padded uint8 row:
+the float cells come from ``_e9_cells`` and the zone, flag and ``na``
+cells from one lookup-table row per zone/flag combination.  A block is
+the concatenation of its cell and separator columns; its pad bytes are
+dropped with ``block[block != 0]`` and the rest is written at once.
+The bytes equal ``format(x, ".9e")`` per float: ``_e9_cells`` computes
+the ten-digit significand as rint(x·10^k) with an exact power of ten,
+which carries one rounding error of at most 2^-20, and sends every
+value whose rounding that error could flip, or that lies outside
+[1e-13, 1e10), to ``format`` itself.
 """
 
 from __future__ import annotations
@@ -294,14 +306,87 @@ class RegionVerdict:
 _ZONES = ("Z1", "Z2", "Z3", "Z4")
 _CSV_HEADER = ("X,Y,zone,conic1,conic2,conic3,conic4,condA,condB,inA,"
                "semicircle,refined,rho_m_over_omega,rho_M_over_omega")
-# CSV cells of four flags, indexed by the flags packed as bits 0-3.
-_FLAG_CELLS = [",".join("true" if code >> k & 1 else "false" for k in range(4))
-               for code in range(16)]
 
 
-def _flag_cells(flags: np.ndarray) -> list[str]:
-    codes = np.packbits(flags, axis=1, bitorder="little")[:, 0]
-    return [_FLAG_CELLS[c] for c in codes.tolist()]
+def _byte_cells(strings: list[str]) -> np.ndarray:
+    """ASCII strings as rows of a uint8 array, zero-padded to the longest."""
+    a = np.array(strings, dtype=bytes)
+    return a.view(np.uint8).reshape(a.size, a.itemsize)
+
+
+# The middle cells of a row, zone through refined, indexed by
+# zone·16 + conic bits (·16 + branch bits when η ≤ 1); flag k is bit k.
+_FLAGS = [",".join("true" if code >> k & 1 else "false" for k in range(4))
+          for code in range(16)]
+_MIDDLE_NA = _byte_cells([f"{z},{c},na,na,na,na,na" for z in _ZONES for c in _FLAGS])
+_MIDDLE_BRANCH = _byte_cells([f"{z},{c},{b},na" for z in _ZONES for c in _FLAGS
+                              for b in _FLAGS])
+
+# Widest ``.9e`` string: "-d.ddddddddde-ddd".
+_E9_WIDTH = 17
+# 10**k for k = 0..22, all exact in binary64 (5**22 < 2**53).
+_POW10 = np.array([float(10**k) for k in range(23)])
+# Row i holds the four ASCII digits of i, "0000" to "9999".
+# Built in uint16: int64 temporaries would raise the peak RSS of every
+# command that imports this module by about 1 MB.
+_DIGITS4 = (np.arange(10_000, dtype=np.uint16)[:, None]
+            // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
+
+
+def _e9_cells(v: np.ndarray) -> np.ndarray:
+    """``format(x, ".9e")`` of every value as (n, 17) zero-padded uint8 rows.
+
+    Fast path, for x in [1e-13, 1e10): with e = ⌊log10 x⌋ and k = 9 − e
+    clipped to [0, 22], 10^k is exact, so s = x·10^k carries a single
+    rounding error.  Rounding is monotone and 1e9, 1e10 are doubles, so
+    s lands in [1e9, 1e10) exactly when x·10^k does, and then 9 − k is
+    the decimal exponent of x and the error is at most half an ulp of a
+    number below 2^34, i.e. 2^-20.  Unless s is within 1e-5 of a
+    half-integer, d = rint(s) is therefore the correctly rounded ten-digit
+    significand, written with integer arithmetic.  Every other value goes
+    through ``format`` one at a time: near-ties (about 2 in 10^5),
+    roundings up to 10^10, s outside [1e9, 1e10) (log10 off by one next
+    to a power of ten), and values out of range, non-finite or ≤ 0.  This
+    is Loitsch's split (Grisu, PLDI 2010): a fast path that is exact
+    whenever it answers, and an exact printer for the rest.
+    """
+    v = np.asarray(v, dtype=float)
+    fast = (v >= 1e-13) & (v < 1e10)
+    x = np.where(fast, v, 1.0)
+    k = np.clip(9 - np.floor(np.log10(x)).astype(np.int64), 0, 22)
+    s = x * _POW10[k]
+    d = np.rint(s)
+    fast &= (s >= 1e9) & (d < 1e10) & (np.abs(s - np.floor(s) - 0.5) > 1e-5)
+    d = np.where(fast, d, 1e9).astype(np.int64)  # keeps the table indices in range
+    e = 9 - k
+
+    out = np.zeros((v.size, _E9_WIDTH), dtype=np.uint8)
+    high, low = np.divmod(d, 10**4)
+    lead, mid = np.divmod(high, 10**4)  # lead holds the first two digits
+    out[:, 0] = _DIGITS4[lead, 2]
+    out[:, 1] = ord(".")
+    out[:, 2] = _DIGITS4[lead, 3]
+    out[:, 3:7] = _DIGITS4[mid]
+    out[:, 7:11] = _DIGITS4[low]
+    out[:, 11] = ord("e")
+    out[:, 12] = np.where(e < 0, ord("-"), ord("+"))
+    out[:, 13:15] = _DIGITS4[np.abs(e), 2:]
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells = _byte_cells([format(u, ".9e") for u in v[slow].tolist()])
+        out[slow] = 0
+        out[slow, :cells.shape[1]] = cells
+    return out
+
+
+# Rows per block of the CSV writer; bounds its buffers to a few MB.
+_CSV_BLOCK = 16_384
+
+
+def _flag_codes(flags: np.ndarray) -> np.ndarray:
+    """Rows of four flags packed as bits 0-3."""
+    return flags @ np.array([1, 2, 4, 8], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -346,19 +431,24 @@ class RegionMap:
         return int(np.count_nonzero(self.branch[:, 2])) / len(self.branch)
 
     def write_csv(self, path) -> None:
-        nx, ny = self.grid.nx, self.grid.ny
-        xs = [format(x, ".9e") for x in self.xs.tolist()] * ny
-        y_cells = [format(y, ".9e") for y in self.ys.tolist()]
-        ys = [y for y in y_cells for _ in range(nx)]
-        zones = [_ZONES[z] for z in self.zone.tolist()]
-        branch = (["na,na,na,na"] * len(zones) if self.branch is None
-                  else _flag_cells(self.branch))
-        with open(path, "w") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            fh.writelines(f"{x},{y},{z},{c},{b},na,{m:.9e},{M:.9e}\n"
-                          for x, y, z, c, b, m, M in zip(
-                              xs, ys, zones, _flag_cells(self.conics), branch,
-                              self.rho_m.tolist(), self.rho_M.tolist()))
+        """One header line, then one row per node, built in byte blocks."""
+        nx = self.grid.nx
+        x_cells, y_cells = _e9_cells(self.xs), _e9_cells(self.ys)
+        middle = _MIDDLE_NA if self.branch is None else _MIDDLE_BRANCH
+        with open(path, "wb") as fh:
+            fh.write((_CSV_HEADER + "\n").encode())
+            for lo in range(0, self.zone.size, _CSV_BLOCK):
+                rows = slice(lo, lo + _CSV_BLOCK)
+                node = np.arange(lo, min(lo + _CSV_BLOCK, self.zone.size))
+                code = self.zone[rows] * 16 + _flag_codes(self.conics[rows])
+                if self.branch is not None:
+                    code = code * 16 + _flag_codes(self.branch[rows])
+                sep = np.full((node.size, 1), ord(","), dtype=np.uint8)
+                block = np.concatenate(
+                    [x_cells[node % nx], sep, y_cells[node // nx], sep, middle[code], sep,
+                     _e9_cells(self.rho_m[rows]), sep, _e9_cells(self.rho_M[rows]),
+                     np.full_like(sep, ord("\n"))], axis=1)
+                fh.write(block[block != 0].tobytes())
 
 
 def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:

@@ -183,7 +183,11 @@ PANEL_OMEGA = np.pi  # pendulum frequency ω of every panel point (1/s)
 
 
 def check_decay_panel(panel=None, fault: bool = False) -> CheckResult:
-    """Nonlinear σ/δ decay ordering vs the spectral prediction."""
+    """Nonlinear σ/δ decay ordering vs the spectral prediction.
+
+    A point whose trajectory is too short for the envelope fit counts as
+    failed, with the fit's message in place of the rates.
+    """
     panel = DECAY_PANEL[:4] if panel is None else panel
     omega = PANEL_OMEGA
     period = 2.0 * np.pi / omega
@@ -200,7 +204,11 @@ def check_decay_panel(panel=None, fault: bool = False) -> CheckResult:
         length = p.g / omega**2
         y0 = SystemState.from_y(0.002 * length, 0.002, 0.002)
         t_end = n_periods * period
-        rs, rd = empirical_decay_rates(p, y0, t_end)
+        try:
+            rs, rd = empirical_decay_rates(p, y0, t_end)
+        except ValueError as exc:  # too few envelope peaks to fit
+            bad.append((eta, X, Y, mu, str(exc)))
+            continue
         ok = ((rs > rd) == predict_sigma_faster
               and abs(rd - delta_rate_pred) <= 0.05 * delta_rate_pred
               and abs(rs - sigma_rate_pred) <= 0.05 * sigma_rate_pred)

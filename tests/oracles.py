@@ -3,8 +3,10 @@
 These deliberately avoid the production code paths they check: a second
 root finder (Aberth-Ehrlich), the one-polynomial-at-a-time root finder
 that the batched ``poly_roots`` must reproduce bit for bit, a generic
-Routh table, congruence products by plain matrix multiplication, and
-eigendecomposition propagation of the linear system.
+Routh table, congruence products by plain matrix multiplication,
+eigendecomposition propagation of the linear system, and a per-row
+f-string region CSV writer that the block writer must match byte for
+byte.
 """
 
 from __future__ import annotations
@@ -89,3 +91,19 @@ def central_difference_jacobian(fn, x0: np.ndarray, step: float = 1e-6) -> np.nd
         lo[j] -= step
         jac[:, j] = (np.asarray(fn(hi)) - np.asarray(fn(lo))) / (2 * step)
     return jac
+
+
+def reference_region_csv(rmap) -> bytes:
+    """The region CSV of a ``RegionMap``'s columns, one f-string per row."""
+    def flags(row):
+        return ",".join("true" if f else "false" for f in row)
+
+    lines = ["X,Y,zone,conic1,conic2,conic3,conic4,condA,condB,inA,"
+             "semicircle,refined,rho_m_over_omega,rho_M_over_omega"]
+    nx = len(rmap.xs)
+    for i in range(len(rmap.zone)):
+        X, Y = float(rmap.xs[i % nx]), float(rmap.ys[i // nx])
+        branch = "na,na,na,na" if rmap.branch is None else flags(rmap.branch[i])
+        lines.append(f"{X:.9e},{Y:.9e},Z{int(rmap.zone[i]) + 1},{flags(rmap.conics[i])},"
+                     f"{branch},na,{float(rmap.rho_m[i]):.9e},{float(rmap.rho_M[i]):.9e}")
+    return ("\n".join(lines) + "\n").encode()

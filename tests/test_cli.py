@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coupled_pendula.cli import canonical_json, load_config, main
-from coupled_pendula.verification import run_verification
+from coupled_pendula.verification import check_decay_panel, run_verification
 
 BASE = {
     "m0": 2.0, "m1": 1.0, "m2": 1.0, "l1": 1.0, "l2": 1.0,
@@ -58,10 +58,15 @@ def test_missing_key_rejected(tmp_path, capsys):
     ("spectrum", "beta0", {"beta0": math.nan}),
     ("simulate", "initial_state", {"initial_state": [0.01, math.nan, 0, 0, 0, 0]}),
     ("simulate", "t_end", {"t_end": math.inf}),
+    ("simulate", "t_end", {"t_end": -1.0}),
+    ("simulate", "t_end", {"t_end": 0.0}),
+    ("verify", "seed", {"seed": True}),
+    ("verify", "seed", {"seed": -1}),
 ])
 def test_non_finite_input_rejected(tmp_path, capsys, command, field, overrides):
-    # json writes and reads NaN/Infinity literals; each must fail
-    # validation instead of reaching the solver
+    # json writes and reads NaN/Infinity literals; each, like a
+    # non-positive t_end or a bool or negative seed, must fail validation
+    # instead of reaching the solver or the random generator
     path = write_config(tmp_path, **overrides)
     code, _, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "o"))
     assert code == 2
@@ -269,3 +274,12 @@ def test_fault_injection_caught(fault):
     assert by_name[fault] is False
     others = {k: v for k, v in by_name.items() if k != fault}
     assert all(others.values())
+
+
+def test_decay_panel_short_trajectory_counts_as_failed():
+    # half a period leaves too few envelope peaks to fit; the point must
+    # fail the check instead of raising out of ``verify``
+    res = check_decay_panel([(0.5, 1.0, 1.0, 0.25, 0.5)])
+    assert not res.ok and res.worst == 1
+    assert res.detail.startswith("1 of 1 panel points failed; first: (0.5, 1.0, 1.0, 0.25, ")
+    assert "envelope peaks" in res.detail

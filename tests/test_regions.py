@@ -23,9 +23,10 @@ from coupled_pendula import (
     region_map,
     semicircle_condition,
 )
-from coupled_pendula.regions import _strict_peaks
+from coupled_pendula.regions import _e9_cells, _strict_peaks
 from coupled_pendula.spectral import ek_ratios_dimensionless, quartic_from_dimensionless
 from coupled_pendula.verification import DECAY_PANEL
+from oracles import reference_region_csv
 
 
 def rand_points(rng, n, eta_hi=1.0):
@@ -305,6 +306,43 @@ def test_map_csv_rows_match_scalar_verdicts(tmp_path, grid, eta, mu):
     expected = [_scalar_csv_row(float(X), float(Y), eta, mu)
                 for Y in grid.axis("y") for X in grid.axis("x")]
     assert rows == expected
+
+
+def _e9_strings(v):
+    return _e9_cells(np.asarray(v)).view("S17").ravel().tolist()
+
+
+def test_e9_cells_exact_on_log_uniform_draws():
+    v = 10.0 ** np.random.default_rng(5).uniform(-15.0, 12.0, 1_000_000)
+    expected = [format(x, ".9e").encode() for x in v.tolist()]
+    assert _e9_strings(v) == expected
+
+
+def test_e9_cells_exact_on_adversarial_values():
+    v = [12345678905.0, 1234567890.5, 9.9999999995, 99999.999995,
+         9.99999999996, 9999999999.6, 0.99999999996, 5e-324, 0.0, -0.0,
+         -1.5e-100, -2.5, math.inf, -math.inf, math.nan, 1e22, 1.7976931348623157e308]
+    for edge in (1e-13, 1e10):
+        v += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    v += [10.0**k for k in range(-15, 13)] + [float(f"1e{k}") for k in range(-15, 13)]
+    # doubles nearest to decimal ties d.ddddddddd5e±x: about 40% of them
+    # round the wrong way if the near-tie fallback is skipped
+    rng = np.random.default_rng(6)
+    v += [float(f"{m}5e{k}") for m, k in zip(rng.integers(10**9, 10**10, 2000).tolist(),
+                                                rng.integers(-23, 0, 2000).tolist())]
+    assert _e9_strings(v) == [format(x, ".9e").encode() for x in v]
+
+
+@pytest.mark.parametrize("grid, eta, mu", [
+    (GridSpec(0.01, 10.0, 0.01, 10.0, 130, 130, "log"), 0.6, 0.25),  # 16,900 rows
+    (GridSpec(0.05, 5.0, 0.02, 8.0, 130, 130, "linear"), 2.1, 0.2),
+    (GridSpec(0.3, 0.3, 0.7, 0.7, 1, 1, "log"), 0.6, 0.25),
+])
+def test_map_csv_matches_reference_writer(tmp_path, grid, eta, mu):
+    rmap = region_map(grid, eta=eta, mu=mu)
+    path = tmp_path / "map.csv"
+    rmap.write_csv(path)
+    assert path.read_bytes() == reference_region_csv(rmap)
 
 
 def test_grid_touching_axes_rejected():
