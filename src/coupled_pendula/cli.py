@@ -6,8 +6,9 @@ and output path) so that every run is reproducible from a checked-in
 document.  Outputs are canonical: object keys sorted, floats
 printed with 17 significant digits, so identical runs are byte-identical.
 
-Exit codes: 0 success, 2 validation failure, 3 integration failure,
-4 method inapplicable (reported, other results still emitted),
+Exit codes: 0 success, 2 validation failure (including a config or output
+path that cannot be opened and a config that is not UTF-8), 3 integration
+failure, 4 method inapplicable (reported, other results still emitted),
 5 internal cross-check violation.
 """
 
@@ -306,7 +307,7 @@ def main(argv=None) -> int:
         if args.command == "regions":
             return cmd_regions(cfg, args.out)
         return cmd_verify(cfg)
-    except (ConfigError, ParamError, FileNotFoundError) as exc:
+    except (ConfigError, ParamError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except StiffnessError as exc:

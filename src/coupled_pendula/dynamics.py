@@ -35,6 +35,14 @@ for physically sensible damping.  A run whose state blows up to inf or
 nan stalls the solver and raises :class:`StiffnessError`.  Right-hand
 sides are pure functions and each integration owns its state, so
 separate trajectories may run concurrently.
+
+scipy loads on the first integration, not at import: ``reduce``,
+``spectrum`` and ``regions`` never integrate, and ``scipy.integrate``
+would otherwise be most of their start-up time.  The module attribute
+``solve_ivp`` resolves through a module ``__getattr__`` (PEP 562) that
+imports and caches scipy's function, and :func:`integrate` reads it from
+the module globals on every call, so a rebinding of
+``dynamics.solve_ivp`` (a tracer's wrapper, a test's counter) is honoured.
 """
 
 from __future__ import annotations
@@ -44,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .params import EscapementSpec, PhysicalParams, SystemState, ZERO_ESCAPEMENT
 
@@ -60,6 +67,14 @@ __all__ = [
     "energy",
     "integrate",
 ]
+
+
+def __getattr__(name):
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        globals()["solve_ivp"] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class DampingModel(enum.Enum):
@@ -349,8 +364,9 @@ def integrate(state0: SystemState, p: PhysicalParams,
     if not all(map(math.isfinite, rhs(0.0, y0))):
         raise StiffnessError("right-hand side is not finite at t=0", t_reached=0.0)
     t_eval = np.linspace(0.0, t_end, samples)
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45",
-                    rtol=rtol, atol=atol, t_eval=t_eval, dense_output=False)
+    solver = globals().get("solve_ivp") or __getattr__("solve_ivp")
+    sol = solver(rhs, (0.0, t_end), y0, method="RK45",
+                 rtol=rtol, atol=atol, t_eval=t_eval, dense_output=False)
     if sol.status == -1:
         raise StiffnessError(
             f"integration stalled at t={sol.t[-1] if len(sol.t) else 0.0:.6g}: {sol.message}",

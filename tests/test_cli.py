@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coupled_pendula
 from coupled_pendula.cli import canonical_json, load_config, main
 from coupled_pendula.verification import check_decay_panel, run_verification
 
@@ -72,6 +77,37 @@ def test_non_finite_input_rejected(tmp_path, capsys, command, field, overrides):
     assert code == 2
     assert err.startswith(f"error: {field}:") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, config, out_is_dir", [
+    ("regions", "directory", False),
+    ("regions", "not_utf8", False),
+    ("regions", "valid", True),
+    ("simulate", "valid", True),
+    ("spectrum", "valid", True),
+])
+def test_file_error_exits_2(tmp_path, capsys, command, config, out_is_dir):
+    # a config or output path that cannot be read or written is a bad
+    # input, reported in one line, not a traceback
+    if config == "directory":
+        path = tmp_path / "config.d"
+        path.mkdir()
+    elif config == "not_utf8":
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{")
+    else:
+        path = write_config(tmp_path, t_end=1.0, samples=3)
+    out = tmp_path / "out"
+    if out_is_dir:
+        out.mkdir()
+    code, stdout, err = run(capsys, command, "--config", str(path), "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err and stdout == ""
+    if out_is_dir:
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +319,45 @@ def test_decay_panel_short_trajectory_counts_as_failed():
     assert not res.ok and res.worst == 1
     assert res.detail.startswith("1 of 1 panel points failed; first: (0.5, 1.0, 1.0, 0.25, ")
     assert "envelope peaks" in res.detail
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+SCIPY_PROBE = """
+import json, sys
+from coupled_pendula.cli import main
+codes = [main([c, "--config", sys.argv[1], "--out", c + ".out"]) for c in sys.argv[2:]]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def run_fresh(tmp_path, config, *commands):
+    """Run ``main`` for each command in one fresh interpreter importing the
+    package from the same directory as this suite; returns the exit codes
+    and the scipy modules loaded afterwards."""
+    src = str(Path(coupled_pendula.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, config, *commands],
+                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    return doc["codes"], doc["scipy"]
+
+
+def test_non_integrating_commands_never_import_scipy(tmp_path):
+    path = write_config(tmp_path, grid={"nx": 3, "ny": 3})
+    codes, loaded = run_fresh(tmp_path, path, "reduce", "spectrum", "regions")
+    assert codes == [0, 0, 0]
+    assert loaded == []
+
+
+def test_simulate_loads_scipy_integrate(tmp_path):
+    path = write_config(tmp_path, t_end=1.0, samples=3)
+    codes, loaded = run_fresh(tmp_path, path, "simulate")
+    assert codes == [0]
+    assert "scipy.integrate" in loaded

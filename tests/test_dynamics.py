@@ -236,6 +236,30 @@ def test_trajectory_csv_format(tmp_path, identical_params):
     assert np.allclose(parsed[:, 1:7], traj.states, rtol=1e-8, atol=1e-12)
 
 
+def test_solve_ivp_seam_honours_rebinding(monkeypatch, identical_params):
+    # the module attribute is scipy's solver, loaded on first use; a
+    # wrapper bound over it (as a tracer does) sees every integration
+    import scipy.integrate
+    from coupled_pendula import dynamics, regions
+    assert not hasattr(dynamics, "no_such_name")
+    assert dynamics.solve_ivp is scipy.integrate.solve_ivp
+    state = SystemState.from_y(0.01, 0.02, 0.015)
+    ref = integrate(state, identical_params, FULL, 2.0, samples=21)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return scipy.integrate.solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counting)
+    traj = integrate(state, identical_params, FULL, 2.0, samples=21)
+    assert calls == ["RK45"]
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.states, ref.states)
+    regions.empirical_decay_rates(identical_params, state, 20.0, samples=401)
+    assert calls == ["RK45", "RK45"]
+
+
 # ---------------------------------------------------------------------------
 # escapement hook and stiffness failure
 # ---------------------------------------------------------------------------
