@@ -36,7 +36,7 @@ from .regions import GridSpec, region_map
 from .spectral import spectrum_report
 from .verification import run_verification
 
-__all__ = ["RunConfig", "ConfigError", "load_config", "canonical_json", "main"]
+__all__ = ["RunConfig", "ConfigError", "MAX_SAMPLES", "load_config", "canonical_json", "main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -88,6 +88,9 @@ def canonical_json(obj) -> str:
 _PARAM_KEYS = ("m0", "m1", "m2", "l1", "l2", "beta0", "beta1", "beta2", "k")
 _GRID_DEFAULTS = {"x_min": 0.01, "x_max": 10.0, "y_min": 0.01, "y_max": 10.0,
                   "nx": 50, "ny": 50, "spacing": "log"}
+#: Most trajectory samples ``simulate`` accepts; a sample costs about 130
+#: bytes in memory and as many in the CSV.
+MAX_SAMPLES = 1_000_000
 _DAMPING_NAMES = {"full": DampingModel.FULL_VELOCITY,
                   "rotational": DampingModel.ROTATIONAL_ONLY}
 
@@ -165,8 +168,8 @@ def load_config(path: str) -> RunConfig:
 
     samples = doc.get("samples", 2001)
     seed = doc.get("seed", 1)
-    if not isinstance(samples, int) or samples < 2:
-        raise ConfigError("samples: expected an integer >= 2")
+    if not isinstance(samples, int) or not 2 <= samples <= MAX_SAMPLES:
+        raise ConfigError(f"samples: expected an integer in [2, {MAX_SAMPLES}]")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed: expected a non-negative integer")
     t_end = _number(doc, "t_end", 60.0)

@@ -58,6 +58,7 @@ __all__ = [
     "InphaseCheck",
     "RootBound",
     "GridSpec",
+    "MAX_GRID_NODES",
     "RegionVerdict",
     "RegionMap",
     "classify_zone",
@@ -243,9 +244,15 @@ def complex_root_bound(q: QuadrantPoint) -> RootBound:
 # ---------------------------------------------------------------------------
 
 
+#: Most grid nodes (nx·ny) a sweep accepts: 2000×2000.  A sweep holds
+#: about 130 bytes per node in memory and writes about 112 per CSV row.
+MAX_GRID_NODES = 4_000_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular grid strictly inside the open quadrant."""
+    """Rectangular grid strictly inside the open quadrant, with at most
+    :data:`MAX_GRID_NODES` nodes."""
 
     x_min: float
     x_max: float
@@ -271,6 +278,9 @@ class GridSpec:
                 raise ParamError(name, "must be an integer")
             if v < 1:
                 raise ParamError(name, "grid must have at least one node per axis")
+        nodes = int(self.nx) * int(self.ny)
+        if nodes > MAX_GRID_NODES:
+            raise ParamError("nx*ny", f"grid has {nodes} nodes; the limit is {MAX_GRID_NODES}")
         if self.spacing not in ("log", "linear"):
             raise ParamError("spacing", "must be 'log' or 'linear'")
 

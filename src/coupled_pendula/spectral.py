@@ -22,6 +22,11 @@ whose consecutive coefficient ratios
 satisfy a0/a1 ≤ a2/a3 and a1/a2 ≤ a3/a4, so ρm is attained by one of the
 first two and ρM by one of the last two; which one wins partitions the
 (X, Y) quadrant into the zones Z1-Z4 used by the region classifier.
+
+The sextic, the chain, the annulus and the roots each take one parameter
+set or polynomial, or a batch as rows of an array.  A batch runs the
+same arithmetic column-wise, so every row gets the bits its single call
+would give.
 """
 
 from __future__ import annotations
@@ -126,15 +131,11 @@ def linear_system(p: PhysicalParams,
     return J
 
 
-def char_poly_general(p: PhysicalParams,
-                      model: DampingModel = DampingModel.FULL_VELOCITY) -> PolyCoeffs:
-    """Degree-6 characteristic polynomial, leading coefficient 1−2μ."""
-    p.require_positive_pendula("characteristic polynomial")
-    m, g, k = p.m, p.g, p.k
-    gl1, gl2 = g / p.l1, g / p.l2
+def _sextic(m0, m1, m2, l1, l2, b0, b1, b2, k, g, model):
+    """The seven ascending sextic coefficients, on floats or on columns."""
+    m = m0 + m1 + m2
+    gl1, gl2 = g / l1, g / l2
     km = k / m
-    m1, m2 = p.m1, p.m2
-    b0, b1, b2 = p.beta0, p.beta1, p.beta2
     bm1, bm2 = b1 / m1, b2 / m2
     mu = (m1 + m2) / (2.0 * m)
     one = 1.0 - 2.0 * mu
@@ -166,7 +167,29 @@ def char_poly_general(p: PhysicalParams,
               + bm1 * gl2 * (m - m1) / m
               + bm2 * gl1 * (m - m2) / m
               + km * (bm1 + bm2))
-    return PolyCoeffs(np.array([a0, a1, a2, a3, a4, a5, a6]))
+    return a0, a1, a2, a3, a4, a5, a6
+
+
+def char_poly_general(p, model: DampingModel = DampingModel.FULL_VELOCITY):
+    """Degree-6 characteristic polynomial, leading coefficient 1−2μ.
+
+    ``p`` is a :class:`PhysicalParams`, giving a :class:`PolyCoeffs`, or
+    an (n, 10) array of parameter rows in ``PhysicalParams`` field order
+    (m0, m1, m2, l1, l2, beta0, beta1, beta2, k, g), giving (n, 7)
+    ascending coefficients.  Both run one formula with the same
+    arithmetic, so a row's coefficients equal the single call's bits.
+    """
+    if isinstance(p, PhysicalParams):
+        p.require_positive_pendula("characteristic polynomial")
+        return PolyCoeffs(np.array(_sextic(p.m0, p.m1, p.m2, p.l1, p.l2, p.beta0,
+                                           p.beta1, p.beta2, p.k, p.g, model)))
+    rows = np.asarray(p, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 10:
+        raise ValueError("parameter rows must have shape (n, 10)")
+    for name, col in (("m1", rows[:, 1]), ("m2", rows[:, 2])):
+        if not np.all(col > 0):
+            raise ParamError(name, "must be positive for characteristic polynomial")
+    return np.stack(_sextic(*rows.T, model), axis=1)
 
 
 def quartic_from_dimensionless(eta: float, X: float, Y: float, mu: float,
@@ -277,7 +300,8 @@ class RouthHurwitzReport:
 
     ``degenerate`` marks a zero pivot, in which case the verdict comes
     from the computed roots instead of the chain (entries past the pivot
-    are NaN).
+    are NaN).  For a batch the fields are arrays with one row (chain) or
+    one entry (``stable``, ``degenerate``) per polynomial.
     """
 
     chain: np.ndarray
@@ -285,39 +309,56 @@ class RouthHurwitzReport:
     degenerate: bool = False
 
 
-def routh_hurwitz(c: PolyCoeffs) -> RouthHurwitzReport:
-    """Routh-Hurwitz first column for a degree-6 polynomial."""
-    if c.degree != 6:
+# Column of the first chain entry that a zero pivot leaves undefined, for
+# the pivots a5, b1, den and e1 in the order the chain meets them.
+_NAN_FROM = np.array([2, 2, 4, 5])
+
+
+def routh_hurwitz(c) -> RouthHurwitzReport:
+    """Routh-Hurwitz first column for degree-6 polynomials.
+
+    ``c`` is a :class:`PolyCoeffs`, or an (n, 7) array of ascending
+    coefficients with nonzero leading terms; the batch runs the chain on
+    all rows at once, with each row's pivot tests and NaN entries past a
+    zero pivot exactly as a single call gives them.  Only degenerate rows
+    are solved with :func:`poly_roots`.
+    """
+    single = isinstance(c, PolyCoeffs)
+    asc = np.atleast_2d(c.coeffs if single else np.asarray(c, dtype=float))
+    if asc.ndim != 2 or asc.shape[1] != 7:
         raise ValueError("chain is specific to degree-6 polynomials")
-    a0, a1, a2, a3, a4, a5, a6 = c.coeffs
-    scale = float(np.max(np.abs(c.coeffs)))
+    if np.any(asc[:, -1] == 0.0):
+        raise ValueError("leading coefficient must be nonzero")
+    a0, a1, a2, a3, a4, a5, a6 = asc.T
     tiny = 1e-13
 
-    chain = np.full(7, np.nan)
-    chain[0], chain[1], chain[6] = a6, a5, a0
-
-    def degenerate() -> RouthHurwitzReport:
-        stable = bool(np.all(poly_roots(c).real < 0))
-        return RouthHurwitzReport(chain=chain, stable=stable, degenerate=True)
-
-    if abs(a5) <= tiny * scale:
-        return degenerate()
-    b1 = a4 * a5 - a3 * a6
-    b2 = a2 * a5 - a1 * a6
-    if abs(b1) <= tiny * (abs(a4 * a5) + abs(a3 * a6)):
-        return degenerate()
-    chain[2] = b1 / a5
-    d1 = a3 - a5 * b2 / b1
-    chain[3] = d1
-    den = a3 * b1 - a5 * b2
-    if abs(den) <= tiny * (abs(a3 * b1) + abs(a5 * b2)):
-        return degenerate()
-    e1 = (b2 - b1 * (a1 * b1 - a0 * a5**2) / den) / a5
-    chain[4] = e1
-    if abs(e1) <= tiny * (abs(b2) + abs(b1 * (a1 * b1 - a0 * a5**2) / den)) / abs(a5):
-        return degenerate()
-    chain[5] = a1 - a0 * a5**2 / b1 - a0 * d1 / e1
-    return RouthHurwitzReport(chain=chain, stable=bool(np.all(chain > 0)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b1 = a4 * a5 - a3 * a6
+        b2 = a2 * a5 - a1 * a6
+        d1 = a3 - a5 * b2 / b1
+        den = a3 * b1 - a5 * b2
+        a0a5sq = a0 * (a5 * a5)
+        tail = b1 * (a1 * b1 - a0a5sq) / den
+        e1 = (b2 - tail) / a5
+        chain = np.stack([a6, a5, b1 / a5, d1, e1,
+                          a1 - a0a5sq / b1 - a0 * d1 / e1, a0], axis=1)
+        zero_pivot = np.stack([
+            np.abs(a5) <= tiny * np.max(np.abs(asc), axis=1),
+            np.abs(b1) <= tiny * (np.abs(a4 * a5) + np.abs(a3 * a6)),
+            np.abs(den) <= tiny * (np.abs(a3 * b1) + np.abs(a5 * b2)),
+            np.abs(e1) <= tiny * (np.abs(b2) + np.abs(tail)) / np.abs(a5),
+        ], axis=1)
+    degenerate = np.any(zero_pivot, axis=1)
+    nan_from = np.where(degenerate, _NAN_FROM[np.argmax(zero_pivot, axis=1)], 7)
+    chain[np.arange(7) >= nan_from[:, None]] = np.nan
+    chain[:, 6] = a0  # the last entry needs no pivot
+    stable = np.all(chain > 0, axis=1)
+    if np.any(degenerate):
+        stable[degenerate] = np.all(poly_roots(asc[degenerate]).real < 0, axis=1)
+    if single:
+        return RouthHurwitzReport(chain=chain[0], stable=bool(stable[0]),
+                                  degenerate=bool(degenerate[0]))
+    return RouthHurwitzReport(chain=chain, stable=stable, degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +366,22 @@ def routh_hurwitz(c: PolyCoeffs) -> RouthHurwitzReport:
 # ---------------------------------------------------------------------------
 
 
-def enestrom_kakeya(c: PolyCoeffs) -> tuple[float, float]:
-    """Annulus radii (ρm, ρM) from consecutive coefficient ratios."""
-    if np.any(c.coeffs <= 0):
+def enestrom_kakeya(c):
+    """Annulus radii (ρm, ρM) from consecutive coefficient ratios.
+
+    ``c`` is a :class:`PolyCoeffs`, giving two floats, or an (n, N) array
+    of ascending coefficients, giving two (n,) arrays with the same bits
+    per row.  Any non-positive coefficient in any row raises.
+    """
+    single = isinstance(c, PolyCoeffs)
+    asc = np.atleast_2d(c.coeffs if single else np.asarray(c, dtype=float))
+    if np.any(asc <= 0):
         raise EKInapplicableError("all coefficients must be strictly positive")
-    ratios = c.coeffs[:-1] / c.coeffs[1:]
-    return float(np.min(ratios)), float(np.max(ratios))
+    ratios = asc[:, :-1] / asc[:, 1:]
+    rho_m, rho_M = np.min(ratios, axis=1), np.max(ratios, axis=1)
+    if single:
+        return float(rho_m[0]), float(rho_M[0])
+    return rho_m, rho_M
 
 
 def ek_ratios_dimensionless(eta, X, Y, mu, omega=1.0):

@@ -30,22 +30,62 @@ class CheckResult(NamedTuple):
     worst: float  # worst error or violation, or a count of failures
 
 
+# (field, low, high) of each uniform variate of one parameter draw, in
+# the order the draw consumes the generator.  Identical pendula draw no
+# twin fields (each copies its first-pendulum field); undamped draws skip
+# every beta, which stays zero.
+_PARAM_DRAWS = (("m0", 0.2, 4.0), ("m1", 0.1, 2.0), ("m2", 0.1, 2.0),
+                ("l1", 0.3, 2.5), ("l2", 0.3, 2.5), ("beta1", 0.02, 1.0),
+                ("beta2", 0.02, 1.0), ("beta0", 0.02, 2.0), ("k", 0.5, 40.0))
+_TWINS = {"m2": "m1", "l2": "l1", "beta2": "beta1"}
+
+
+def _draw_layout(damped: bool, identical: bool):
+    """Uniform bounds of one draw's variates, and the column that each
+    ``PhysicalParams`` field takes from [variates..., 0.0, g]."""
+    draws = [d for d in _PARAM_DRAWS if (damped or not d[0].startswith("beta"))
+             and not (identical and d[0] in _TWINS)]
+    col = {name: j for j, (name, _, _) in enumerate(draws)}
+    if identical:
+        col.update({twin: col[first] for twin, first in _TWINS.items() if first in col})
+    col["g"] = len(draws) + 1
+    take = np.array([col.get(f, len(draws)) for f in PhysicalParams.__dataclass_fields__])
+    return take, np.array([d[1] for d in draws]), np.array([d[2] for d in draws])
+
+
+_LAYOUTS = {(d, i): _draw_layout(d, i) for d in (True, False) for i in (True, False)}
+
+
+def _param_rows(take: np.ndarray, variates: np.ndarray) -> np.ndarray:
+    """(n, 10) parameter rows, in ``PhysicalParams`` field order, from the
+    variates of n draws."""
+    n, width = variates.shape
+    ext = np.zeros((n, width + 2))
+    ext[:, :width] = variates
+    ext[:, -1] = PhysicalParams.g
+    return ext[:, take]
+
+
+def random_params_batch(rng: np.random.Generator, n: int, *, damped: bool = True,
+                        identical: bool = False) -> np.ndarray:
+    """n physically sensible random draws as (n, 10) parameter rows.
+
+    The rows are in ``PhysicalParams`` field order, the batch form that
+    ``spectral.char_poly_general`` takes.  The generator is consumed
+    exactly as by n successive :func:`random_params` calls, and row i
+    holds the i-th of those draws to the bit.
+    """
+    take, low, high = _LAYOUTS[damped, identical]
+    # what rng.uniform computes per variate, low + (high - low) * u, without
+    # the cost of its broadcasting path on a one-row draw
+    return _param_rows(take, low + (high - low) * rng.random((n, len(low))))
+
+
 def random_params(rng: np.random.Generator, *, damped: bool = True,
                   identical: bool = False) -> PhysicalParams:
     """A physically sensible random parameter draw."""
-    m0 = rng.uniform(0.2, 4.0)
-    if identical:
-        m1 = m2 = rng.uniform(0.1, 2.0)
-        l1 = l2 = rng.uniform(0.3, 2.5)
-        b1 = b2 = rng.uniform(0.02, 1.0) if damped else 0.0
-    else:
-        m1, m2 = rng.uniform(0.1, 2.0, 2)
-        l1, l2 = rng.uniform(0.3, 2.5, 2)
-        b1, b2 = rng.uniform(0.02, 1.0, 2) if damped else (0.0, 0.0)
-    b0 = rng.uniform(0.02, 2.0) if damped else 0.0
-    k = rng.uniform(0.5, 40.0)
-    return PhysicalParams(m0=m0, m1=m1, m2=m2, l1=l1, l2=l2,
-                          beta0=b0, beta1=b1, beta2=b2, k=k)
+    row = random_params_batch(rng, 1, damped=damped, identical=identical)[0]
+    return PhysicalParams(*row.tolist())
 
 
 def check_formulation_equivalence(rng: np.random.Generator, n: int = 10_000,
@@ -87,10 +127,10 @@ def check_factorization(rng: np.random.Generator, n: int = 200,
                        f"max relative coefficient error {worst:.3e} (tol 1e-12)", worst)
 
 
-# Polynomials are drawn one at a time, in the same RNG order as a plain
-# loop, into blocks of at most this many rows; each block is solved with
-# one batched ``poly_roots`` call.  The bound keeps the stacked companion
-# matrices and polish temporaries small.
+# Polynomials are drawn, built, tested and solved in blocks of at most
+# this many rows, each consuming the generator as the same rows drawn one
+# at a time would.  The bound keeps the stacked companion matrices and
+# polish temporaries small.
 _ROOT_BLOCK = 256
 
 
@@ -103,16 +143,10 @@ def check_ek_containment(rng: np.random.Generator, n: int = 2000,
                          fault: bool = False) -> CheckResult:
     """Every sextic root modulus inside the annulus [ρm, ρM]."""
     worst = 0.0
-    coeffs = np.empty((_ROOT_BLOCK, 7))
-    annulus = np.empty((_ROOT_BLOCK, 2))
     for block in _blocks(n):
-        size = len(block)
-        for j in range(size):
-            poly = spectral.char_poly_general(random_params(rng))
-            coeffs[j] = poly.coeffs
-            annulus[j] = spectral.enestrom_kakeya(poly)
-        mod = np.abs(spectral.poly_roots(coeffs[:size]))
-        rho_m, rho_M = annulus[:size].T
+        coeffs = spectral.char_poly_general(random_params_batch(rng, len(block)))
+        rho_m, rho_M = spectral.enestrom_kakeya(coeffs)
+        mod = np.abs(spectral.poly_roots(coeffs))
         if fault:  # plant a root just outside the first annulus
             mod[0, 0] = rho_M[0] * 1.001
             fault = False
@@ -123,30 +157,48 @@ def check_ek_containment(rng: np.random.Generator, n: int = 2000,
                        f"max relative annulus violation {worst:.3e}", worst)
 
 
+# Every fourth polynomial of ``check_rh_vs_roots`` is built from roots:
+# six uniform in [-2, 0.8], the first two then replaced by the pair
+# re ± i·im, with re in [-2, 0.8] and im in [0.1, 2].
+_BUILT_LOW = np.array([-2.0] * 7 + [0.1])
+_BUILT_HIGH = np.array([0.8] * 7 + [2.0])
+
+
+def _rh_block_coeffs(rng: np.random.Generator, block: range) -> np.ndarray:
+    """Sextics of one ``check_rh_vs_roots`` block: rows i % 4 == 0 built
+    from roots, the others from parameter draws, taking the variates of
+    each row from the generator in row order."""
+    built = np.arange(block.start, block.stop) % 4 == 0
+    take, low, high = _LAYOUTS[True, False]
+    width = len(low)  # one more than a built row's variates
+    lows = np.where(built[:, None], np.append(_BUILT_LOW, 0.0), low)
+    highs = np.where(built[:, None], np.append(_BUILT_HIGH, 0.0), high)
+    taken = np.ones((len(block), width), dtype=bool)
+    taken[built, -1] = False
+    variates = np.zeros((len(block), width))
+    variates[taken] = rng.uniform(lows[taken], highs[taken])
+    coeffs = np.empty((len(block), 7))
+    coeffs[~built] = spectral.char_poly_general(_param_rows(take, variates[~built]))
+    for j in np.flatnonzero(built):
+        *real, re, im = variates[j, :-1].tolist()
+        roots = np.array(real) + 0j
+        roots[:2] = (re + 1j * im, re - 1j * im)
+        coeffs[j] = np.real(np.poly(roots))[::-1]
+    return coeffs
+
+
 def check_rh_vs_roots(rng: np.random.Generator, n: int = 2000,
                       fault: bool = False) -> CheckResult:
     """Chain verdict equals the root-sign verdict, stable and unstable."""
     bad = 0
-    coeffs = np.empty((_ROOT_BLOCK, 7))
-    verdicts = np.empty(_ROOT_BLOCK, dtype=bool)
     for block in _blocks(n):
-        size = len(block)
-        for j, i in enumerate(block):
-            if i % 4 == 0:
-                # constructed polynomial, possibly unstable
-                roots = rng.uniform(-2.0, 0.8, 6) + 0j
-                re, im = rng.uniform(-2.0, 0.8), rng.uniform(0.1, 2.0)
-                roots[:2] = (re + 1j * im, re - 1j * im)
-                poly = spectral.PolyCoeffs(np.real(np.poly(roots))[::-1])
-            else:
-                poly = spectral.char_poly_general(random_params(rng))
-            coeffs[j] = poly.coeffs
-            verdicts[j] = spectral.routh_hurwitz(poly).stable
+        coeffs = _rh_block_coeffs(rng, block)
+        verdicts = spectral.routh_hurwitz(coeffs).stable
         if fault:
             verdicts[0] = not verdicts[0]
             fault = False
-        stable_roots = np.all(spectral.poly_roots(coeffs[:size]).real < 0, axis=1)
-        bad += int(np.count_nonzero(verdicts[:size] != stable_roots))
+        stable_roots = np.all(spectral.poly_roots(coeffs).real < 0, axis=1)
+        bad += int(np.count_nonzero(verdicts != stable_roots))
     return CheckResult("rh_vs_roots", bad == 0, f"{bad} verdict mismatches out of {n}", bad)
 
 

@@ -3,15 +3,20 @@
 These deliberately avoid the production code paths they check: a second
 root finder (Aberth-Ehrlich), the one-polynomial-at-a-time root finder
 that the batched ``poly_roots`` must reproduce bit for bit, a generic
-Routh table, congruence products by plain matrix multiplication,
-eigendecomposition propagation of the linear system, and a per-row
+Routh table, the degree-6 chain one polynomial at a time with an early
+return at the first zero pivot, congruence products by plain matrix multiplication,
+eigendecomposition propagation of the linear system, a per-row
 f-string region CSV writer that the block writer must match byte for
-byte.
+byte, and the one-draw-at-a-time polynomial loops whose generator
+stream and coefficient rows the batched ``verify`` checks must
+reproduce.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from coupled_pendula import PhysicalParams, char_poly_general
 
 
 def aberth_roots(asc: np.ndarray, tol: float = 1e-14, max_iter: int = 200) -> np.ndarray:
@@ -67,6 +72,36 @@ def routh_first_column(asc) -> np.ndarray:
     return np.array(col[: n + 1])
 
 
+def scalar_routh_chain(asc) -> tuple[np.ndarray, bool]:
+    """(chain, degenerate) of the degree-6 Routh-Hurwitz chain for one
+    ascending coefficient row, stopping at the first zero pivot; the
+    entries from the first one that pivot leaves undefined are NaN."""
+    a0, a1, a2, a3, a4, a5, a6 = (float(v) for v in asc)
+    scale = max(abs(float(v)) for v in asc)
+    tiny = 1e-13
+    chain = np.full(7, np.nan)
+    chain[0], chain[1], chain[6] = a6, a5, a0
+    if abs(a5) <= tiny * scale:
+        return chain, True
+    b1 = a4 * a5 - a3 * a6
+    b2 = a2 * a5 - a1 * a6
+    if abs(b1) <= tiny * (abs(a4 * a5) + abs(a3 * a6)):
+        return chain, True
+    chain[2] = b1 / a5
+    d1 = a3 - a5 * b2 / b1
+    chain[3] = d1
+    den = a3 * b1 - a5 * b2
+    if abs(den) <= tiny * (abs(a3 * b1) + abs(a5 * b2)):
+        return chain, True
+    tail = b1 * (a1 * b1 - a0 * (a5 * a5)) / den
+    e1 = (b2 - tail) / a5
+    chain[4] = e1
+    if abs(e1) <= tiny * (abs(b2) + abs(tail)) / abs(a5):
+        return chain, True
+    chain[5] = a1 - a0 * (a5 * a5) / b1 - a0 * d1 / e1
+    return chain, False
+
+
 def congruence(transform: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Plain-product congruence Tᵀ M T."""
     return transform.T @ mat @ transform
@@ -107,3 +142,43 @@ def reference_region_csv(rmap) -> bytes:
         lines.append(f"{X:.9e},{Y:.9e},Z{int(rmap.zone[i]) + 1},{flags(rmap.conics[i])},"
                      f"{branch},na,{float(rmap.rho_m[i]):.9e},{float(rmap.rho_M[i]):.9e}")
     return ("\n".join(lines) + "\n").encode()
+
+
+def scalar_random_params(rng: np.random.Generator, *, damped: bool = True,
+                         identical: bool = False) -> PhysicalParams:
+    """One random parameter draw, one generator call per value or pair."""
+    m0 = rng.uniform(0.2, 4.0)
+    if identical:
+        m1 = m2 = rng.uniform(0.1, 2.0)
+        l1 = l2 = rng.uniform(0.3, 2.5)
+        b1 = b2 = rng.uniform(0.02, 1.0) if damped else 0.0
+    else:
+        m1, m2 = rng.uniform(0.1, 2.0, 2)
+        l1, l2 = rng.uniform(0.3, 2.5, 2)
+        b1, b2 = rng.uniform(0.02, 1.0, 2) if damped else (0.0, 0.0)
+    b0 = rng.uniform(0.02, 2.0) if damped else 0.0
+    k = rng.uniform(0.5, 40.0)
+    return PhysicalParams(m0=m0, m1=m1, m2=m2, l1=l1, l2=l2,
+                          beta0=b0, beta1=b1, beta2=b2, k=k)
+
+
+def ek_containment_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The n sextics of ``check_ek_containment``, built one draw at a time."""
+    return np.array([char_poly_general(scalar_random_params(rng)).coeffs
+                     for _ in range(n)])
+
+
+def rh_vs_roots_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The n sextics of ``check_rh_vs_roots``, built one draw at a time:
+    every fourth from a root set, possibly unstable, the rest from
+    parameter draws."""
+    rows = []
+    for i in range(n):
+        if i % 4 == 0:
+            roots = rng.uniform(-2.0, 0.8, 6) + 0j
+            re, im = rng.uniform(-2.0, 0.8), rng.uniform(0.1, 2.0)
+            roots[:2] = (re + 1j * im, re - 1j * im)
+            rows.append(np.real(np.poly(roots))[::-1])
+        else:
+            rows.append(char_poly_general(scalar_random_params(rng)).coeffs)
+    return np.array(rows)

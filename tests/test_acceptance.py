@@ -16,6 +16,7 @@ import pytest
 
 from coupled_pendula import (
     DampingModel,
+    PhysicalParams,
     SystemState,
     char_poly_general,
     closed_form,
@@ -38,6 +39,7 @@ from coupled_pendula.verification import (
     check_factorization,
     check_formulation_equivalence,
     random_params,
+    random_params_batch,
 )
 
 from oracles import propagate_linear
@@ -60,17 +62,16 @@ def test_acceptance_01_formulation_equivalence():
 
 
 def test_acceptance_02_routh_hurwitz_stability():
-    rng = np.random.default_rng(SEED + 1)
-    worst_re = -np.inf
-    for _ in range(10_000):
-        p = random_params(rng)
-        poly = char_poly_general(p)
-        rep = routh_hurwitz(poly)
-        assert not rep.degenerate and rep.stable, f"chain not positive for {p}"
-        roots = poly_roots(poly)
-        _, rho_M = enestrom_kakeya(poly)
-        worst_re = max(worst_re, float(np.max(roots.real) / rho_M))
-        assert np.all(roots.real < -1e-12 * rho_M), f"root too close to axis for {p}"
+    rows = random_params_batch(np.random.default_rng(SEED + 1), 10_000)
+    coeffs = char_poly_general(rows)
+    rep = routh_hurwitz(coeffs)
+    bad = np.flatnonzero(rep.degenerate | ~rep.stable)
+    assert bad.size == 0, f"chain not positive for {PhysicalParams(*rows[bad[0]])}"
+    roots = poly_roots(coeffs)
+    _, rho_M = enestrom_kakeya(coeffs)
+    worst_re = float(np.max(np.max(roots.real, axis=1) / rho_M))
+    bad = np.flatnonzero(~np.all(roots.real < -1e-12 * rho_M[:, None], axis=1))
+    assert bad.size == 0, f"root too close to axis for {PhysicalParams(*rows[bad[0]])}"
     report(2, "Routh-Hurwitz stability",
            f"(10^4 draws, max Re/rho_M {worst_re:.2e})")
 

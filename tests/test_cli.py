@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import coupled_pendula
-from coupled_pendula.cli import canonical_json, load_config, main
+from coupled_pendula.cli import MAX_SAMPLES, canonical_json, load_config, main
+from coupled_pendula.regions import MAX_GRID_NODES
 from coupled_pendula.verification import check_decay_panel, run_verification
 
 BASE = {
@@ -262,6 +263,30 @@ def test_regions_grid_entry_rejected(tmp_path, capsys, grid, field):
                        "--out", str(tmp_path / "map.csv"))
     assert code == 2 and field in err
     assert not (tmp_path / "map.csv").exists()
+
+
+@pytest.mark.parametrize("command, overrides, field", [
+    ("simulate", {"samples": 10**9}, "samples"),
+    ("simulate", {"samples": MAX_SAMPLES + 1}, "samples"),
+    ("regions", {"grid": {"nx": 10**5, "ny": 10**5}}, "nx*ny"),
+    ("regions", {"grid": {"nx": 2001, "ny": 2000}}, "nx*ny"),
+])
+def test_run_size_over_limit_rejected(tmp_path, capsys, command, overrides, field):
+    # a finite, valid-looking size that would exhaust memory or time is
+    # refused before any work starts
+    path = write_config(tmp_path, **overrides)
+    code, stdout, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "o"))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {field}:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_size_limits_admit_pinned_configs(tmp_path):
+    # the benchmark's 2,001 samples and 500x500 grid, and the limits themselves
+    for samples, n in ((2001, 500), (MAX_SAMPLES, 2000)):
+        cfg = load_config(write_config(tmp_path, samples=samples, grid={"nx": n, "ny": n}))
+        assert cfg.samples == samples and cfg.grid.nx * cfg.grid.ny == n * n
+    assert MAX_GRID_NODES == 2000 * 2000
 
 
 def test_threads_flag_rejected(tmp_path):

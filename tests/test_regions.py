@@ -23,7 +23,7 @@ from coupled_pendula import (
     region_map,
     semicircle_condition,
 )
-from coupled_pendula.regions import _e9_cells, _strict_peaks
+from coupled_pendula.regions import MAX_GRID_NODES, _e9_cells, _strict_peaks
 from coupled_pendula.spectral import ek_ratios_dimensionless, quartic_from_dimensionless
 from coupled_pendula.verification import DECAY_PANEL
 from oracles import reference_region_csv
@@ -360,6 +360,15 @@ def test_grid_entry_rejected_with_field(field, value):
     with pytest.raises(ParamError) as exc:
         GridSpec(**kw)
     assert exc.value.field == field
+
+
+def test_grid_node_limit():
+    GridSpec(0.1, 1.0, 0.1, 1.0, 1, MAX_GRID_NODES, "linear")
+    # numpy integers too: their product must not wrap round under the limit
+    for nx, ny in ((2, MAX_GRID_NODES // 2 + 1), (np.int64(2**32), np.int64(2**32))):
+        with pytest.raises(ParamError) as exc:
+            GridSpec(0.1, 1.0, 0.1, 1.0, nx, ny, "linear")
+        assert exc.value.field == "nx*ny"
 
 
 def test_map_verdict_at_bounds_checked():

@@ -29,13 +29,14 @@ from coupled_pendula.spectral import (
     quartic_from_dimensionless,
     zone_from_ratios,
 )
-from coupled_pendula.verification import random_params
+from coupled_pendula.verification import random_params, random_params_batch
 
 from oracles import (
     aberth_roots,
     central_difference_jacobian,
     np_roots_polished,
     routh_first_column,
+    scalar_routh_chain,
 )
 
 FULL = DampingModel.FULL_VELOCITY
@@ -112,6 +113,21 @@ def test_char_poly_matches_determinant(model, rng):
         got = char_poly_general(p, model).coeffs
         ref = det_oracle_coeffs(p, model)
         assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-30)) <= 1e-9
+
+
+@pytest.mark.parametrize("model", [FULL, ROT])
+def test_batched_char_poly_bit_identical(model, rng):
+    rows = random_params_batch(rng, 1000)
+    batch = char_poly_general(rows, model)
+    ref = [char_poly_general(PhysicalParams(*r), model).coeffs for r in rows]
+    assert batch.shape == (1000, 7) and np.array_equal(batch, ref)
+
+
+def test_batched_char_poly_rejects_massless_pendulum(rng):
+    rows = random_params_batch(rng, 3)
+    rows[1, 2] = 0.0
+    with pytest.raises(ParamError, match="m2"):
+        char_poly_general(rows)
 
 
 def test_factorization_rejects_asymmetric(asymmetric_params):
@@ -262,12 +278,46 @@ def test_rh_matches_generic_routh_table(rng):
         assert rep.stable == stable_roots
 
 
+# Rows whose chain meets a zero pivot: a5 = 0, b1 = a4 a5 - a3 a6 = 0,
+# den = a3 b1 - a5 b2 = 0, e1 = 0, and e1 = 2^-44 / 1.5 with b2 < 0, inside
+# the pivot tolerance; each leaves NaN from a later entry.
+ZERO_PIVOT_ROWS = np.array([
+    [1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
+    [1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0],
+    [1.0, 1.0, 3.0, 1.0, 3.0, 1.0, 1.0],
+    [1.5, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0],
+    [5.5 + 2.0**-44, 2.0, 1.0, 1.0, 3.0, 1.0, 1.0],
+])
+
+
 def test_rh_degenerate_pivot_falls_back_to_roots():
-    # b1 = a4 a5 - a3 a6 = 0 by construction
-    asc = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0])
-    rep = routh_hurwitz(PolyCoeffs(asc))
-    assert rep.degenerate
-    assert rep.stable == bool(np.all(poly_roots(PolyCoeffs(asc)).real < 0))
+    for asc in ZERO_PIVOT_ROWS:
+        rep = routh_hurwitz(PolyCoeffs(asc))
+        assert rep.degenerate
+        assert rep.stable == bool(np.all(poly_roots(PolyCoeffs(asc)).real < 0))
+
+
+def test_batched_rh_bit_identical(rng):
+    sextics = [char_poly_general(random_params(rng)).coeffs for _ in range(300)]
+    for _ in range(300):
+        roots = rng.uniform(-2, 1.5, 6).astype(complex)
+        re, im = rng.uniform(-1.5, 1.0), rng.uniform(0.1, 2.0)
+        roots[:2] = (re + 1j * im, re - 1j * im)
+        sextics.append(np.real(np.poly(roots))[::-1] * rng.uniform(0.3, 2.0))
+    asc = np.vstack([sextics, ZERO_PIVOT_ROWS, -ZERO_PIVOT_ROWS[1:]])
+    batch = routh_hurwitz(asc)
+    singles = [routh_hurwitz(PolyCoeffs(row)) for row in asc]
+    ref_chain, ref_degenerate = zip(*map(scalar_routh_chain, asc))
+    for chain in (batch.chain, [r.chain for r in singles]):
+        assert np.array_equal(chain, ref_chain, equal_nan=True)
+    assert np.array_equal(batch.degenerate, ref_degenerate)
+    assert np.array_equal(batch.degenerate, [r.degenerate for r in singles])
+    assert np.array_equal(batch.stable, [r.stable for r in singles])
+    assert 0 < np.count_nonzero(batch.stable) < len(asc)
+    # the NaN entries start after the zero pivot, and nowhere else
+    nan_from = [int(np.argmax(np.isnan(c))) for c in batch.chain[600:]]
+    assert nan_from == [2, 2, 4, 5, 5, 2, 4, 5, 5]
+    assert np.all(batch.degenerate[600:]) and not np.any(np.isnan(batch.chain[:600]))
 
 
 def test_rh_requires_degree_six():
@@ -289,6 +339,20 @@ def test_geometric_polynomial_on_unit_circle():
 def test_ek_requires_positive_coefficients():
     with pytest.raises(EKInapplicableError):
         enestrom_kakeya(PolyCoeffs([1.0, 0.0, 1.0]))
+
+
+def test_batched_ek_bit_identical(rng):
+    asc = char_poly_general(random_params_batch(rng, 500))
+    rho_m, rho_M = enestrom_kakeya(asc)
+    ref = np.array([enestrom_kakeya(PolyCoeffs(row)) for row in asc])
+    assert np.array_equal(rho_m, ref[:, 0]) and np.array_equal(rho_M, ref[:, 1])
+
+
+def test_batched_ek_rejects_non_positive_row(rng):
+    asc = char_poly_general(random_params_batch(rng, 4))
+    asc[2, 3] = 0.0
+    with pytest.raises(EKInapplicableError):
+        enestrom_kakeya(asc)
 
 
 def test_quartic_annulus_from_couples():
