@@ -9,12 +9,10 @@ inhibited, cross-validated against direct nonlinear simulation.
 
 from .params import (
     DerivedConstants,
-    EscapementSpec,
     ParamError,
     PhysicalParams,
     ReducedParams,
     SystemState,
-    ZERO_ESCAPEMENT,
     derived_constants,
     identical_pendula,
     params_from_dimensionless,

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,8 +53,6 @@ __all__ = [
     "DerivedConstants",
     "ReducedParams",
     "SystemState",
-    "EscapementSpec",
-    "ZERO_ESCAPEMENT",
     "L_MATRIX",
     "L_INV_MATRIX",
     "reduce_params",
@@ -359,34 +356,3 @@ def psi1_approx(sigma, delta, c1, c2):
 def psi2_approx(sigma, delta, c1, c2):
     """Second-order (here: linear) Taylor polynomial of :func:`psi2`."""
     return (c1 * sigma + c2 * delta) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# Escapement hook (disabled by default; every shipped analysis uses zero)
-# ---------------------------------------------------------------------------
-
-ForceFn = Callable[[SystemState, float], float]
-
-
-@dataclass(frozen=True)
-class EscapementSpec:
-    """Optional drive forces on the two bobs, as functions of (q-state, t).
-
-    ``None`` entries mean identically zero.  The generalized force on
-    (x, θ1, θ2) is (f1 cos θ1 + f2 cos θ2, l1 f1, l2 f2).
-    """
-
-    f1: Optional[ForceFn] = None
-    f2: Optional[ForceFn] = None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.f1 is None and self.f2 is None
-
-    def forces(self, q_state: SystemState, t: float) -> tuple[float, float]:
-        fa = self.f1(q_state, t) if self.f1 is not None else 0.0
-        fb = self.f2(q_state, t) if self.f2 is not None else 0.0
-        return fa, fb
-
-
-ZERO_ESCAPEMENT = EscapementSpec()

@@ -181,6 +181,16 @@ def test_simulate_delta_decay_matches_closed_form(tmp_path, capsys):
     assert abs(data[-1, 3] - ref[-1]) <= 1e-6
 
 
+def test_simulate_integration_failure_exits_3(tmp_path, capsys):
+    # a sigma-dot of 1e160 overflows the right-hand side at t=0
+    path = write_config(tmp_path, initial_state=[0, 0, 0, 0, 1e160, 0])
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run(capsys, "simulate", "--config", path, "--out", str(out_csv))
+    assert code == 3 and out == ""
+    assert err.startswith("integration error:") and "Traceback" not in err
+    assert not out_csv.exists()
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------

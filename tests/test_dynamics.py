@@ -93,7 +93,7 @@ def test_plain_float_accel_matches_numpy_bits(rng):
         p = random_params(rng)
         for v in rng.uniform(-3, 3, (50, 6)).tolist():
             for model in (FULL, ROT):
-                plain = _accel_y_arrays(*v, p, model, 0.0, 0.0, math)
+                plain = _accel_y_arrays(*v, p, model, math)
                 assert list(plain) == accel_y(SystemState.from_y(*v), p, model).tolist()
 
 
@@ -261,51 +261,56 @@ def test_solve_ivp_seam_honours_rebinding(monkeypatch, identical_params):
 
 
 # ---------------------------------------------------------------------------
-# escapement hook and stiffness failure
+# stiffness failure
 # ---------------------------------------------------------------------------
 
-def test_escapement_hook_consistent_between_formulations(identical_params):
-    from coupled_pendula import EscapementSpec
-    esc = EscapementSpec(f1=lambda s, t: 0.05, f2=lambda s, t: -0.02)
-    s = SystemState.from_q(0.05, 0.2, -0.1, 0.01, 0.1, -0.05)
-    ay = accel_y(s, identical_params, FULL, esc, t=0.3)
-    aq = accel_q(s, identical_params, FULL, esc, t=0.3)
-    ref = np.array([aq[0], aq[1] + aq[2], aq[1] - aq[2]])
-    assert np.allclose(ay, ref, rtol=1e-11, atol=1e-13)
-    # a nonzero drive breaks the equilibrium at the origin
-    rest = SystemState.from_q(0, 0, 0)
-    assert np.max(np.abs(accel_q(rest, identical_params, FULL, esc))) > 0
+@pytest.mark.parametrize("sigmadot0", [1e160, math.inf, math.nan])
+def test_non_finite_rhs_at_start_raises_before_solving(identical_params, sigmadot0):
+    # a NaN right-hand side at t=0 gives scipy a NaN first step, and the
+    # solver would never return; at 1e160 the float ** overflows, which
+    # the right-hand side turns into NaN
+    from coupled_pendula import StiffnessError
+    with pytest.raises(StiffnessError, match="not finite at t=0") as exc:
+        integrate(SystemState.from_y(0, 0, 0, 0, sigmadot0, 0), identical_params,
+                  FULL, t_end=1.0, samples=3)
+    assert exc.value.t_reached == 0.0
 
 
-def test_finite_time_blowup_raises_stiffness_error(identical_params):
-    from coupled_pendula import EscapementSpec, StiffnessError
-    esc = EscapementSpec(f1=lambda s, t: 1.0 / (1.0 - t) ** 2)
+def _forced_solver(force):
+    # scipy's solver on the right-hand side as ``force`` rewrites it
+    import scipy.integrate
+
+    def solver(fun, *args, **kwargs):
+        return scipy.integrate.solve_ivp(lambda t, y: force(fun, t, y), *args, **kwargs)
+    return solver
+
+
+def test_finite_time_blowup_raises_stiffness_error(identical_params, monkeypatch):
+    # a forcing 1/(1 - t)^2 on sigma'' sends the state to infinity at t=1,
+    # where the step size underflows
+    from coupled_pendula import StiffnessError, dynamics
+
+    def blowup(fun, t, y):
+        d = list(fun(t, y))
+        d[4] += 1.0 / (1.0 - t) ** 2
+        return d
+
+    monkeypatch.setattr(dynamics, "solve_ivp", _forced_solver(blowup))
     with pytest.raises(StiffnessError) as exc:
         integrate(SystemState.from_y(0, 0, 0), identical_params, FULL,
-                  t_end=2.0, samples=101, escapement=esc)
+                  t_end=2.0, samples=101)
     assert 0.0 < exc.value.t_reached <= 1.05
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_infinite_drive_raises_stiffness_error(identical_params):
-    # the drive switches on after t=0, so the state blows up to inf on the
-    # first trial step (scipy's inf * 0 warns); the plain-float right-hand
-    # side must stall the solver, not leak math's ValueError
-    from coupled_pendula import EscapementSpec, StiffnessError
-    esc = EscapementSpec(f1=lambda s, t: float("inf") if t > 0 else 0.0)
+def test_infinite_state_in_solver_raises_stiffness_error(identical_params, monkeypatch):
+    # the state becomes inf (and 0 * inf = nan) on the first trial step;
+    # the plain-float right-hand side must stall the solver, not leak
+    # math's ValueError
+    from coupled_pendula import StiffnessError, dynamics
+    monkeypatch.setattr(dynamics, "solve_ivp", _forced_solver(
+        lambda fun, t, y: fun(t, y * math.inf if t > 0 else y)))
     with pytest.raises(StiffnessError) as exc:
         integrate(SystemState.from_y(0.01, 0.02, 0.015), identical_params, FULL,
-                  t_end=5.0, samples=11, escapement=esc)
-    assert exc.value.t_reached == 0.0
-
-
-@pytest.mark.parametrize("force", [math.nan, math.inf])
-def test_non_finite_drive_at_start_raises_before_solving(identical_params, force):
-    # a NaN right-hand side at t=0 gives scipy a NaN first step, and the
-    # solver would never return
-    from coupled_pendula import EscapementSpec, StiffnessError
-    esc = EscapementSpec(f1=lambda s, t: force)
-    with pytest.raises(StiffnessError, match="not finite at t=0") as exc:
-        integrate(SystemState.from_y(0.01, 0.02, 0.015), identical_params, FULL,
-                  t_end=5.0, samples=11, escapement=esc)
+                  t_end=5.0, samples=11)
     assert exc.value.t_reached == 0.0
