@@ -134,9 +134,10 @@ class PhysicalParams:
             raise ParamError("m2", f"must be positive for {where}")
 
 
-def _rel_close(a: float, b: float, rtol: float) -> bool:
+def _rel_close(a, b, rtol: float):
+    """|a − b| ≤ rtol (|a| + |b|), on floats or element-wise on arrays."""
     s = abs(a) + abs(b)
-    return s == 0.0 or abs(a - b) <= rtol * s
+    return (s == 0.0) | (abs(a - b) <= rtol * s)
 
 
 def identical_pendula(p: PhysicalParams, rtol: float = IDENTICAL_RTOL) -> bool:
@@ -220,29 +221,28 @@ def reduce_params(p: PhysicalParams) -> ReducedParams:
     positive (μ and η would be ill-defined).
     """
     p.require_positive_pendula("parameter reduction")
-    m = p.m
-    mu = (p.m1 + p.m2) / (2.0 * m)
-    lam_bar = 2.0 * p.g / (p.l1 + p.l2)
-    Y = p.k * (p.l1 + p.l2) / (2.0 * m * p.g)
-    Lam = (p.l1 + p.l2) / (2.0 * math.sqrt(p.l1 * p.l2))
-    rho = (p.l1 - p.l2) / (p.l1 + p.l2) * (p.m1 - p.m2) / (2.0 * m)
-    l_mean = 0.5 * (p.l1 + p.l2)
-    mp = 0.5 * (p.m1 + p.m2)
-    bp = 0.5 * (p.beta1 + p.beta2)
-    omega = math.sqrt(p.g / l_mean)
+    return ReducedParams(*_reduced_groups(p.m0, p.m1, p.m2, p.l1, p.l2, p.beta0,
+                                          p.beta1, p.beta2, p.k, p.g),
+                         nominal=not identical_pendula(p))
+
+
+def _reduced_groups(m0, m1, m2, l1, l2, beta0, beta1, beta2, k, g, sqrt=math.sqrt):
+    """(μ, λ̄, Y, Λ, ρ, ω, η, X) on floats, or on parameter columns with
+    ``sqrt=np.sqrt``; both run the same arithmetic (and sqrt is correctly
+    rounded), so a column entry has the bits of its float call."""
+    m = m0 + m1 + m2
+    mu = (m1 + m2) / (2.0 * m)
+    lam_bar = 2.0 * g / (l1 + l2)
+    Y = k * (l1 + l2) / (2.0 * m * g)
+    Lam = (l1 + l2) / (2.0 * sqrt(l1 * l2))
+    rho = (l1 - l2) / (l1 + l2) * (m1 - m2) / (2.0 * m)
+    l_mean = 0.5 * (l1 + l2)
+    mp = 0.5 * (m1 + m2)
+    bp = 0.5 * (beta1 + beta2)
+    omega = sqrt(g / l_mean)
     eta = (bp / mp) / omega
-    X = (p.beta0 / m) / omega
-    return ReducedParams(
-        mu=mu,
-        lambda_bar=lam_bar,
-        Y=Y,
-        Lambda=Lam,
-        rho=rho,
-        omega=omega,
-        eta=eta,
-        X=X,
-        nominal=not identical_pendula(p),
-    )
+    X = (beta0 / m) / omega
+    return mu, lam_bar, Y, Lam, rho, omega, eta, X
 
 
 def params_from_dimensionless(

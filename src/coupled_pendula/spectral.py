@@ -23,21 +23,31 @@ satisfy a0/a1 ≤ a2/a3 and a1/a2 ≤ a3/a4, so ρm is attained by one of the
 first two and ρM by one of the last two; which one wins partitions the
 (X, Y) quadrant into the zones Z1-Z4 used by the region classifier.
 
-The sextic, the chain, the annulus and the roots each take one parameter
-set or polynomial, or a batch as rows of an array.  A batch runs the
-same arithmetic column-wise, so every row gets the bits its single call
-would give.
+The sextic, its identical-pendula factors, the chain, the annulus and
+the roots each take one parameter set or polynomial, or a batch as rows
+of an array.  A batch runs the same arithmetic column-wise, so every row
+gets the bits its single call would give.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import DampingModel
-from .params import ParamError, PhysicalParams, ReducedParams, identical_pendula, reduce_params
+from .params import (
+    IDENTICAL_RTOL,
+    ParamError,
+    PhysicalParams,
+    ReducedParams,
+    _reduced_groups,
+    _rel_close,
+    identical_pendula,
+    reduce_params,
+)
 
 __all__ = [
     "EKInapplicableError",
@@ -183,42 +193,79 @@ def char_poly_general(p, model: DampingModel = DampingModel.FULL_VELOCITY):
         p.require_positive_pendula("characteristic polynomial")
         return PolyCoeffs(np.array(_sextic(p.m0, p.m1, p.m2, p.l1, p.l2, p.beta0,
                                            p.beta1, p.beta2, p.k, p.g, model)))
+    rows = _checked_rows(p, "characteristic polynomial")
+    return np.stack(_sextic(*rows.T, model), axis=1)
+
+
+def _checked_rows(p, where: str) -> np.ndarray:
+    """``p`` as (n, 10) parameter rows with positive pendulum masses."""
     rows = np.asarray(p, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 10:
         raise ValueError("parameter rows must have shape (n, 10)")
     for name, col in (("m1", rows[:, 1]), ("m2", rows[:, 2])):
         if not np.all(col > 0):
-            raise ParamError(name, "must be positive for characteristic polynomial")
-    return np.stack(_sextic(*rows.T, model), axis=1)
+            raise ParamError(name, f"must be positive for {where}")
+    return rows
+
+
+def _float_pow(base, exponent: int):
+    """``base ** exponent`` as float ``**`` gives it (libm ``pow``), also
+    per element of an array: numpy's array power squares exactly and runs
+    its own ``pow`` for higher powers, and each differs from libm in the
+    last bit for some doubles."""
+    if isinstance(base, np.ndarray):
+        return np.array([b ** exponent for b in base.tolist()])
+    return base ** exponent
+
+
+def _quartic(eta, X, Y, mu, omega):
+    """Ascending x/σ quartic coefficients, on floats or on columns."""
+    one = 1.0 - 2.0 * mu
+    return (Y * _float_pow(omega, 4),
+            (eta * Y + X + 2.0 * mu * eta) * _float_pow(omega, 3),
+            (eta * X + Y + 1.0) * _float_pow(omega, 2),
+            (X + one * eta) * omega,
+            one)
 
 
 def quartic_from_dimensionless(eta: float, X: float, Y: float, mu: float,
                                omega: float = 1.0) -> PolyCoeffs:
     """The x/σ quartic for identical pendula in dimensionless form."""
-    one = 1.0 - 2.0 * mu
-    return PolyCoeffs(np.array([
-        Y * omega**4,
-        (eta * Y + X + 2.0 * mu * eta) * omega**3,
-        (eta * X + Y + 1.0) * omega**2,
-        (X + one * eta) * omega,
-        one,
-    ]))
+    return PolyCoeffs(np.array(_quartic(eta, X, Y, mu, omega)))
 
 
-def char_poly_identical(p: PhysicalParams) -> tuple[PolyCoeffs, PolyCoeffs]:
+def _identical_factors(m0, m1, m2, l1, l2, b0, b1, b2, k, g, sqrt=math.sqrt):
+    """Ascending (δ quadratic, x/σ quartic) coefficients, on floats or on
+    columns with ``sqrt=np.sqrt``."""
+    mu, _, Y, _, _, omega, eta, X = _reduced_groups(m0, m1, m2, l1, l2, b0, b1, b2,
+                                                    k, g, sqrt)
+    quad = (g / (0.5 * (l1 + l2)), (b1 + b2) / (m1 + m2), 1.0)
+    return quad, _quartic(eta, X, Y, mu, omega)
+
+
+def char_poly_identical(p):
     """(δ quadratic, x/σ quartic) whose product is the sextic.
 
-    Rejects parameter sets whose pendula are not identical.
+    ``p`` is a :class:`PhysicalParams`, giving two :class:`PolyCoeffs`,
+    or (n, 10) parameter rows as for :func:`char_poly_general`, giving
+    (n, 3) and (n, 5) ascending coefficients with the single call's bits
+    in each row.  Rejects parameter sets whose pendula are not identical.
     """
-    if not identical_pendula(p):
+    if isinstance(p, PhysicalParams):
+        if not identical_pendula(p):
+            raise ParamError("m2", "factorized polynomial requires identical pendula")
+        p.require_positive_pendula("factorized polynomial")
+        quad, quart = _identical_factors(p.m0, p.m1, p.m2, p.l1, p.l2, p.beta0,
+                                         p.beta1, p.beta2, p.k, p.g)
+        return PolyCoeffs(np.array(quad)), PolyCoeffs(np.array(quart))
+    rows = _checked_rows(p, "factorized polynomial")
+    _, m1, m2, l1, l2, _, b1, b2, _, _ = rows.T
+    if not np.all(_rel_close(l1, l2, IDENTICAL_RTOL) & _rel_close(m1, m2, IDENTICAL_RTOL)
+                  & _rel_close(b1, b2, IDENTICAL_RTOL)):
         raise ParamError("m2", "factorized polynomial requires identical pendula")
-    p.require_positive_pendula("factorized polynomial")
-    rp = reduce_params(p)
-    length = 0.5 * (p.l1 + p.l2)
-    bp_over_mp = (p.beta1 + p.beta2) / (p.m1 + p.m2)
-    quad = PolyCoeffs(np.array([p.g / length, bp_over_mp, 1.0]))
-    quart = quartic_from_dimensionless(rp.eta, rp.X, rp.Y, rp.mu, rp.omega)
-    return quad, quart
+    quad, quart = _identical_factors(*rows.T, sqrt=np.sqrt)
+    return (np.stack(np.broadcast_arrays(*quad), axis=1),
+            np.stack(quart, axis=1))
 
 
 # ---------------------------------------------------------------------------

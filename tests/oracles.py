@@ -5,7 +5,8 @@ root finder (Aberth-Ehrlich), the one-polynomial-at-a-time root finder
 that the batched ``poly_roots`` must reproduce bit for bit, a generic
 Routh table, the degree-6 chain one polynomial at a time with an early
 return at the first zero pivot, congruence products by plain matrix multiplication,
-eigendecomposition propagation of the linear system, a per-row
+eigendecomposition propagation of the linear system, a tight
+mass-matrix trajectory for the nonlinear integrator, a per-row
 f-string region CSV writer that the block writer must match byte for
 byte, and the one-draw-at-a-time polynomial loops whose generator
 stream and coefficient rows the batched ``verify`` checks must
@@ -16,7 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from coupled_pendula import PhysicalParams, char_poly_general
+from coupled_pendula import (
+    PhysicalParams,
+    SystemState,
+    accel_q,
+    char_poly_general,
+    char_poly_identical,
+)
 
 
 def aberth_roots(asc: np.ndarray, tol: float = 1e-14, max_iter: int = 200) -> np.ndarray:
@@ -115,6 +122,23 @@ def propagate_linear(system: np.ndarray, y0: np.ndarray, times: np.ndarray) -> n
     return out.real
 
 
+def reference_trajectory(state0: SystemState, p: PhysicalParams, model,
+                         times: np.ndarray) -> np.ndarray:
+    """y-form states at ``times`` integrated through the mass-matrix path
+    (``accel_q``) by scipy's DOP853 at rtol 1e-12, atol 1e-14."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, q):
+        return np.concatenate([q[3:], accel_q(SystemState.from_q(*q), p, model)])
+
+    sol = solve_ivp(rhs, (times[0], times[-1]), state0.to_q().as_vector(),
+                    method="DOP853", rtol=1e-12, atol=1e-14, t_eval=times)
+    if sol.status != 0:
+        raise RuntimeError(f"reference integration failed: {sol.message}")
+    x, t1, t2, xd, t1d, t2d = sol.y
+    return np.column_stack([x, t1 + t2, t1 - t2, xd, t1d + t2d, t1d - t2d])
+
+
 def central_difference_jacobian(fn, x0: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central finite-difference Jacobian of fn at x0."""
     x0 = np.asarray(x0, dtype=float)
@@ -182,3 +206,16 @@ def rh_vs_roots_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
         else:
             rows.append(char_poly_general(scalar_random_params(rng)).coeffs)
     return np.array(rows)
+
+
+def factorization_worst(rng: np.random.Generator, n: int) -> float:
+    """The worst relative coefficient error of ``check_factorization``,
+    one identical-pendula draw and one ``np.polymul`` at a time."""
+    worst = 0.0
+    for _ in range(n):
+        p = scalar_random_params(rng, identical=True)
+        quad, quart = char_poly_identical(p)
+        prod = np.polymul(quart.coeffs[::-1], quad.coeffs[::-1])[::-1]
+        ref = char_poly_general(p).coeffs
+        worst = max(worst, float(np.max(np.abs(prod - ref) / np.abs(ref))))
+    return worst

@@ -19,7 +19,7 @@ from coupled_pendula import (
 from coupled_pendula.dynamics import CSV_HEADER, _accel_q_arrays, _accel_y_arrays
 from coupled_pendula.verification import random_params
 
-from oracles import propagate_linear
+from oracles import propagate_linear, reference_trajectory
 
 FULL = DampingModel.FULL_VELOCITY
 ROT = DampingModel.ROTATIONAL_ONLY
@@ -212,6 +212,21 @@ def test_linear_regime_matches_jacobian_system(identical_params):
     assert np.max(err) <= 1e-3
 
 
+@pytest.mark.parametrize("model", [FULL, ROT])
+@pytest.mark.parametrize("fixture", ["identical_params", "asymmetric_params"])
+def test_integrate_matches_tight_mass_matrix_reference(request, fixture, model):
+    # the error per component, relative to its largest magnitude along a
+    # reference 100x tighter through the other acceleration path; the
+    # default tolerances land near 5e-10, and 100x looser rtol and atol
+    # above 5e-8
+    p = request.getfixturevalue(fixture)
+    state = SystemState.from_y(0.01, 0.02, 0.015)
+    traj = integrate(state, p, model, 10.0, samples=201)
+    ref = reference_trajectory(state, p, model, traj.times)
+    err = np.max(np.abs(traj.states - ref), axis=0) / np.max(np.abs(ref), axis=0)
+    assert np.max(err) <= 1e-8
+
+
 def test_rotational_model_integrates(identical_params):
     traj = integrate(SystemState.from_y(0.01, 0.05, -0.02), identical_params,
                      ROT, 5.0, samples=501)
@@ -253,11 +268,11 @@ def test_solve_ivp_seam_honours_rebinding(monkeypatch, identical_params):
 
     monkeypatch.setattr(dynamics, "solve_ivp", counting)
     traj = integrate(state, identical_params, FULL, 2.0, samples=21)
-    assert calls == ["RK45"]
+    assert calls == ["DOP853"]
     assert np.array_equal(traj.times, ref.times)
     assert np.array_equal(traj.states, ref.states)
     regions.empirical_decay_rates(identical_params, state, 20.0, samples=401)
-    assert calls == ["RK45", "RK45"]
+    assert calls == ["DOP853", "DOP853"]
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,24 @@ def test_batched_char_poly_bit_identical(model, rng):
     assert batch.shape == (1000, 7) and np.array_equal(batch, ref)
 
 
+def test_batched_identical_factors_bit_identical(rng):
+    rows = random_params_batch(rng, 1000, identical=True)
+    quad, quart = char_poly_identical(rows)
+    singles = [char_poly_identical(PhysicalParams(*r)) for r in rows]
+    assert quad.shape == (1000, 3) and np.array_equal(quad, [q.coeffs for q, _ in singles])
+    assert quart.shape == (1000, 5) and np.array_equal(quart, [q.coeffs for _, q in singles])
+
+
+@pytest.mark.parametrize("col, value, field", [(1, 0.0, "m1"), (4, 1.7, "m2"),
+                                               (7, 0.9, "m2")])
+def test_batched_identical_factors_reject_bad_rows(rng, col, value, field):
+    # a massless pendulum, or one row whose twin lengths or dampings differ
+    rows = random_params_batch(rng, 3, identical=True)
+    rows[1, col] = value
+    with pytest.raises(ParamError, match=field):
+        char_poly_identical(rows)
+
+
 def test_batched_char_poly_rejects_massless_pendulum(rng):
     rows = random_params_batch(rng, 3)
     rows[1, 2] = 0.0

@@ -15,12 +15,18 @@ import pytest
 from coupled_pendula import PhysicalParams, spectral
 from coupled_pendula.verification import (
     check_ek_containment,
+    check_factorization,
     check_rh_vs_roots,
     random_params,
     random_params_batch,
 )
 
-from oracles import ek_containment_coeffs, rh_vs_roots_coeffs, scalar_random_params
+from oracles import (
+    ek_containment_coeffs,
+    factorization_worst,
+    rh_vs_roots_coeffs,
+    scalar_random_params,
+)
 
 
 @pytest.mark.parametrize("damped", [True, False])
@@ -58,4 +64,14 @@ def test_batched_check_draws_the_scalar_stream(monkeypatch, seed, check, kernel,
     assert check(rng, n).ok
     assert [len(c) for c in seen] == [256, 256, 5]
     assert np.array_equal(np.concatenate(seen), reference(ref_rng, n))
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("seed", [3, 20161])
+def test_batched_factorization_matches_one_draw_at_a_time(seed):
+    # np.polymul's BLAS dot may fuse the multiply-add of the λ¹ coefficient
+    # that the batch rounds twice; the worst coefficient lies elsewhere
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    result = check_factorization(rng, 517)
+    assert result.ok and result.worst == factorization_worst(ref_rng, 517)
     assert rng.random() == ref_rng.random()
