@@ -25,17 +25,16 @@ All verdicts here are dimensionless (ω ≡ 1).  Analyses specific to the
 η ≤ 1 branch refuse η > 1 rather than guess.  Grid sweeps evaluate every
 node at once and keep the verdicts as numpy columns.
 
-``RegionMap.write_csv`` builds the CSV in blocks of at most 16,384 rows
-without a Python string per row.  Each cell is a zero-padded uint8 row:
-the float cells come from ``_e9_cells`` and the zone, flag and ``na``
-cells from one lookup-table row per zone/flag combination.  A block is
-the concatenation of its cell and separator columns; its pad bytes are
-dropped with ``block[block != 0]`` and the rest is written at once.
-The bytes equal ``format(x, ".9e")`` per float: ``_e9_cells`` computes
-the ten-digit significand as rint(x·10^k) with an exact power of ten,
-which carries one rounding error of at most 2^-20, and sends every
-value whose rounding that error could flip, or that lies outside
-[1e-13, 1e10), to ``format`` itself.
+``RegionMap.write_csv`` fills one reused uint8 buffer of 16,384 rows per
+block, without a Python string per row.  Separators are set once; each
+block overwrites every cell column in full, so no byte of the previous
+block survives.  Float cells are five uint32 words from the word tables
+of ``_e9_cells``, the others one lookup-table row per zone/flag
+combination; pad bytes are dropped with ``buf[buf != 0]``.  The bytes
+equal ``format(x, ".9e")`` per float: the ten-digit significand is
+rint(x·10^k) with an exact power of ten, which carries one rounding
+error of at most 2^-20, and every value whose rounding that error could
+flip, or that lies outside [1e-13, 1e10), goes to ``format`` itself.
 """
 
 from __future__ import annotations
@@ -244,8 +243,8 @@ def complex_root_bound(q: QuadrantPoint) -> RootBound:
 # ---------------------------------------------------------------------------
 
 
-#: Most grid nodes (nx·ny) a sweep accepts: 2000×2000.  A sweep holds
-#: about 130 bytes per node in memory and writes about 112 per CSV row.
+#: Most grid nodes (nx·ny) a sweep accepts: 2000×2000.  A sweep peaks at
+#: about 116 bytes per node in memory and writes about 112 per CSV row.
 MAX_GRID_NODES = 4_000_000
 
 
@@ -332,8 +331,8 @@ _MIDDLE_NA = _byte_cells([f"{z},{c},na,na,na,na,na" for z in _ZONES for c in _FL
 _MIDDLE_BRANCH = _byte_cells([f"{z},{c},{b},na" for z in _ZONES for c in _FLAGS
                               for b in _FLAGS])
 
-# Widest ``.9e`` string: "-d.ddddddddde-ddd".
-_E9_WIDTH = 17
+# Widest ``.9e`` string, "-d.ddddddddde-ddd", padded to five uint32 words.
+_E9_WIDTH = 20
 # 10**k for k = 0..22, all exact in binary64 (5**22 < 2**53).
 _POW10 = np.array([float(10**k) for k in range(23)])
 # Row i holds the four ASCII digits of i, "0000" to "9999".
@@ -343,8 +342,18 @@ _DIGITS4 = (np.arange(10_000, dtype=np.uint16)[:, None]
             // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
 
 
+# Word tables "D.DD", "DDDD", "DDDe" and "±EE\0" of a fast cell, one uint32 per entry,
+# indexed by the top three significand digits, the next four, the last three, and k.
+_LEAD_WORDS = np.insert(_DIGITS4[:1000, 1:], 1, ord("."), axis=1).view(np.uint32).ravel()
+_MID_WORDS = _DIGITS4.view(np.uint32).ravel()
+_TAIL_WORDS = np.insert(_DIGITS4[:1000, 1:], 3, ord("e"), axis=1).view(np.uint32).ravel()
+_EXP_WORDS = np.insert(np.insert(_DIGITS4[np.abs(np.arange(9, -14, -1)), 2:], 2, 0, axis=1),
+                       0, np.where(np.arange(23) > 9, ord("-"), ord("+")), axis=1
+                       ).view(np.uint32).ravel()
+
+
 def _e9_cells(v: np.ndarray) -> np.ndarray:
-    """``format(x, ".9e")`` of every value as (n, 17) zero-padded uint8 rows.
+    """``format(x, ".9e")`` of every value as (n, 20) zero-padded uint8 rows.
 
     Fast path, for x in [1e-13, 1e10): with e = ⌊log10 x⌋ and k = 9 − e
     clipped to [0, 22], 10^k is exact, so s = x·10^k carries a single
@@ -353,7 +362,7 @@ def _e9_cells(v: np.ndarray) -> np.ndarray:
     the decimal exponent of x and the error is at most half an ulp of a
     number below 2^34, i.e. 2^-20.  Unless s is within 1e-5 of a
     half-integer, d = rint(s) is therefore the correctly rounded ten-digit
-    significand, written with integer arithmetic.  Every other value goes
+    significand, written from the word tables.  Every other value goes
     through ``format`` one at a time: near-ties (about 2 in 10^5),
     roundings up to 10^10, s outside [1e9, 1e10) (log10 off by one next
     to a power of ten), and values out of range, non-finite or ≤ 0.  This
@@ -368,19 +377,10 @@ def _e9_cells(v: np.ndarray) -> np.ndarray:
     d = np.rint(s)
     fast &= (s >= 1e9) & (d < 1e10) & (np.abs(s - np.floor(s) - 0.5) > 1e-5)
     d = np.where(fast, d, 1e9).astype(np.int64)  # keeps the table indices in range
-    e = 9 - k
-
-    out = np.zeros((v.size, _E9_WIDTH), dtype=np.uint8)
-    high, low = np.divmod(d, 10**4)
-    lead, mid = np.divmod(high, 10**4)  # lead holds the first two digits
-    out[:, 0] = _DIGITS4[lead, 2]
-    out[:, 1] = ord(".")
-    out[:, 2] = _DIGITS4[lead, 3]
-    out[:, 3:7] = _DIGITS4[mid]
-    out[:, 7:11] = _DIGITS4[low]
-    out[:, 11] = ord("e")
-    out[:, 12] = np.where(e < 0, ord("-"), ord("+"))
-    out[:, 13:15] = _DIGITS4[np.abs(e), 2:]
+    high, tail = np.divmod(d, 1000)
+    lead, mid = np.divmod(high, 10**4)
+    out = np.column_stack([_LEAD_WORDS[lead], _MID_WORDS[mid], _TAIL_WORDS[tail],
+                           _EXP_WORDS[k], np.zeros(v.size, np.uint32)]).view(np.uint8)
 
     slow = np.flatnonzero(~fast)
     if slow.size:
@@ -441,28 +441,32 @@ class RegionMap:
         return int(np.count_nonzero(self.branch[:, 2])) / len(self.branch)
 
     def write_csv(self, path) -> None:
-        """One header line, then one row per node, built in byte blocks."""
-        nx = self.grid.nx
+        """One header line, then one row per node, built in one reused block buffer."""
+        nx, n = self.grid.nx, self.zone.size
         x_cells, y_cells = _e9_cells(self.xs), _e9_cells(self.ys)
         middle = _MIDDLE_NA if self.branch is None else _MIDDLE_BRANCH
+        w = _E9_WIDTH + 1  # a float cell and its separator
+        starts = np.cumsum([0, w, w, middle.shape[1] + 1, w])  # X, Y, middle, rho_m, rho_M
+        buf = np.full((min(n, _CSV_BLOCK), starts[-1] + w), ord(","), dtype=np.uint8)
+        buf[:, -1] = ord("\n")  # the cells overwrite every comma but the separators
         with open(path, "wb") as fh:
             fh.write((_CSV_HEADER + "\n").encode())
-            for lo in range(0, self.zone.size, _CSV_BLOCK):
+            for lo in range(0, n, _CSV_BLOCK):
                 rows = slice(lo, lo + _CSV_BLOCK)
-                node = np.arange(lo, min(lo + _CSV_BLOCK, self.zone.size))
+                node = np.arange(lo, min(lo + _CSV_BLOCK, n))
                 code = self.zone[rows] * 16 + _flag_codes(self.conics[rows])
                 if self.branch is not None:
                     code = code * 16 + _flag_codes(self.branch[rows])
-                sep = np.full((node.size, 1), ord(","), dtype=np.uint8)
-                block = np.concatenate(
-                    [x_cells[node % nx], sep, y_cells[node // nx], sep, middle[code], sep,
-                     _e9_cells(self.rho_m[rows]), sep, _e9_cells(self.rho_M[rows]),
-                     np.full_like(sep, ord("\n"))], axis=1)
+                block = buf[:node.size]
+                cells = (x_cells[node % nx], y_cells[node // nx], middle[code],
+                         _e9_cells(self.rho_m[rows]), _e9_cells(self.rho_M[rows]))
+                for start, c in zip(starts, cells):
+                    block[:, start:start + c.shape[1]] = c  # pad bytes included
                 fh.write(block[block != 0].tobytes())
 
 
 def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:
-    """Evaluate every verdict on the grid."""
+    """Evaluate every verdict on the grid; refuse it if a conic overflows."""
     if not eta > 0:
         raise ParamError("eta", "must be positive")
     if not 0.0 < mu < 0.5:
@@ -471,6 +475,11 @@ def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:
     ys = grid.axis("y")
     X = np.tile(xs, ys.size)
     Y = np.repeat(ys, xs.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        conics = np.stack(_conic_values(X, Y, eta, mu), axis=-1)
+    if not np.isfinite(conics).all():
+        raise ParamError("grid", f"conic values overflow on this grid at eta = {eta:.6g}")
+    conics = conics > 0
     r = spectral.ek_ratios_dimensionless(eta, X, Y, mu)  # (n, 4)
     rm_first = r[:, 0] <= r[:, 1]
     rM_first = r[:, 2] >= r[:, 3]
@@ -485,7 +494,7 @@ def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:
                           axis=-1)
     return RegionMap(grid=grid, eta=eta, mu=mu, xs=xs, ys=ys,
                      zone=2 * ~rm_first + ~rM_first,
-                     conics=np.stack(_conic_values(X, Y, eta, mu), axis=-1) > 0,
+                     conics=conics,
                      branch=branch,
                      rho_m=np.minimum(r[:, 0], r[:, 1]),
                      rho_M=np.maximum(r[:, 2], r[:, 3]))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,25 @@ def test_run_size_limits_admit_pinned_configs(tmp_path):
         cfg = load_config(write_config(tmp_path, samples=samples, grid={"nx": n, "ny": n}))
         assert cfg.samples == samples and cfg.grid.nx * cfg.grid.ny == n * n
     assert MAX_GRID_NODES == 2000 * 2000
+
+
+@pytest.mark.parametrize("grid, code", [
+    ({"x_max": 1e155}, 2),  # X**2 overflows in the conics
+    ({"x_min": 1e-200, "x_max": 1e100, "y_min": 1e-200, "y_max": 1e100}, 0),
+])
+def test_regions_conic_overflow_rejected(tmp_path, capsys, grid, code):
+    path = write_config(tmp_path, grid=dict(grid, nx=20, ny=20))
+    out_csv = tmp_path / "map.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _, err = run(capsys, "regions", "--config", path, "--out", str(out_csv))
+    assert got == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    if code:
+        assert err.startswith("error: grid:") and not out_csv.exists()
+    else:
+        assert len(out_csv.read_text().splitlines()) == 20 * 20 + 1
 
 
 def test_threads_flag_rejected(tmp_path):

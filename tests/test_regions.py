@@ -23,7 +23,15 @@ from coupled_pendula import (
     region_map,
     semicircle_condition,
 )
-from coupled_pendula.regions import MAX_GRID_NODES, _e9_cells, _strict_peaks
+from coupled_pendula.regions import (
+    MAX_GRID_NODES,
+    _EXP_WORDS,
+    _LEAD_WORDS,
+    _MID_WORDS,
+    _TAIL_WORDS,
+    _e9_cells,
+    _strict_peaks,
+)
 from coupled_pendula.spectral import ek_ratios_dimensionless, quartic_from_dimensionless
 from coupled_pendula.verification import DECAY_PANEL
 from oracles import reference_region_csv
@@ -309,7 +317,18 @@ def test_map_csv_rows_match_scalar_verdicts(tmp_path, grid, eta, mu):
 
 
 def _e9_strings(v):
-    return _e9_cells(np.asarray(v)).view("S17").ravel().tolist()
+    cells = _e9_cells(np.asarray(v))
+    return cells.view(f"S{cells.shape[1]}").ravel().tolist()
+
+
+def test_e9_word_tables_hold_their_f_strings():
+    def joined(strings):
+        return "".join(strings).encode()
+
+    assert _LEAD_WORDS.tobytes() == joined(f"{q // 100}.{q % 100:02d}" for q in range(1000))
+    assert _MID_WORDS.tobytes() == joined(f"{r:04d}" for r in range(10_000))
+    assert _TAIL_WORDS.tobytes() == joined(f"{r:03d}e" for r in range(1000))
+    assert _EXP_WORDS.tobytes() == joined(f"{9 - k:+03d}\0" for k in range(23))
 
 
 def test_e9_cells_exact_on_log_uniform_draws():
@@ -337,6 +356,11 @@ def test_e9_cells_exact_on_adversarial_values():
     (GridSpec(0.01, 10.0, 0.01, 10.0, 130, 130, "log"), 0.6, 0.25),  # 16,900 rows
     (GridSpec(0.05, 5.0, 0.02, 8.0, 130, 130, "linear"), 2.1, 0.2),
     (GridSpec(0.3, 0.3, 0.7, 0.7, 1, 1, "log"), 0.6, 0.25),
+    # a full block and a partial one; X, Y and rho mix 15-byte fast cells
+    # with 16-byte format cells (3-digit exponents) within and across
+    # blocks, so a byte left over from the previous block would show;
+    # region_map refuses non-finite conics, so they are all finite here
+    (GridSpec(1e-200, 1e100, 1e-200, 1e100, 130, 130, "log"), 0.6, 0.25),
 ])
 def test_map_csv_matches_reference_writer(tmp_path, grid, eta, mu):
     rmap = region_map(grid, eta=eta, mu=mu)
