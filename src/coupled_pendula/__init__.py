@@ -16,10 +16,6 @@ from .params import (
     derived_constants,
     identical_pendula,
     params_from_dimensionless,
-    psi1,
-    psi1_approx,
-    psi2,
-    psi2_approx,
     reduce_params,
 )
 from .dynamics import (
@@ -30,21 +26,16 @@ from .dynamics import (
     accel_q,
     accel_y,
     energy,
-    generalized_damping,
     integrate,
-    theta_factor,
 )
 from .linear_analysis import (
     ClosedFormSolution,
     FundamentalFrequencies,
-    LinearMatrices,
     amplitude_profiles,
     closed_form,
     coupling_b,
     delta_closed_form,
-    eval_closed_form,
     fundamental_frequencies,
-    linearize_frictionless,
     periodicity_params,
     perturbation_p,
 )
@@ -69,7 +60,6 @@ from .regions import (
     GridSpec,
     QuadrantPoint,
     RegionMap,
-    RegionVerdict,
     antiphase_conditions,
     classify_zone,
     complex_root_bound,

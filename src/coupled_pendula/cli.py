@@ -144,7 +144,7 @@ def load_config(path: str) -> RunConfig:
                             g=_number(doc, "g", 9.81))
 
     damping_name = doc.get("damping", "full")
-    if damping_name not in _DAMPING_NAMES:
+    if not isinstance(damping_name, str) or damping_name not in _DAMPING_NAMES:
         raise ConfigError(f"damping: expected one of {sorted(_DAMPING_NAMES)}")
 
     state_raw = doc.get("initial_state", [0.0] * 6)

@@ -66,10 +66,8 @@ __all__ = [
     "StiffnessError",
     "CrossCheckError",
     "Trajectory",
-    "generalized_damping",
     "accel_q",
     "accel_y",
-    "theta_factor",
     "energy",
     "integrate",
 ]
@@ -112,33 +110,6 @@ class StiffnessError(RuntimeError):
 
 class CrossCheckError(RuntimeError):
     """Two independent computations of one quantity disagreed beyond tolerance."""
-
-
-# ---------------------------------------------------------------------------
-# Generalized damping forces
-# ---------------------------------------------------------------------------
-
-
-def generalized_damping(state: SystemState, p: PhysicalParams,
-                        model: DampingModel = DampingModel.FULL_VELOCITY) -> np.ndarray:
-    """Generalized friction force on (x, θ1, θ2) for the given model."""
-    q = state.to_q()
-    _, t1, t2 = q.coords
-    xd, t1d, t2d = q.vels
-    c1, c2 = np.cos(t1), np.cos(t2)
-    fx_common = -p.beta1 * p.l1 * t1d * c1 - p.beta2 * p.l2 * t2d * c2
-    if model is DampingModel.FULL_VELOCITY:
-        beta = p.beta0 + p.beta1 + p.beta2
-        return np.array([
-            -beta * xd + fx_common,
-            -p.beta1 * p.l1 * (xd * c1 + p.l1 * t1d),
-            -p.beta2 * p.l2 * (xd * c2 + p.l2 * t2d),
-        ])
-    return np.array([
-        -p.beta0 * xd + fx_common,
-        -p.beta1 * p.l1**2 * t1d,
-        -p.beta2 * p.l2**2 * t2d,
-    ])
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +176,6 @@ def accel_q(state: SystemState, p: PhysicalParams,
 # ---------------------------------------------------------------------------
 # Accelerations: explicit path (y-form)
 # ---------------------------------------------------------------------------
-
-def theta_factor(state: SystemState, p: PhysicalParams) -> float:
-    """Inertial denominator Θ = m − m1 cos²θ1 − m2 cos²θ2 (kg).
-
-    Equals m(1−2μ) = m0 at the origin and never drops below m0 for
-    valid parameters.
-    """
-    q = state.to_q()
-    _, t1, t2 = q.coords
-    return float(p.m - p.m1 * np.cos(t1) ** 2 - p.m2 * np.cos(t2) ** 2)
-
 
 def _accel_y_arrays(x, sg, dl, xd, sgd, dld, p: PhysicalParams,
                     model: DampingModel, trig=np):

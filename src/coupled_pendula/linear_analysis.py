@@ -40,53 +40,23 @@ from .params import (
     PhysicalParams,
     ReducedParams,
     SystemState,
-    derived_constants,
     identical_pendula,
     reduce_params,
     IDENTICAL_RTOL,
 )
 
 __all__ = [
-    "LinearMatrices",
     "FundamentalFrequencies",
     "ClosedFormSolution",
-    "linearize_frictionless",
     "frequency_cubic",
     "fundamental_frequencies",
     "coupling_b",
     "closed_form",
-    "eval_closed_form",
     "delta_closed_form",
     "amplitude_profiles",
     "periodicity_params",
     "perturbation_p",
 ]
-
-
-@dataclass(frozen=True)
-class LinearMatrices:
-    """Symmetric positive-definite inertia (a1) and stiffness (v1) blocks."""
-
-    a1: np.ndarray
-    v1: np.ndarray
-
-
-def linearize_frictionless(p: PhysicalParams) -> LinearMatrices:
-    """Inertia and stiffness matrices of the linearized y-form system."""
-    p.require_positive_pendula("linearization")
-    d = derived_constants(p)
-    a1 = np.array([
-        [p.m, d.bm_plus, d.bm_minus],
-        [d.bm_plus, d.am_plus, d.am_minus],
-        [d.bm_minus, d.am_minus, d.am_plus],
-    ])
-    hg = 0.5 * p.g
-    v1 = np.array([
-        [p.k, 0.0, 0.0],
-        [0.0, d.bm_plus * hg, d.bm_minus * hg],
-        [0.0, d.bm_minus * hg, d.bm_plus * hg],
-    ])
-    return LinearMatrices(a1=a1, v1=v1)
 
 
 def _equal_lengths(p: PhysicalParams) -> bool:
@@ -269,12 +239,6 @@ def closed_form(p: PhysicalParams, y0: SystemState) -> ClosedFormSolution:
         phi1=phi1, phi2=phi2,
         x_amps=x_amps, sigma_amps=sigma_amps, delta_amps=delta_amps,
     )
-
-
-def eval_closed_form(c: ClosedFormSolution, t: float) -> SystemState:
-    """Evaluate the closed-form solution at a single time."""
-    vec = c.evaluate(float(t))
-    return SystemState.from_y(*vec)
 
 
 def delta_closed_form(p: PhysicalParams, delta0: float, delta0_dot: float, t):

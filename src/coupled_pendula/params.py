@@ -53,23 +53,14 @@ __all__ = [
     "DerivedConstants",
     "ReducedParams",
     "SystemState",
-    "L_MATRIX",
-    "L_INV_MATRIX",
     "reduce_params",
     "derived_constants",
     "params_from_dimensionless",
     "identical_pendula",
-    "psi1",
-    "psi2",
-    "psi1_approx",
-    "psi2_approx",
 ]
 
 #: Relative tolerance below which two pendula count as identical.
 IDENTICAL_RTOL = 1e-12
-
-L_MATRIX = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
-L_INV_MATRIX = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, -0.5]])
 
 
 class ParamError(ValueError):
@@ -134,19 +125,16 @@ class PhysicalParams:
             raise ParamError("m2", f"must be positive for {where}")
 
 
-def _rel_close(a, b, rtol: float):
-    """|a − b| ≤ rtol (|a| + |b|), on floats or element-wise on arrays."""
+def _rel_close(a, b):
+    """|a − b| ≤ IDENTICAL_RTOL (|a| + |b|), on floats or element-wise on arrays."""
     s = abs(a) + abs(b)
-    return (s == 0.0) | (abs(a - b) <= rtol * s)
+    return (s == 0.0) | (abs(a - b) <= IDENTICAL_RTOL * s)
 
 
-def identical_pendula(p: PhysicalParams, rtol: float = IDENTICAL_RTOL) -> bool:
+def identical_pendula(p: PhysicalParams) -> bool:
     """True when the two pendula agree in length, mass, and damping."""
-    return (
-        _rel_close(p.l1, p.l2, rtol)
-        and _rel_close(p.m1, p.m2, rtol)
-        and _rel_close(p.beta1, p.beta2, rtol)
-    )
+    return (_rel_close(p.l1, p.l2) and _rel_close(p.m1, p.m2)
+            and _rel_close(p.beta1, p.beta2))
 
 
 @dataclass(frozen=True)
@@ -245,37 +233,28 @@ def _reduced_groups(m0, m1, m2, l1, l2, beta0, beta1, beta2, k, g, sqrt=math.sqr
     return mu, lam_bar, Y, Lam, rho, omega, eta, X
 
 
-def params_from_dimensionless(
-    eta: float,
-    X: float,
-    Y: float,
-    mu: float,
-    omega: float = 1.0,
-    m: float = 1.0,
-    g: float = 9.81,
-) -> PhysicalParams:
+def params_from_dimensionless(eta: float, X: float, Y: float, mu: float,
+                              omega: float = 1.0) -> PhysicalParams:
     """Build identical-pendula physical parameters realizing (η, X, Y, μ, ω).
 
-    Inverse of :func:`reduce_params` on the identical-pendula slice; total
-    mass ``m`` is a free scale.
+    Inverse of :func:`reduce_params` on the identical-pendula slice, at
+    total mass m = 1 kg (a free scale) and standard gravity.
     """
     if not 0.0 < mu < 0.5:
         raise ParamError("mu", "must lie in (0, 1/2)")
     if omega <= 0:
         raise ParamError("omega", "must be positive")
-    length = g / omega**2
-    mp = mu * m
+    length = PhysicalParams.g / omega**2
     return PhysicalParams(
-        m0=m * (1.0 - 2.0 * mu),
-        m1=mp,
-        m2=mp,
+        m0=1.0 - 2.0 * mu,
+        m1=mu,
+        m2=mu,
         l1=length,
         l2=length,
-        beta0=X * omega * m,
-        beta1=eta * omega * mp,
-        beta2=eta * omega * mp,
-        k=Y * omega**2 * m,
-        g=g,
+        beta0=X * omega,
+        beta1=eta * omega * mu,
+        beta2=eta * omega * mu,
+        k=Y * omega**2,
     )
 
 
@@ -327,32 +306,3 @@ class SystemState:
             (x, 0.5 * (sg + dl), 0.5 * (sg - dl)),
             (vx, 0.5 * (vs + vd), 0.5 * (vs - vd)),
         )
-
-
-# ---------------------------------------------------------------------------
-# Trigonometric helpers on half-angles of (sigma, delta)
-# ---------------------------------------------------------------------------
-
-
-def psi1(sigma, delta, c1, c2):
-    """C1 cos(σ/2) cos(δ/2) + C2 sin(σ/2) sin(δ/2)."""
-    return c1 * np.cos(sigma / 2) * np.cos(delta / 2) + c2 * np.sin(sigma / 2) * np.sin(delta / 2)
-
-
-def psi2(sigma, delta, c1, c2):
-    """C1 sin(σ/2) cos(δ/2) + C2 cos(σ/2) sin(δ/2)."""
-    return c1 * np.sin(sigma / 2) * np.cos(delta / 2) + c2 * np.cos(sigma / 2) * np.sin(delta / 2)
-
-
-def psi1_approx(sigma, delta, c1, c2):
-    """Second-order Taylor polynomial of :func:`psi1` at the origin.
-
-    C1 − [C1 (σ² + δ²) − 2 C2 σδ]/8; the truncation error is quartic in
-    the angles.
-    """
-    return c1 - (c1 * (sigma**2 + delta**2) - 2.0 * c2 * sigma * delta) / 8.0
-
-
-def psi2_approx(sigma, delta, c1, c2):
-    """Second-order (here: linear) Taylor polynomial of :func:`psi2`."""
-    return (c1 * sigma + c2 * delta) / 2.0

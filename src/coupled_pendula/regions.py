@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import spectral
-from .dynamics import DampingModel, Trajectory, integrate
+from .dynamics import DampingModel, integrate
 from .params import ParamError, PhysicalParams, SystemState, identical_pendula
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "RootBound",
     "GridSpec",
     "MAX_GRID_NODES",
-    "RegionVerdict",
     "RegionMap",
     "classify_zone",
     "conic_conditions",
@@ -116,14 +115,28 @@ def _conic_values(X, Y, eta, mu):
     return c1, c2, c3, c4
 
 
+def _conic_signs(X, Y, eta: float, mu: float, field: str) -> np.ndarray:
+    """Signs of the four conics, stacked on a last axis of length 4.
+
+    Raises :class:`ParamError` on ``field`` where a conic overflows: the
+    sign of an infinite or NaN value decides nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.stack(_conic_values(X, Y, eta, mu), axis=-1)
+    if not np.isfinite(vals).all():
+        raise ParamError(field, f"conic values overflow on this {field} at eta = {eta:.6g}")
+    return vals > 0
+
+
 def conic_conditions(q: QuadrantPoint) -> tuple[bool, bool, bool, bool]:
     """Signs of the four ratio-comparison conics.
 
     Positive values mean, in order: a0/a1 < a1/a2, a0/a1 < a3/a4,
-    a1/a2 < a2/a3, a2/a3 < a3/a4.
+    a1/a2 < a2/a3, a2/a3 < a3/a4.  A point whose conics overflow raises
+    :class:`ParamError`, as a grid does.
     """
-    vals = _conic_values(q.X, q.Y, q.eta, q.mu)
-    return tuple(bool(v > 0) for v in vals)
+    return tuple(_conic_signs(np.float64(q.X), np.float64(q.Y), q.eta, q.mu,
+                              "point").tolist())
 
 
 class AntiphaseVerdict(NamedTuple):
@@ -293,25 +306,6 @@ class GridSpec:
         return np.linspace(lo, hi, n)
 
 
-@dataclass(frozen=True)
-class RegionVerdict:
-    """All verdicts at one node; Optional fields are None when η > 1.
-
-    ``refined`` is always None in grid sweeps: the premise of the refined
-    bound never holds (see ``complex_root_bound``).
-    """
-
-    zone: str
-    conics: tuple[bool, bool, bool, bool]
-    cond_a: Optional[bool]
-    cond_b: Optional[bool]
-    in_a_set: Optional[bool]
-    semicircle: Optional[bool]
-    refined: Optional[bool]
-    rho_m_over_omega: float
-    rho_M_over_omega: float
-
-
 _ZONES = ("Z1", "Z2", "Z3", "Z4")
 _CSV_HEADER = ("X,Y,zone,conic1,conic2,conic3,conic4,condA,condB,inA,"
                "semicircle,refined,rho_m_over_omega,rho_M_over_omega")
@@ -419,18 +413,6 @@ class RegionMap:
     rho_m: np.ndarray
     rho_M: np.ndarray
 
-    def verdict_at(self, ix: int, iy: int) -> RegionVerdict:
-        if not (0 <= ix < self.grid.nx and 0 <= iy < self.grid.ny):
-            raise IndexError(f"node ({ix}, {iy}) outside the "
-                             f"{self.grid.nx}x{self.grid.ny} grid")
-        i = iy * self.grid.nx + ix
-        branch = (None,) * 4 if self.branch is None else self.branch[i].tolist()
-        return RegionVerdict(zone=_ZONES[self.zone[i]], conics=tuple(self.conics[i].tolist()),
-                             cond_a=branch[0], cond_b=branch[1], in_a_set=branch[2],
-                             semicircle=branch[3], refined=None,
-                             rho_m_over_omega=float(self.rho_m[i]),
-                             rho_M_over_omega=float(self.rho_M[i]))
-
     def zone_fractions(self) -> dict[str, float]:
         counts = np.bincount(self.zone, minlength=len(_ZONES)).tolist()
         return {z: c / self.zone.size for z, c in zip(_ZONES, counts)}
@@ -475,11 +457,7 @@ def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:
     ys = grid.axis("y")
     X = np.tile(xs, ys.size)
     Y = np.repeat(ys, xs.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        conics = np.stack(_conic_values(X, Y, eta, mu), axis=-1)
-    if not np.isfinite(conics).all():
-        raise ParamError("grid", f"conic values overflow on this grid at eta = {eta:.6g}")
-    conics = conics > 0
+    conics = _conic_signs(X, Y, eta, mu, "grid")
     r = spectral.ek_ratios_dimensionless(eta, X, Y, mu)  # (n, 4)
     rm_first = r[:, 0] <= r[:, 1]
     rM_first = r[:, 2] >= r[:, 3]
@@ -522,20 +500,17 @@ def _envelope_rate(times: np.ndarray, signal: np.ndarray, t_start: float) -> flo
 
 
 def empirical_decay_rates(p: PhysicalParams, y0: SystemState, t_end: float,
-                          samples: int = 4001,
-                          trajectory: Optional[Trajectory] = None) -> tuple[float, float]:
+                          samples: int = 4001) -> tuple[float, float]:
     """Fitted decay rates of σ and δ from a nonlinear trajectory.
 
     Peak amplitudes of each signal over the final 60% of the run are fit
     by least squares in log scale; identical, damped pendula required.
-    A precomputed trajectory may be passed to avoid re-integration.
     """
     if not identical_pendula(p):
         raise ParamError("m2", "decay-rate fit requires identical pendula")
     if p.frictionless:
         raise ParamError("beta0", "decay-rate fit requires damping")
-    traj = trajectory if trajectory is not None else integrate(
-        y0, p, DampingModel.FULL_VELOCITY, t_end, samples=samples)
+    traj = integrate(y0, p, DampingModel.FULL_VELOCITY, t_end, samples=samples)
     t_start = 0.4 * t_end
     rate_sigma = _envelope_rate(traj.times, traj.states[:, 1], t_start)
     rate_delta = _envelope_rate(traj.times, traj.states[:, 2], t_start)

@@ -39,7 +39,6 @@ import numpy as np
 
 from .dynamics import DampingModel
 from .params import (
-    IDENTICAL_RTOL,
     ParamError,
     PhysicalParams,
     ReducedParams,
@@ -85,10 +84,6 @@ class PolyCoeffs:
         if c.size < 1 or c[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
 
     def __call__(self, z):
         return np.polyval(self.coeffs[::-1], z)
@@ -260,8 +255,7 @@ def char_poly_identical(p):
         return PolyCoeffs(np.array(quad)), PolyCoeffs(np.array(quart))
     rows = _checked_rows(p, "factorized polynomial")
     _, m1, m2, l1, l2, _, b1, b2, _, _ = rows.T
-    if not np.all(_rel_close(l1, l2, IDENTICAL_RTOL) & _rel_close(m1, m2, IDENTICAL_RTOL)
-                  & _rel_close(b1, b2, IDENTICAL_RTOL)):
+    if not np.all(_rel_close(l1, l2) & _rel_close(m1, m2) & _rel_close(b1, b2)):
         raise ParamError("m2", "factorized polynomial requires identical pendula")
     quad, quart = _identical_factors(*rows.T, sqrt=np.sqrt)
     return (np.stack(np.broadcast_arrays(*quad), axis=1),

@@ -281,19 +281,15 @@ ALL_CHECKS = ("formulation_equivalence", "factorization", "ek_containment",
               "rh_vs_roots", "decay_panel")
 
 
-def run_verification(seed: int, fault: Optional[str] = None,
-                     fast: bool = False) -> list[CheckResult]:
+def run_verification(seed: int, fault: Optional[str] = None) -> list[CheckResult]:
     """Run the whole suite; ``fault`` names a check to sabotage."""
     if fault is not None and fault not in ALL_CHECKS:
         raise ValueError(f"unknown check {fault!r}")
     rng = np.random.default_rng(seed)
-    scale = 5 if fast else 1
     return [
-        check_formulation_equivalence(rng, n=10_000 // scale,
-                                      fault=fault == "formulation_equivalence"),
-        check_factorization(rng, n=200 // scale, fault=fault == "factorization"),
-        check_ek_containment(rng, n=2000 // scale, fault=fault == "ek_containment"),
-        check_rh_vs_roots(rng, n=2000 // scale, fault=fault == "rh_vs_roots"),
-        check_decay_panel(panel=DECAY_PANEL[:2] if fast else None,
-                          fault=fault == "decay_panel"),
+        check_formulation_equivalence(rng, fault=fault == "formulation_equivalence"),
+        check_factorization(rng, fault=fault == "factorization"),
+        check_ek_containment(rng, fault=fault == "ek_containment"),
+        check_rh_vs_roots(rng, fault=fault == "rh_vs_roots"),
+        check_decay_panel(fault=fault == "decay_panel"),
     ]

@@ -8,9 +8,11 @@ return at the first zero pivot, congruence products by plain matrix multiplicati
 eigendecomposition propagation of the linear system, a tight
 mass-matrix trajectory for the nonlinear integrator, a per-row
 f-string region CSV writer that the block writer must match byte for
-byte, and the one-draw-at-a-time polynomial loops whose generator
+byte, the one-draw-at-a-time polynomial loops whose generator
 stream and coefficient rows the batched ``verify`` checks must
-reproduce.
+reproduce, the generalized damping force Φ behind the energy-rate
+identity dE/dt = q̇·Φ, and the inertia and stiffness matrices of the
+frictionless linearization.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from coupled_pendula import (
+    DampingModel,
     PhysicalParams,
     SystemState,
     accel_q,
     char_poly_general,
     char_poly_identical,
+    derived_constants,
 )
 
 
@@ -219,3 +223,43 @@ def factorization_worst(rng: np.random.Generator, n: int) -> float:
         ref = char_poly_general(p).coeffs
         worst = max(worst, float(np.max(np.abs(prod - ref) / np.abs(ref))))
     return worst
+
+
+def generalized_damping(state: SystemState, p: PhysicalParams,
+                        model: DampingModel = DampingModel.FULL_VELOCITY) -> np.ndarray:
+    """Generalized friction force Φ on (x, θ1, θ2) for the given model."""
+    q = state.to_q()
+    _, t1, t2 = q.coords
+    xd, t1d, t2d = q.vels
+    c1, c2 = np.cos(t1), np.cos(t2)
+    fx_common = -p.beta1 * p.l1 * t1d * c1 - p.beta2 * p.l2 * t2d * c2
+    if model is DampingModel.FULL_VELOCITY:
+        beta = p.beta0 + p.beta1 + p.beta2
+        return np.array([
+            -beta * xd + fx_common,
+            -p.beta1 * p.l1 * (xd * c1 + p.l1 * t1d),
+            -p.beta2 * p.l2 * (xd * c2 + p.l2 * t2d),
+        ])
+    return np.array([
+        -p.beta0 * xd + fx_common,
+        -p.beta1 * p.l1**2 * t1d,
+        -p.beta2 * p.l2**2 * t2d,
+    ])
+
+
+def linearize_frictionless(p: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+    """(a1, v1): inertia and stiffness matrices of the linearized y-form
+    system A1 ÿ + V1 y = 0, entry by entry from the derived constants."""
+    d = derived_constants(p)
+    a1 = np.array([
+        [p.m, d.bm_plus, d.bm_minus],
+        [d.bm_plus, d.am_plus, d.am_minus],
+        [d.bm_minus, d.am_minus, d.am_plus],
+    ])
+    hg = 0.5 * p.g
+    v1 = np.array([
+        [p.k, 0.0, 0.0],
+        [0.0, d.bm_plus * hg, d.bm_minus * hg],
+        [0.0, d.bm_minus * hg, d.bm_plus * hg],
+    ])
+    return a1, v1

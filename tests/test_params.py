@@ -12,13 +12,8 @@ from coupled_pendula import (
     derived_constants,
     identical_pendula,
     params_from_dimensionless,
-    psi1,
-    psi1_approx,
-    psi2,
-    psi2_approx,
     reduce_params,
 )
-from coupled_pendula.params import L_INV_MATRIX, L_MATRIX
 from coupled_pendula.verification import random_params
 
 
@@ -152,53 +147,3 @@ def test_round_trip_property(vals):
     back = s.to_y().to_q()
     assert np.allclose(back.as_vector(), s.as_vector(), rtol=0, atol=1e-14 * (1 + np.max(np.abs(vals))))
 
-
-def test_printed_inverse_is_matrix_inverse():
-    assert np.max(np.abs(L_MATRIX @ L_INV_MATRIX - np.eye(3))) <= 1e-15
-    assert np.max(np.abs(np.linalg.inv(L_MATRIX) - L_INV_MATRIX)) <= 1e-15
-
-
-# ---------------------------------------------------------------------------
-# psi helpers
-# ---------------------------------------------------------------------------
-
-def test_psi_at_zero_angles():
-    assert psi1(0.0, 0.0, 3.5, -2.0) == 3.5
-    assert psi2(0.0, 0.0, 3.5, -2.0) == 0.0
-
-
-def test_psi1_at_pi_pi():
-    assert psi1(np.pi, np.pi, 3.5, -2.0) == pytest.approx(-2.0, abs=1e-15)
-
-
-def test_psi2_first_order():
-    # against the quadratic Taylor expansion: residual is o(angle^2)
-    val = psi2(0.2, 0.1, 1.0, 2.0)
-    approx = psi2_approx(0.2, 0.1, 1.0, 2.0)
-    assert approx == (1.0 * 0.2 + 2.0 * 0.1) / 2
-    assert abs(val - approx) <= 1e-3
-
-
-def test_psi_approx_agrees_at_origin():
-    assert psi1_approx(0.0, 0.0, 1.3, 0.4) == psi1(0.0, 0.0, 1.3, 0.4)
-    assert psi2_approx(0.0, 0.0, 1.3, 0.4) == psi2(0.0, 0.0, 1.3, 0.4)
-
-
-def test_psi1_taylor_error_bound(rng):
-    # numerical sweep: |psi1 - approx| <= c (sigma^2+delta^2)^{3/2}
-    c1, c2 = 1.0, 2.0
-    sg = rng.uniform(-0.3, 0.3, 3000)
-    dl = rng.uniform(-0.3, 0.3, 3000)
-    err = np.abs(psi1(sg, dl, c1, c2) - psi1_approx(sg, dl, c1, c2))
-    bound = (sg**2 + dl**2) ** 1.5
-    assert np.all(err <= 0.2 * bound + 1e-15)
-
-
-def test_psi_4pi_periodic(rng):
-    for _ in range(50):
-        sg, dl = rng.uniform(-6, 6, 2)
-        c1, c2 = rng.uniform(-2, 2, 2)
-        assert psi1(sg + 4 * np.pi, dl, c1, c2) == pytest.approx(psi1(sg, dl, c1, c2), abs=1e-12)
-        assert psi1(sg, dl + 4 * np.pi, c1, c2) == pytest.approx(psi1(sg, dl, c1, c2), abs=1e-12)
-        assert psi2(sg + 4 * np.pi, dl, c1, c2) == pytest.approx(psi2(sg, dl, c1, c2), abs=1e-12)
-        assert psi2(sg, dl + 4 * np.pi, c1, c2) == pytest.approx(psi2(sg, dl, c1, c2), abs=1e-12)

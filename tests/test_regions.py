@@ -86,6 +86,14 @@ def test_conic_one_near_origin():
     assert conic_conditions(q)[0] is True
 
 
+def test_conic_overflow_raises_param_error():
+    # the point path refuses what the grid path refuses, with no warning
+    for X, Y in ((1e155, 1.0), (1e300, 1.0), (1.0, 1e155)):
+        q = QuadrantPoint(X=X, Y=Y, eta=0.6, mu=0.25)
+        with np.errstate(all="raise"), pytest.raises(ParamError, match="^point: conic"):
+            conic_conditions(q)
+
+
 def test_conics_equal_ratio_comparisons(rng):
     eta, X, Y, mu = rand_points(rng, 100_000, eta_hi=3.0)
     r = ek_ratios_dimensionless(eta, X, Y, mu)
@@ -245,9 +253,7 @@ def test_map_zone_boundaries_match_conics():
     from coupled_pendula.regions import _conic_values
     for iy in range(0, 100, 7):
         for ix in range(0, 99, 1):
-            a = rmap.verdict_at(ix, iy)
-            b = rmap.verdict_at(ix + 1, iy)
-            if a.zone != b.zone:
+            if rmap.zone[iy * 100 + ix] != rmap.zone[iy * 100 + ix + 1]:
                 # some conic must change sign within this cell pair
                 va = np.array(_conic_values(rmap.xs[ix], rmap.ys[iy], 1.0, 0.25))
                 vb = np.array(_conic_values(rmap.xs[ix + 1], rmap.ys[iy], 1.0, 0.25))
@@ -260,13 +266,13 @@ def test_map_refinement_stability():
     # every coarse node also appears in the fine grid (odd indices)
     for iy in range(20):
         for ix in range(20):
-            assert coarse.verdict_at(ix, iy).zone == fine.verdict_at(2 * ix, 2 * iy).zone
+            assert coarse.zone[iy * 20 + ix] == fine.zone[2 * iy * 39 + 2 * ix]
 
 
 def test_map_low_mu_excludes_origin_region():
     rmap = region_map(GridSpec(0.02, 2.0, 0.02, 2.0, 40, 40, "linear"), eta=1.0, mu=0.1)
-    near_origin = [rmap.verdict_at(ix, iy) for ix in range(4) for iy in range(4)]
-    assert all(v.in_a_set is False for v in near_origin)
+    in_a = rmap.branch[:, 2].reshape(40, 40)  # (iy, ix)
+    assert not in_a[:4, :4].any()
 
 
 def test_map_csv_format(tmp_path):
@@ -395,19 +401,10 @@ def test_grid_node_limit():
         assert exc.value.field == "nx*ny"
 
 
-def test_map_verdict_at_bounds_checked():
-    rmap = region_map(GridSpec(0.1, 1.0, 0.1, 1.0, 3, 3, "linear"), eta=0.5, mu=0.2)
-    assert rmap.verdict_at(2, 2).rho_m_over_omega == rmap.rho_m[8]
-    for ix, iy in ((3, 0), (-1, 0), (0, 3), (0, -1)):
-        with pytest.raises(IndexError):
-            rmap.verdict_at(ix, iy)
-
-
 def test_map_eta_above_one_refuses_branch_verdicts():
     rmap = region_map(GridSpec(0.1, 1.0, 0.1, 1.0, 4, 4, "linear"), eta=1.5, mu=0.2)
-    v = rmap.verdict_at(0, 0)
-    assert v.cond_a is None and v.in_a_set is None and v.semicircle is None
-    assert v.zone in ("Z1", "Z2", "Z3", "Z4")
+    assert rmap.branch is None
+    assert rmap.zone[0] in range(4)
     assert rmap.in_a_fraction() is None
 
 

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import coupled_pendula
@@ -44,3 +45,21 @@ def test_scipy_not_imported_at_module_level():
              or (isinstance(node, ast.ImportFrom) and node.level == 0
                  and _is_scipy(node.module))]
     assert not found, f"module-level scipy imports in the package: {found}"
+
+
+def test_exports_resolve():
+    # a name deleted from a module must leave its __all__ and the package
+    # imports too; the package re-exports only names a module declares
+    modules = {path.stem: importlib.import_module(f"coupled_pendula.{path.stem}")
+               for path in sorted(PACKAGE_DIR.glob("*.py")) if path.stem != "__init__"}
+    stale = [f"{name}.{entry}" for name, module in modules.items()
+             for entry in getattr(module, "__all__", ())
+             if not hasattr(module, entry)]
+    init = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    undeclared = [f"{node.module}.{alias.name}"
+                  for node in ast.walk(init)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names
+                  if alias.name not in getattr(modules[node.module], "__all__", ())]
+    assert not stale, f"__all__ entries with no attribute: {stale}"
+    assert not undeclared, f"package imports missing from their module's __all__: {undeclared}"
