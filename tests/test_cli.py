@@ -230,6 +230,90 @@ def test_spectrum_frictionless_inapplicable(tmp_path, capsys):
     assert "inapplicable" in err
 
 
+# Pinned bytes of the whole document: (overrides, exit code, stdout
+# without its newline) for the README config, rotational damping,
+# asymmetric pendula and the frictionless case, whose annulus is
+# inapplicable (exit 4).
+SPECTRUM_GOLDEN = {
+    "readme": ({}, 0, (
+        '{"coeffs":[120.29512500000001,14.482012500000002,120.96980000000002,3.68425000000000'
+        '05,15.984999999999999,0.17499999999999999,0.5],"factors":{"quadratic":[9.81000000000'
+        '00005,0.10000000000000001,1],"quartic":[12.262500000000003,1.3512500000000001,11.067'
+        '500000000001,0.125,0.5]},"gershgorin":[{"center_im":0,"center_re":0,"radius":1},{"ce'
+        'nter_im":0,"center_re":0,"radius":1},{"center_im":0,"center_re":0,"radius":1},{"cent'
+        'er_im":0,"center_re":-0.14999999999999999,"radius":7.4050000000000002},{"center_im":'
+        '0,"center_re":-0.10000000000000001,"radius":24.720000000000002},{"center_im":0,"cent'
+        'er_re":-0.10000000000000001,"radius":9.8100000000000005}],"omega":3.1320919526731652'
+        ',"ratios":[9.0749306197964863,0.12209170996159927,88.540000000000006,0.25],"ratios_o'
+        'ver_omega":[2.897402361399783,0.038980883002938956,28.268646431160249,0.079818857101'
+        '762619],"rh_chain":[0.5,0.17499999999999999,5.4585714285714264,1.1325368031928802,28'
+        '.380640835799078,5.8249824255923581,120.29512500000001],"rh_degenerate":false,"rho_M'
+        '":91.342857142857142,"rho_M_over_omega":29.163529846209723,"rho_m":0.119715933232922'
+        '59,"rho_m_over_omega":0.038222355870091207,"roots":[{"im":-4.5765226999120117,"re":-'
+        '0.064078099079635589},{"im":4.5765226999120117,"re":-0.064078099079635589},{"im":-1.'
+        '0802811939414101,"re":-0.060921900920364251},{"im":1.0802811939414101,"re":-0.060921'
+        '900920364251},{"im":-3.1316928329579206,"re":-0.0500000000000001},{"im":3.1316928329'
+        '579206,"re":-0.0500000000000001}],"stable":true,"zone":"Z3"}'
+    )),
+    "rotational": ({"damping": "rotational"}, 0, (
+        '{"coeffs":[120.29512500000001,9.6702075000000001,120.92075000000003,3.19375000000000'
+        '05,15.984999999999999,0.17499999999999999,0.5],"factors":null,"gershgorin":[{"center'
+        '_im":0,"center_re":0,"radius":1},{"center_im":0,"center_re":0,"radius":1},{"center_i'
+        'm":0,"center_re":0,"radius":1},{"center_im":0,"center_re":-0.14999999999999999,"radi'
+        'us":7.4050000000000002},{"center_im":0,"center_re":-0.10000000000000001,"radius":24.'
+        '920000000000002},{"center_im":0,"center_re":-0.10000000000000001,"radius":9.81000000'
+        '00000005}],"omega":null,"ratios":null,"rh_chain":[0.5,0.17499999999999999,6.85999999'
+        '99999977,0.81386260932944543,37.6483161306003,4.0009740139785688,120.29512500000001]'
+        ',"rh_degenerate":false,"rho_M":91.342857142857142,"rho_m":0.079971448241927034,"root'
+        's":[{"im":-4.5764292111970173,"re":-0.088883076724084395},{"im":4.5764292111970173,"'
+        're":-0.088883076724084395},{"im":-3.1316928329579206,"re":-0.050000000000000086},{"i'
+        'm":3.1316928329579206,"re":-0.050000000000000086},{"im":-1.0813187820330785,"re":-0.'
+        '036116923275915529},{"im":1.0813187820330785,"re":-0.036116923275915529}],"stable":t'
+        'rue,"zone":null}'
+    )),
+    "asymmetric": ({"m1": 0.8, "m2": 1.1, "l1": 0.7, "l2": 1.2,
+                    "beta1": 0.15, "beta2": 0.08}, 0, (
+        '{"coeffs":[146.88049450549457,18.841169955044958,143.29902378871131,4.69838276307026'
+        '26,17.868677156177156,0.21037296037296035,0.51282051282051277],"factors":null,"gersh'
+        'gorin":[{"center_im":0,"center_re":0,"radius":1},{"center_im":0,"center_re":0,"radiu'
+        's":1},{"center_im":0,"center_re":0,"radius":1},{"center_im":0,"center_re":-0.1500000'
+        '0000000002,"radius":7.895500000000002},{"center_im":0,"center_re":-0.130113636363636'
+        '35,"radius":28.612970779220785},{"center_im":0,"center_re":-0.13011363636363635,"rad'
+        'ius":18.013446969696975}],"omega":null,"ratios":null,"rh_chain":[0.51282051282051277'
+        ',0.21037296037296035,6.415555739274577,1.5055024816157894,37.605054169488682,8.14450'
+        '2208283237,146.88049450549457],"rh_degenerate":false,"rho_M":84.938088642659295,"rho'
+        '_m":0.13148149552522781,"roots":[{"im":-4.8358267361215672,"re":-0.08016958110442346'
+        '},{"im":4.8358267361215672,"re":-0.08016958110442346},{"im":-1.0938862492484904,"re"'
+        ':-0.065962130472424718},{"im":1.0938862492484904,"re":-0.065962130472424718},{"im":-'
+        '3.1925267313932086,"re":-0.058981924786788223},{"im":3.1925267313932086,"re":-0.0589'
+        '81924786788223}],"stable":true,"zone":null}'
+    )),
+    "frictionless": ({"beta0": 0.0, "beta1": 0.0, "beta2": 0.0}, 4, (
+        '{"coeffs":[120.29512500000001,0,120.76110000000001,0,15.965,0,0.5],"factors":{"quadr'
+        'atic":[9.8100000000000005,0,1],"quartic":[12.262500000000003,0,11.06,0,0.5]},"gershg'
+        'orin":[{"center_im":0,"center_re":0,"radius":1},{"center_im":0,"center_re":0,"radius'
+        '":1},{"center_im":0,"center_re":0,"radius":1},{"center_im":0,"center_re":-0,"radius"'
+        ':7.4050000000000002},{"center_im":0,"center_re":-0,"radius":24.620000000000001},{"ce'
+        'nter_im":0,"center_re":-0,"radius":9.8100000000000005}],"omega":3.1320919526731652,"'
+        'ratios":null,"rh_chain":[0.5,0,null,null,null,null,120.29512500000001],"rh_degenerat'
+        'e":true,"rho_M":null,"rho_m":null,"roots":[{"im":-1.0819808367688042,"re":0},{"im":1'
+        '.0819808367688042,"re":0},{"im":-3.1320919526731652,"re":2.9582283945787943e-31},{"i'
+        'm":3.1320919526731652,"re":2.9582283945787943e-31},{"im":-4.5770424368652165,"re":4.'
+        '9303806576313238e-31},{"im":4.5770424368652165,"re":4.9303806576313238e-31}],"stable'
+        '":false,"zone":null}'
+    )),
+}
+
+
+@pytest.mark.parametrize("name", list(SPECTRUM_GOLDEN))
+def test_spectrum_stdout_golden(tmp_path, capsys, name):
+    overrides, code, text = SPECTRUM_GOLDEN[name]
+    got, out, err = run(capsys, "spectrum", "--config", write_config(tmp_path, **overrides))
+    assert (got, out) == (code, text + "\n")
+    assert err == ("annulus localization inapplicable: some coefficients are not positive\n"
+                   if code else "")
+
+
 # ---------------------------------------------------------------------------
 # regions
 # ---------------------------------------------------------------------------
