@@ -41,10 +41,7 @@ from .linear_analysis import (
 )
 from .spectral import (
     EKInapplicableError,
-    GershgorinDisc,
-    PolyCoeffs,
     RouthHurwitzReport,
-    SpectrumReport,
     char_poly_general,
     char_poly_identical,
     ek_ratios,

@@ -38,7 +38,9 @@ Equations I*, §II.5), with tight default tolerances: at these the
 eighth-order pair takes far fewer steps than a fifth-order one, and the
 system is non-stiff for physically sensible damping.  A run whose state
 blows up to inf or nan stalls the solver and raises
-:class:`StiffnessError`.  Right-hand sides are pure functions and each
+:class:`StiffnessError`, and so does a run that spends
+:data:`MAX_RHS_EVALS` right-hand-side evaluations without reaching its
+end.  Right-hand sides are pure functions and each
 integration owns its state, so separate trajectories may run
 concurrently.
 
@@ -63,6 +65,7 @@ from .params import PhysicalParams, SystemState
 
 __all__ = [
     "DampingModel",
+    "MAX_RHS_EVALS",
     "StiffnessError",
     "CrossCheckError",
     "Trajectory",
@@ -101,7 +104,8 @@ class DampingModel(enum.Enum):
 
 
 class StiffnessError(RuntimeError):
-    """Adaptive step-size underflow; ``t_reached`` is the last good time."""
+    """The integration could not go on: the step size underflowed or the
+    evaluation budget ran out.  ``t_reached`` is the last time reached."""
 
     def __init__(self, message: str, t_reached: float):
         super().__init__(message)
@@ -261,6 +265,12 @@ def _energy_arrays(y6: np.ndarray, p: PhysicalParams) -> np.ndarray:
 
 CSV_HEADER = "t,x,sigma,delta,xdot,sigmadot,deltadot,energy"
 
+#: Most right-hand-side evaluations one integration may spend, about 100
+#: times what the README's 60 s example run takes (10,421).  A huge
+#: initial state or a very long ``t_end`` needs far more, and would
+#: otherwise run for hours.
+MAX_RHS_EVALS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -298,14 +308,21 @@ def integrate(state0: SystemState, p: PhysicalParams,
     Dormand–Prince 8(5,3) pair.  A right-hand side that is
     not finite at the initial state raises :class:`StiffnessError` at
     t=0 before the solver starts: scipy would pick a NaN first step and
-    never return.
+    never return.  So does the evaluation after the first
+    :data:`MAX_RHS_EVALS`, at the time the solver asked for.
     """
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
     p.require_positive_pendula("time integration")
     y0 = state0.to_y().as_vector()
+    evals = 0
 
     def rhs(t, y):
+        nonlocal evals
+        evals += 1
+        if evals > MAX_RHS_EVALS:
+            raise StiffnessError(f"integration stopped at t={t:.6g}: {MAX_RHS_EVALS} "
+                                 "right-hand-side evaluations spent", t_reached=float(t))
         y = y.tolist()
         try:
             acc = _accel_y_arrays(*y, p, model, math)

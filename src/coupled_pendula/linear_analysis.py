@@ -40,9 +40,9 @@ from .params import (
     PhysicalParams,
     ReducedParams,
     SystemState,
+    _rel_close,
     identical_pendula,
     reduce_params,
-    IDENTICAL_RTOL,
 )
 
 __all__ = [
@@ -59,10 +59,6 @@ __all__ = [
 ]
 
 
-def _equal_lengths(p: PhysicalParams) -> bool:
-    return abs(p.l1 - p.l2) <= IDENTICAL_RTOL * (p.l1 + p.l2)
-
-
 def frequency_cubic(rp: ReducedParams) -> np.ndarray:
     """Ascending coefficients of the squared-frequency cubic."""
     lb, Lam2 = rp.lambda_bar, rp.Lambda**2
@@ -74,11 +70,17 @@ def frequency_cubic(rp: ReducedParams) -> np.ndarray:
     ])
 
 
-def _pair_squared(omega_sq: float, Y: float, mu: float) -> tuple[float, float]:
-    s = math.sqrt(1.0 - 4.0 * Y * (1.0 - 2.0 * mu) / (1.0 + Y) ** 2)
+def _pair_squared(omega_sq, Y, mu):
+    """(ω1², ω2²) of the equal-length closed form; on floats or arrays."""
+    s = np.sqrt(1.0 - 4.0 * Y * (1.0 - 2.0 * mu) / (1.0 + Y) ** 2)
     base = omega_sq * (1.0 + Y) / (2.0 * (1.0 - 2.0 * mu))
     # lower root via the product relation: stable when s is close to 1
     return 2.0 * Y * omega_sq / ((1.0 + Y) * (1.0 + s)), base * (1.0 + s)
+
+
+def _coupling_length(mu, Y, length):
+    """B = μ l / √((1+Y)² − 4Y(1−2μ)); on floats or arrays."""
+    return mu * length / np.sqrt((1.0 + Y) ** 2 - 4.0 * Y * (1.0 - 2.0 * mu))
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ def fundamental_frequencies(p: PhysicalParams) -> FundamentalFrequencies:
     robust when roots approach each other near μ → 1/2.
     """
     rp = reduce_params(p)
-    if _equal_lengths(p):
+    if _rel_close(p.l1, p.l2):
         omega_sq = p.g / (0.5 * (p.l1 + p.l2))
         w1s, w2s = _pair_squared(omega_sq, rp.Y, rp.mu)
         lams = np.sort(np.array([w1s, omega_sq, w2s]))
@@ -125,12 +127,11 @@ def coupling_b(p: PhysicalParams) -> float:
     to 1e-10 relative before returning; a violation raises
     :class:`CrossCheckError`.
     """
-    if not _equal_lengths(p):
+    if not _rel_close(p.l1, p.l2):
         raise ParamError("l2", "coupling length requires l1 = l2")
     rp = reduce_params(p)
     length = 0.5 * (p.l1 + p.l2)
-    disc = (1.0 + rp.Y) ** 2 - 4.0 * rp.Y * (1.0 - 2.0 * rp.mu)
-    b = rp.mu * length / math.sqrt(disc)
+    b = float(_coupling_length(rp.mu, rp.Y, length))
     ff = fundamental_frequencies(p)
     w1s, w2s, ws = ff.omega1_sq, ff.omega2_sq, ff.omega_sq
     lhs = length**2 / (2.0 * p.g) * (w1s - ws) * (w2s - ws) / (w1s - w2s)
@@ -202,7 +203,7 @@ def closed_form(p: PhysicalParams, y0: SystemState) -> ClosedFormSolution:
     """Exact solution of the linearized frictionless equal-length system."""
     if not p.frictionless:
         raise ParamError("beta0", "closed form requires a frictionless system")
-    if not _equal_lengths(p):
+    if not _rel_close(p.l1, p.l2):
         raise ParamError("l2", "closed form requires l1 = l2")
     p.require_positive_pendula("closed-form solution")
 
@@ -286,12 +287,8 @@ def amplitude_profiles(mu: float, Y, length: float):
     Y = np.asarray(Y, dtype=float)
     if np.any(Y < 0):
         raise ParamError("Y", "must be non-negative")
-    disc = (1.0 + Y) ** 2 - 4.0 * Y * (1.0 - 2.0 * mu)
-    b = mu * length / np.sqrt(disc)
-    s = np.sqrt(1.0 - 4.0 * Y * (1.0 - 2.0 * mu) / (1.0 + Y) ** 2)
-    base = (1.0 + Y) / (2.0 * (1.0 - 2.0 * mu))
-    w1s = base * (1.0 - s)  # in units of omega^2
-    w2s = base * (1.0 + s)
+    b = _coupling_length(mu, Y, length)
+    w1s, w2s = _pair_squared(1.0, Y, mu)  # in units of omega^2
     z1 = w1s / (w1s - 1.0)
     z2 = w2s / (w2s - 1.0)
     phi = 2.0 * b * Y / (mu * length**2)

@@ -233,15 +233,23 @@ def complex_root_bound(q: QuadrantPoint) -> RootBound:
     2ρm² ≤ a2/2; since a2/a4 ≥ a2, a2/a4 − 2ρm² ≥ a2/2 > 0 for every
     X, Y, η > 0 and μ ∈ (0, ½).  The check is kept as the scalar
     reference; grid sweeps report the refined verdict as ``na``.
+
+    A point whose quartic overflows in the root finder raises
+    :class:`ParamError`, as :func:`conic_conditions` does.
     """
-    quart = spectral.quartic_from_dimensionless(q.eta, q.X, q.Y, q.mu, omega=1.0)
-    roots = spectral.poly_roots(quart)
+    quart = spectral.quartic_from_dimensionless([q.eta], [q.X], [q.Y], [q.mu], omega=1.0)
+    try:
+        with np.errstate(all="ignore", over="raise", invalid="raise"):
+            roots = spectral.poly_roots(quart)[0]
+    except FloatingPointError:
+        raise ParamError("point", f"quartic roots overflow on this point "
+                                  f"at eta = {q.eta:.6g}") from None
     pattern = _root_pattern(roots)
     if pattern != "complex":
         return RootBound(applicable=False, b_bound=None, refined_ok=None, pattern=pattern)
     r = q.ratios()
     rho_m = min(r[0], r[1])
-    a = quart.coeffs
+    a = quart[0]
     a24 = a[2] / a[4]
     if a24 > 2.0 * rho_m**2:
         return RootBound(applicable=False, b_bound=None, refined_ok=None, pattern=pattern)

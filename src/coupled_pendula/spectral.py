@@ -24,20 +24,20 @@ first two and ρM by one of the last two; which one wins partitions the
 (X, Y) quadrant into the zones Z1-Z4 used by the region classifier.
 
 The sextic, its identical-pendula factors, the chain, the annulus and
-the roots each take one parameter set or polynomial, or a batch as rows
-of an array.  A batch runs the same arithmetic column-wise, so every row
-gets the bits its single call would give.
+the roots take their parameter sets or polynomials as the rows of an
+array; a single one is a one-row batch.  Rows never mix: the arithmetic
+runs column-wise, so a row gets the same bits in any batch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DampingModel
+from .dynamics import CrossCheckError, DampingModel
 from .params import (
     ParamError,
     PhysicalParams,
@@ -50,10 +50,7 @@ from .params import (
 
 __all__ = [
     "EKInapplicableError",
-    "PolyCoeffs",
     "RouthHurwitzReport",
-    "GershgorinDisc",
-    "SpectrumReport",
     "linear_system",
     "char_poly_general",
     "char_poly_identical",
@@ -71,22 +68,6 @@ __all__ = [
 
 class EKInapplicableError(ValueError):
     """Eneström-Kakeya needs strictly positive coefficients."""
-
-
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Real polynomial, coefficients in ascending degree order."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.size < 1 or c[-1] == 0.0:
-            raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coeffs", c)
-
-    def __call__(self, z):
-        return np.polyval(self.coeffs[::-1], z)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +118,7 @@ def linear_system(p: PhysicalParams,
 
 
 def _sextic(m0, m1, m2, l1, l2, b0, b1, b2, k, g, model):
-    """The seven ascending sextic coefficients, on floats or on columns."""
+    """The seven ascending sextic coefficients, on parameter columns."""
     m = m0 + m1 + m2
     gl1, gl2 = g / l1, g / l2
     km = k / m
@@ -175,19 +156,13 @@ def _sextic(m0, m1, m2, l1, l2, b0, b1, b2, k, g, model):
     return a0, a1, a2, a3, a4, a5, a6
 
 
-def char_poly_general(p, model: DampingModel = DampingModel.FULL_VELOCITY):
-    """Degree-6 characteristic polynomial, leading coefficient 1−2μ.
+def char_poly_general(p, model: DampingModel = DampingModel.FULL_VELOCITY) -> np.ndarray:
+    """Degree-6 characteristic polynomials, leading coefficient 1−2μ.
 
-    ``p`` is a :class:`PhysicalParams`, giving a :class:`PolyCoeffs`, or
-    an (n, 10) array of parameter rows in ``PhysicalParams`` field order
-    (m0, m1, m2, l1, l2, beta0, beta1, beta2, k, g), giving (n, 7)
-    ascending coefficients.  Both run one formula with the same
-    arithmetic, so a row's coefficients equal the single call's bits.
+    ``p`` is an (n, 10) array of parameter rows in ``PhysicalParams``
+    field order (m0, m1, m2, l1, l2, beta0, beta1, beta2, k, g); the
+    result is (n, 7) ascending coefficients.
     """
-    if isinstance(p, PhysicalParams):
-        p.require_positive_pendula("characteristic polynomial")
-        return PolyCoeffs(np.array(_sextic(p.m0, p.m1, p.m2, p.l1, p.l2, p.beta0,
-                                           p.beta1, p.beta2, p.k, p.g, model)))
     rows = _checked_rows(p, "characteristic polynomial")
     return np.stack(_sextic(*rows.T, model), axis=1)
 
@@ -205,16 +180,17 @@ def _checked_rows(p, where: str) -> np.ndarray:
 
 def _float_pow(base, exponent: int):
     """``base ** exponent`` as float ``**`` gives it (libm ``pow``), also
-    per element of an array: numpy's array power squares exactly and runs
+    per element of an array.  numpy's array power squares exactly and runs
     its own ``pow`` for higher powers, and each differs from libm in the
-    last bit for some doubles."""
+    last bit for some doubles.  This keeps the libm bits that the quartic
+    factor in ``spectrum`` output has always had."""
     if isinstance(base, np.ndarray):
         return np.array([b ** exponent for b in base.tolist()])
     return base ** exponent
 
 
 def _quartic(eta, X, Y, mu, omega):
-    """Ascending x/σ quartic coefficients, on floats or on columns."""
+    """Ascending x/σ quartic coefficients, on columns."""
     one = 1.0 - 2.0 * mu
     return (Y * _float_pow(omega, 4),
             (eta * Y + X + 2.0 * mu * eta) * _float_pow(omega, 3),
@@ -223,43 +199,28 @@ def _quartic(eta, X, Y, mu, omega):
             one)
 
 
-def quartic_from_dimensionless(eta: float, X: float, Y: float, mu: float,
-                               omega: float = 1.0) -> PolyCoeffs:
-    """The x/σ quartic for identical pendula in dimensionless form."""
-    return PolyCoeffs(np.array(_quartic(eta, X, Y, mu, omega)))
+def quartic_from_dimensionless(eta, X, Y, mu, omega=1.0) -> np.ndarray:
+    """(n, 5) ascending x/σ quartics for identical pendula from (n,)
+    columns of the dimensionless groups; ``omega`` is a float or a column."""
+    cols = (np.asarray(v, dtype=float) for v in (eta, X, Y, mu))
+    return np.stack(_quartic(*cols, omega), axis=1)
 
 
-def _identical_factors(m0, m1, m2, l1, l2, b0, b1, b2, k, g, sqrt=math.sqrt):
-    """Ascending (δ quadratic, x/σ quartic) coefficients, on floats or on
-    columns with ``sqrt=np.sqrt``."""
-    mu, _, Y, _, _, omega, eta, X = _reduced_groups(m0, m1, m2, l1, l2, b0, b1, b2,
-                                                    k, g, sqrt)
-    quad = (g / (0.5 * (l1 + l2)), (b1 + b2) / (m1 + m2), 1.0)
-    return quad, _quartic(eta, X, Y, mu, omega)
+def char_poly_identical(p) -> tuple[np.ndarray, np.ndarray]:
+    """(δ quadratics, x/σ quartics) whose row-wise products are the sextics.
 
-
-def char_poly_identical(p):
-    """(δ quadratic, x/σ quartic) whose product is the sextic.
-
-    ``p`` is a :class:`PhysicalParams`, giving two :class:`PolyCoeffs`,
-    or (n, 10) parameter rows as for :func:`char_poly_general`, giving
-    (n, 3) and (n, 5) ascending coefficients with the single call's bits
-    in each row.  Rejects parameter sets whose pendula are not identical.
+    ``p`` is (n, 10) parameter rows as for :func:`char_poly_general`; the
+    result is (n, 3) and (n, 5) ascending coefficients.  Rejects rows
+    whose pendula are not identical.
     """
-    if isinstance(p, PhysicalParams):
-        if not identical_pendula(p):
-            raise ParamError("m2", "factorized polynomial requires identical pendula")
-        p.require_positive_pendula("factorized polynomial")
-        quad, quart = _identical_factors(p.m0, p.m1, p.m2, p.l1, p.l2, p.beta0,
-                                         p.beta1, p.beta2, p.k, p.g)
-        return PolyCoeffs(np.array(quad)), PolyCoeffs(np.array(quart))
     rows = _checked_rows(p, "factorized polynomial")
-    _, m1, m2, l1, l2, _, b1, b2, _, _ = rows.T
+    _, m1, m2, l1, l2, _, b1, b2, _, g = rows.T
     if not np.all(_rel_close(l1, l2) & _rel_close(m1, m2) & _rel_close(b1, b2)):
         raise ParamError("m2", "factorized polynomial requires identical pendula")
-    quad, quart = _identical_factors(*rows.T, sqrt=np.sqrt)
+    mu, _, Y, _, _, omega, eta, X = _reduced_groups(*rows.T, sqrt=np.sqrt)
+    quad = (g / (0.5 * (l1 + l2)), (b1 + b2) / (m1 + m2), 1.0)
     return (np.stack(np.broadcast_arrays(*quad), axis=1),
-            np.stack(quart, axis=1))
+            np.stack(_quartic(eta, X, Y, mu, omega), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +250,18 @@ def _polish(desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
 def poly_roots(c) -> np.ndarray:
     """All complex roots via companion-matrix eigenvalues + Newton polish.
 
-    ``c`` is a :class:`PolyCoeffs`, giving a (degree,) array, or an
-    (n, degree+1) array of ascending coefficients with nonzero leading
-    terms, giving (n, degree).  A batch is solved with one stacked
-    eigenvalue call; each row gets exactly the bits ``np.roots`` and
-    ``np.polyval`` would give it alone: the companion matrices are
-    built the same way, zero constant terms become appended zero roots,
-    and rows whose eigenvalues are all real are polished in real
-    arithmetic.  One Newton step is applied per root and kept only when
-    it reduces the residual |p(r)|.
+    ``c`` is an (n, degree+1) array of ascending coefficients with
+    nonzero leading terms; the result is (n, degree) complex.  The batch
+    is solved with one stacked eigenvalue call, and each row gets exactly
+    the bits ``np.roots`` and ``np.polyval`` would give it alone: the
+    companion matrices are built the same way, zero constant terms become
+    appended zero roots, and rows whose eigenvalues are all real are
+    polished in real arithmetic.  One Newton step is applied per root and
+    kept only when it reduces the residual |p(r)|.
     """
-    single = isinstance(c, PolyCoeffs)
-    asc = np.atleast_2d(c.coeffs if single else np.asarray(c, dtype=float))
+    asc = np.asarray(c, dtype=float)
+    if asc.ndim != 2:
+        raise ValueError("coefficients must have shape (n, degree+1)")
     n, size = asc.shape
     if size < 2:
         raise ValueError("polynomial must have degree >= 1")
@@ -325,8 +286,6 @@ def poly_roots(c) -> np.ndarray:
     roots = np.empty((n, size - 1), dtype=complex)
     roots[real] = _polish(desc[real], eig[real].real)
     roots[~real] = _polish(desc[~real], eig[~real])
-    if single:
-        return roots[0].real if real[0] else roots[0]
     return roots
 
 
@@ -337,17 +296,17 @@ def poly_roots(c) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RouthHurwitzReport:
-    """Seven-entry chain; stable iff all entries positive.
+    """Seven-entry chains, one row per polynomial; stable iff all entries
+    positive.
 
     ``degenerate`` marks a zero pivot, in which case the verdict comes
     from the computed roots instead of the chain (entries past the pivot
-    are NaN).  For a batch the fields are arrays with one row (chain) or
-    one entry (``stable``, ``degenerate``) per polynomial.
+    are NaN).  ``stable`` and ``degenerate`` have one entry per row.
     """
 
     chain: np.ndarray
-    stable: bool
-    degenerate: bool = False
+    stable: np.ndarray
+    degenerate: np.ndarray
 
 
 # Column of the first chain entry that a zero pivot leaves undefined, for
@@ -358,14 +317,12 @@ _NAN_FROM = np.array([2, 2, 4, 5])
 def routh_hurwitz(c) -> RouthHurwitzReport:
     """Routh-Hurwitz first column for degree-6 polynomials.
 
-    ``c`` is a :class:`PolyCoeffs`, or an (n, 7) array of ascending
-    coefficients with nonzero leading terms; the batch runs the chain on
-    all rows at once, with each row's pivot tests and NaN entries past a
-    zero pivot exactly as a single call gives them.  Only degenerate rows
-    are solved with :func:`poly_roots`.
+    ``c`` is an (n, 7) array of ascending coefficients with nonzero
+    leading terms; the chain runs on all rows at once, each row stopping
+    its pivot tests at its first zero pivot.  Only degenerate rows are
+    solved with :func:`poly_roots`.
     """
-    single = isinstance(c, PolyCoeffs)
-    asc = np.atleast_2d(c.coeffs if single else np.asarray(c, dtype=float))
+    asc = np.asarray(c, dtype=float)
     if asc.ndim != 2 or asc.shape[1] != 7:
         raise ValueError("chain is specific to degree-6 polynomials")
     if np.any(asc[:, -1] == 0.0):
@@ -396,9 +353,6 @@ def routh_hurwitz(c) -> RouthHurwitzReport:
     stable = np.all(chain > 0, axis=1)
     if np.any(degenerate):
         stable[degenerate] = np.all(poly_roots(asc[degenerate]).real < 0, axis=1)
-    if single:
-        return RouthHurwitzReport(chain=chain[0], stable=bool(stable[0]),
-                                  degenerate=bool(degenerate[0]))
     return RouthHurwitzReport(chain=chain, stable=stable, degenerate=degenerate)
 
 
@@ -410,19 +364,14 @@ def routh_hurwitz(c) -> RouthHurwitzReport:
 def enestrom_kakeya(c):
     """Annulus radii (ρm, ρM) from consecutive coefficient ratios.
 
-    ``c`` is a :class:`PolyCoeffs`, giving two floats, or an (n, N) array
-    of ascending coefficients, giving two (n,) arrays with the same bits
-    per row.  Any non-positive coefficient in any row raises.
+    ``c`` is an (n, N) array of ascending coefficients; the result is two
+    (n,) arrays.  Any non-positive coefficient in any row raises.
     """
-    single = isinstance(c, PolyCoeffs)
-    asc = np.atleast_2d(c.coeffs if single else np.asarray(c, dtype=float))
+    asc = np.asarray(c, dtype=float)
     if np.any(asc <= 0):
         raise EKInapplicableError("all coefficients must be strictly positive")
     ratios = asc[:, :-1] / asc[:, 1:]
-    rho_m, rho_M = np.min(ratios, axis=1), np.max(ratios, axis=1)
-    if single:
-        return float(rho_m[0]), float(rho_M[0])
-    return rho_m, rho_M
+    return np.min(ratios, axis=1), np.max(ratios, axis=1)
 
 
 def ek_ratios_dimensionless(eta, X, Y, mu, omega=1.0):
@@ -462,22 +411,14 @@ def zone_from_ratios(ratios: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GershgorinDisc:
-    center: complex
-    radius: float
-
-
-def gershgorin(mat: np.ndarray) -> list[GershgorinDisc]:
-    """Row discs (center = diagonal entry, radius = off-diagonal row sum)."""
+def gershgorin(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row discs as (centers, radii): the diagonal entries and the
+    off-diagonal absolute row sums."""
     a = np.asarray(mat)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    discs = []
-    for i in range(a.shape[0]):
-        radius = float(np.sum(np.abs(a[i]))) - abs(a[i, i])
-        discs.append(GershgorinDisc(center=complex(a[i, i]), radius=radius))
-    return discs
+    centers = np.diag(a)
+    return centers, np.sum(np.abs(a), axis=1) - np.abs(centers)
 
 
 # ---------------------------------------------------------------------------
@@ -485,87 +426,59 @@ def gershgorin(mat: np.ndarray) -> list[GershgorinDisc]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Everything the spectrum command emits for one parameter set."""
-
-    coeffs: np.ndarray  # ascending sextic coefficients
-    roots: np.ndarray  # complex, sorted by (re, im)
-    rh_chain: np.ndarray
-    stable: bool
-    rh_degenerate: bool
-    ek_applicable: bool
-    rho_m: Optional[float]
-    rho_M: Optional[float]
-    ratios: Optional[np.ndarray]  # quartic ratios, identical pendula only
-    zone: Optional[str]
-    omega: Optional[float]
-    gershgorin_discs: list[GershgorinDisc] = field(default_factory=list)
-    quadratic: Optional[np.ndarray] = None
-    quartic: Optional[np.ndarray] = None
-
-    def to_dict(self) -> dict:
-        def opt(x):
-            return None if x is None else float(x)
-
-        d = {
-            "coeffs": [float(v) for v in self.coeffs],
-            "roots": [{"re": float(r.real), "im": float(r.imag)} for r in self.roots],
-            "rh_chain": [None if np.isnan(v) else float(v) for v in self.rh_chain],
-            "stable": self.stable,
-            "rh_degenerate": self.rh_degenerate,
-            "rho_m": opt(self.rho_m),
-            "rho_M": opt(self.rho_M),
-            "ratios": None if self.ratios is None else [float(v) for v in self.ratios],
-            "zone": self.zone,
-            "omega": opt(self.omega),
-            "gershgorin": [
-                {"center_re": float(g.center.real), "center_im": float(g.center.imag),
-                 "radius": float(g.radius)}
-                for g in self.gershgorin_discs
-            ],
-        }
-        if self.ratios is not None and self.omega:
-            d["ratios_over_omega"] = [float(v) / self.omega for v in self.ratios]
-            d["rho_m_over_omega"] = opt(self.rho_m / self.omega if self.rho_m is not None else None)
-            d["rho_M_over_omega"] = opt(self.rho_M / self.omega if self.rho_M is not None else None)
-        d["factors"] = None
-        if self.quadratic is not None:
-            d["factors"] = {
-                "quadratic": [float(v) for v in self.quadratic],
-                "quartic": [float(v) for v in self.quartic],
-            }
-        return d
-
-
 def spectrum_report(p: PhysicalParams,
-                    model: DampingModel = DampingModel.FULL_VELOCITY) -> SpectrumReport:
-    """Characteristic polynomial, roots, RH chain, annulus, and discs."""
-    poly = char_poly_general(p, model)
-    roots = np.sort_complex(poly_roots(poly))
-    rh = routh_hurwitz(poly)
-    discs = gershgorin(linear_system(p, model))
+                    model: DampingModel = DampingModel.FULL_VELOCITY) -> dict:
+    """The ``spectrum`` document of one parameter set.
 
+    Holds the sextic, its roots sorted by (re, im), the Routh-Hurwitz
+    chain, the annulus (``None`` radii when a coefficient is not
+    positive) and the Gershgorin discs; for identical pendula under
+    full-velocity damping also the factors and, when the quartic is
+    damped, its ratios and zone.  The roots must agree with the chain
+    verdict and lie in the annulus to 1e-9 relative, or
+    :class:`CrossCheckError` is raised.
+    """
+    row = np.array([dataclasses.astuple(p)])
+    coeffs = char_poly_general(row, model)
+    roots = np.sort_complex(poly_roots(coeffs)[0])
+    rh = routh_hurwitz(coeffs)
+    stable = bool(rh.stable[0])
+    if bool(np.all(roots.real < 0)) != stable:
+        raise CrossCheckError("chain verdict disagrees with roots")
     try:
-        rho_m, rho_M = enestrom_kakeya(poly)
-        ek_ok = True
+        rho_m, rho_M = (float(r[0]) for r in enestrom_kakeya(coeffs))
     except EKInapplicableError:
         rho_m = rho_M = None
-        ek_ok = False
-
-    ratios = zone = omega = quad_c = quart_c = None
+    else:
+        mods = np.abs(roots)
+        if np.any(mods < rho_m * (1 - 1e-9)) or np.any(mods > rho_M * (1 + 1e-9)):
+            raise CrossCheckError("root outside the annulus")
+    centers, radii = gershgorin(linear_system(p, model))
+    doc = {
+        "coeffs": coeffs[0].tolist(),
+        "roots": [{"re": r.real, "im": r.imag} for r in roots.tolist()],
+        "rh_chain": [None if math.isnan(v) else v for v in rh.chain[0].tolist()],
+        "stable": stable,
+        "rh_degenerate": bool(rh.degenerate[0]),
+        "rho_m": rho_m,
+        "rho_M": rho_M,
+        "ratios": None,
+        "zone": None,
+        "omega": None,
+        "gershgorin": [{"center_re": c, "center_im": 0.0, "radius": r}
+                       for c, r in zip(centers.tolist(), radii.tolist())],
+        "factors": None,
+    }
     if identical_pendula(p) and model is DampingModel.FULL_VELOCITY:
         rp = reduce_params(p)
-        omega = rp.omega
-        quad, quart = char_poly_identical(p)
-        quad_c, quart_c = quad.coeffs, quart.coeffs
-        if np.all(quart.coeffs > 0):  # ratios undefined for undamped factors
-            ratios = ek_ratios(rp)
-            zone = zone_from_ratios(ratios)
-
-    return SpectrumReport(
-        coeffs=poly.coeffs, roots=roots, rh_chain=rh.chain, stable=rh.stable,
-        rh_degenerate=rh.degenerate, ek_applicable=ek_ok,
-        rho_m=rho_m, rho_M=rho_M, ratios=ratios, zone=zone, omega=omega,
-        gershgorin_discs=discs, quadratic=quad_c, quartic=quart_c,
-    )
+        quad, quart = char_poly_identical(row)
+        doc["omega"] = omega = rp.omega
+        doc["factors"] = {"quadratic": quad[0].tolist(), "quartic": quart[0].tolist()}
+        if np.all(quart > 0):  # ratios undefined for undamped factors
+            ratios = ek_ratios(rp).tolist()
+            doc["ratios"] = ratios
+            doc["zone"] = zone_from_ratios(ratios)
+            doc["ratios_over_omega"] = [v / omega for v in ratios]
+            doc["rho_m_over_omega"] = None if rho_m is None else rho_m / omega
+            doc["rho_M_over_omega"] = None if rho_M is None else rho_M / omega
+    return doc

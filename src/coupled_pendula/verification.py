@@ -249,11 +249,11 @@ def check_decay_panel(panel=None, fault: bool = False) -> CheckResult:
     panel = DECAY_PANEL[:4] if panel is None else panel
     omega = PANEL_OMEGA
     period = 2.0 * np.pi / omega
+    quarts = spectral.quartic_from_dimensionless(*np.array(panel)[:, :4].T, omega)
+    sigma_rates = np.min(np.abs(spectral.poly_roots(quarts).real), axis=1).tolist()
     bad = []
-    for eta, X, Y, mu, n_periods in panel:
+    for (eta, X, Y, mu, n_periods), sigma_rate_pred in zip(panel, sigma_rates):
         p = params_from_dimensionless(eta, X, Y, mu, omega=omega)
-        quart = spectral.quartic_from_dimensionless(eta, X, Y, mu, omega)
-        sigma_rate_pred = float(np.min(np.abs(spectral.poly_roots(quart).real)))
         delta_rate_pred = 0.5 * eta * omega
         predict_sigma_faster = sigma_rate_pred > delta_rate_pred
         if fault:

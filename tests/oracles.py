@@ -12,10 +12,13 @@ byte, the one-draw-at-a-time polynomial loops whose generator
 stream and coefficient rows the batched ``verify`` checks must
 reproduce, the generalized damping force Φ behind the energy-rate
 identity dE/dt = q̇·Φ, and the inertia and stiffness matrices of the
-frictionless linearization.
+frictionless linearization.  ``param_rows`` turns parameter sets into
+the (n, 10) rows that the spectral functions take.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -28,6 +31,11 @@ from coupled_pendula import (
     char_poly_identical,
     derived_constants,
 )
+
+
+def param_rows(*params: PhysicalParams) -> np.ndarray:
+    """The (n, 10) parameter rows, in field order, of n parameter sets."""
+    return np.array([dataclasses.astuple(p) for p in params])
 
 
 def aberth_roots(asc: np.ndarray, tol: float = 1e-14, max_iter: int = 200) -> np.ndarray:
@@ -192,8 +200,7 @@ def scalar_random_params(rng: np.random.Generator, *, damped: bool = True,
 
 def ek_containment_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
     """The n sextics of ``check_ek_containment``, built one draw at a time."""
-    return np.array([char_poly_general(scalar_random_params(rng)).coeffs
-                     for _ in range(n)])
+    return char_poly_general(param_rows(*(scalar_random_params(rng) for _ in range(n))))
 
 
 def rh_vs_roots_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -208,7 +215,7 @@ def rh_vs_roots_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
             roots[:2] = (re + 1j * im, re - 1j * im)
             rows.append(np.real(np.poly(roots))[::-1])
         else:
-            rows.append(char_poly_general(scalar_random_params(rng)).coeffs)
+            rows.append(char_poly_general(param_rows(scalar_random_params(rng)))[0])
     return np.array(rows)
 
 
@@ -217,10 +224,10 @@ def factorization_worst(rng: np.random.Generator, n: int) -> float:
     one identical-pendula draw and one ``np.polymul`` at a time."""
     worst = 0.0
     for _ in range(n):
-        p = scalar_random_params(rng, identical=True)
-        quad, quart = char_poly_identical(p)
-        prod = np.polymul(quart.coeffs[::-1], quad.coeffs[::-1])[::-1]
-        ref = char_poly_general(p).coeffs
+        row = param_rows(scalar_random_params(rng, identical=True))
+        [quad], [quart] = char_poly_identical(row)
+        prod = np.polymul(quart[::-1], quad[::-1])[::-1]
+        [ref] = char_poly_general(row)
         worst = max(worst, float(np.max(np.abs(prod - ref) / np.abs(ref))))
     return worst
 

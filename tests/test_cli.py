@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -195,6 +196,28 @@ def test_simulate_integration_failure_exits_3(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"initial_state": [1e10, 0, 0, 0, 0, 0]},
+    {"initial_state": [1e150, 0, 0, 0, 0, 0]},
+    {"initial_state": [0, 0, 0, 0, 1e6, 0]},
+    {"beta0": 0.0, "beta1": 0.0, "beta2": 0.0, "t_end": 1e6,
+     "initial_state": [0.01, 0.02, 0.015, 0, 0, 0]},
+])
+def test_simulate_evaluation_budget_exits_3(tmp_path, capsys, monkeypatch, overrides):
+    # a huge initial state or a very long run would integrate for hours;
+    # the evaluation budget ends it in exit 3 (lowered here to keep the
+    # suite fast)
+    from coupled_pendula import dynamics
+    monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 5000)
+    path = write_config(tmp_path, **{"t_end": 1.0, "samples": 11, **overrides})
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run(capsys, "simulate", "--config", path, "--out", str(out_csv))
+    assert code == 3 and out == ""
+    assert err.startswith("integration error: integration stopped at t=")
+    assert err.endswith(": 5000 right-hand-side evaluations spent\n")
+    assert not out_csv.exists()
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -312,6 +335,33 @@ def test_spectrum_stdout_golden(tmp_path, capsys, name):
     assert (got, out) == (code, text + "\n")
     assert err == ("annulus localization inapplicable: some coefficients are not positive\n"
                    if code else "")
+
+
+@pytest.mark.parametrize("sabotage, message", [
+    ("routh_hurwitz", "chain verdict disagrees with roots"),
+    ("enestrom_kakeya", "root outside the annulus"),
+])
+def test_spectrum_cross_check_failure_exits_5(tmp_path, capsys, monkeypatch,
+                                              sabotage, message):
+    # a flipped chain verdict, or an annulus too small for the roots,
+    # must stop the document from being written
+    from coupled_pendula import spectral
+    real = getattr(spectral, sabotage)
+
+    def broken(c):
+        got = real(c)
+        if sabotage == "routh_hurwitz":
+            return dataclasses.replace(got, stable=~got.stable)
+        rho_m, rho_M = got
+        return rho_m, 0.01 * rho_M
+
+    monkeypatch.setattr(spectral, sabotage, broken)
+    out_json = tmp_path / "s.json"
+    code, out, err = run(capsys, "spectrum", "--config", write_config(tmp_path),
+                         "--out", str(out_json))
+    assert code == 5 and out == ""
+    assert err == f"cross-check error: {message}\n"
+    assert not out_json.exists()
 
 
 # ---------------------------------------------------------------------------

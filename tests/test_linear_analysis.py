@@ -302,6 +302,14 @@ def test_profile_phi_limits():
     assert phi_inf == pytest.approx(2 / length, rel=1e-3)
 
 
+def test_profile_psi1_small_y_keeps_its_digits():
+    # Ψ⁽¹⁾ ≈ 2μY as Y → 0; ω1² taken as the difference base·(1 − s) loses
+    # every digit of it there, the product relation keeps them
+    for Y in (1e-12, 1e-20):
+        _, p1, _ = amplitude_profiles(0.2, Y, 1.0)
+        assert p1 == pytest.approx(2 * 0.2 * Y, rel=1e-9)
+
+
 def test_profile_monotonicity():
     ys = np.linspace(1e-4, 50, 1000)
     for mu in (0.1, 0.3):

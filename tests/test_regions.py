@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,17 @@ def test_real_pattern_not_applicable():
     assert not rb.applicable and rb.b_bound is None and rb.refined_ok is None
 
 
+def test_root_bound_overflow_raises_param_error():
+    # a quartic whose roots overflow in the polish is refused with no
+    # warning, also where its conics are still finite (X = 1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X, Y in ((1e155, 1.0), (1e100, 1.0), (1.0, 1e300)):
+            q = QuadrantPoint(X=X, Y=Y, eta=0.6, mu=0.25)
+            with pytest.raises(ParamError, match="^point: quartic roots overflow"):
+                complex_root_bound(q)
+
+
 # ---------------------------------------------------------------------------
 # region maps
 # ---------------------------------------------------------------------------
@@ -454,7 +466,7 @@ def test_in_a_with_all_real_roots_implies_faster_sigma(rng):
         if complex_root_bound(q).pattern != "real":
             continue
         found += 1
-        roots = poly_roots(quartic_from_dimensionless(eta, X, Y, mu, 1.0))
+        roots = poly_roots(quartic_from_dimensionless([eta], [X], [Y], [mu]))
         assert float(np.min(np.abs(roots.real))) > 0.5 * eta
         if found >= 200:
             break
