@@ -6,10 +6,10 @@ and output path) so that every run is reproducible from a checked-in
 document.  Outputs are canonical: object keys sorted, floats
 printed with 17 significant digits, so identical runs are byte-identical.
 
-Exit codes: 0 success, 2 validation failure (including a config or output
-path that cannot be opened and a config that is not UTF-8), 3 integration
-failure, 4 method inapplicable (reported, other results still emitted),
-5 internal cross-check violation.
+Exit codes: 0 success, 2 validation failure (also a config or output path
+that cannot be opened, a config that is not UTF-8 or one whose numbers
+overflow), 3 integration failure, 4 method inapplicable (reported, other
+results still emitted), 5 internal cross-check violation.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .params import (
     reduce_params,
 )
 from .regions import GridSpec, region_map
-from .spectral import spectrum_report
+from .spectral import linear_system, spectrum_report
 from .verification import run_verification
 
 __all__ = ["RunConfig", "ConfigError", "MAX_SAMPLES", "load_config", "canonical_json", "main"]
@@ -91,8 +91,11 @@ _GRID_DEFAULTS = {"x_min": 0.01, "x_max": 10.0, "y_min": 0.01, "y_max": 10.0,
 #: Most trajectory samples ``simulate`` accepts; a sample costs about 130
 #: bytes in memory and as many in the CSV.
 MAX_SAMPLES = 1_000_000
-_DAMPING_NAMES = {"full": DampingModel.FULL_VELOCITY,
-                  "rotational": DampingModel.ROTATIONAL_ONLY}
+#: Largest t_end·ρ(J), ρ the linearization's spectral radius, and |component| of
+#: the dimensionless initial state (x/l, σ, δ, ẋ/(lω), σ̇/ω, δ̇/ω) ``simulate`` accepts;
+#: at 12 to 43 evaluations per unit of t_end·ρ such a run stays inside MAX_RHS_EVALS.
+MAX_T_END_RHO = 1e4
+MAX_STATE_SCALE = 1e3
 
 
 @dataclass(frozen=True)
@@ -143,9 +146,10 @@ def load_config(path: str) -> RunConfig:
     params = PhysicalParams(**{k: _number(doc, k) for k in _PARAM_KEYS},
                             g=_number(doc, "g", 9.81))
 
-    damping_name = doc.get("damping", "full")
-    if not isinstance(damping_name, str) or damping_name not in _DAMPING_NAMES:
-        raise ConfigError(f"damping: expected one of {sorted(_DAMPING_NAMES)}")
+    try:
+        damping = DampingModel(doc.get("damping", "full"))
+    except ValueError:
+        raise ConfigError(f"damping: expected one of {sorted(m.value for m in DampingModel)}")
 
     state_raw = doc.get("initial_state", [0.0] * 6)
     if (not isinstance(state_raw, list) or len(state_raw) != 6
@@ -179,7 +183,7 @@ def load_config(path: str) -> RunConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError("out: expected a string path")
 
-    return RunConfig(params=params, damping=_DAMPING_NAMES[damping_name],
+    return RunConfig(params=params, damping=damping,
                      initial_state=state, t_end=t_end,
                      samples=samples, grid=grid, seed=seed, out=out)
 
@@ -199,6 +203,15 @@ def cmd_reduce(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     path = out or cfg.out or "trajectory.csv"
+    p, y0 = cfg.params, cfg.initial_state.to_y()
+    omega, length = reduce_params(p).omega, 0.5 * (p.l1 + p.l2)
+    scales = (length, 1.0, 1.0, length * omega, omega, omega)
+    if not all(abs(v) <= MAX_STATE_SCALE * s for v, s in zip(y0.coords + y0.vels, scales)):
+        raise ParamError("initial_state", f"a dimensionless component exceeds {MAX_STATE_SCALE:g}")
+    jac = linear_system(p, cfg.damping)
+    rho = float(np.abs(np.linalg.eigvals(jac)).max()) if np.isfinite(jac).all() else np.inf
+    if not cfg.t_end * rho <= MAX_T_END_RHO:
+        raise ParamError("t_end", f"t_end * rho(J) = {cfg.t_end * rho:.6g} > {MAX_T_END_RHO:g}")
     traj = integrate(cfg.initial_state, cfg.params, cfg.damping, cfg.t_end,
                      samples=cfg.samples)
     traj.write_csv(path)
@@ -285,17 +298,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.command == "reduce":
-            return cmd_reduce(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, args.out)
-        if args.command == "regions":
-            return cmd_regions(cfg, args.out)
-        return cmd_verify(cfg)
-    except (ConfigError, ParamError, OSError, UnicodeDecodeError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cfg = load_config(args.config)
+            if args.command == "reduce":
+                return cmd_reduce(cfg)
+            if args.command == "simulate":
+                return cmd_simulate(cfg, args.out)
+            if args.command == "spectrum":
+                return cmd_spectrum(cfg, args.out)
+            if args.command == "regions":
+                return cmd_regions(cfg, args.out)
+            return cmd_verify(cfg)
+    except (ConfigError, ParamError, OSError, UnicodeDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except StiffnessError as exc:

@@ -108,6 +108,8 @@ class PhysicalParams:
             raise ParamError("beta1", "damping on a massless pendulum")
         if self.beta2 > 0 and self.m2 == 0:
             raise ParamError("beta2", "damping on a massless pendulum")
+        if not 1.0 - (self.m1 + self.m2) / self.m > 0:  # 1 − 2μ, the sextic's lead
+            raise ParamError("m0", "negligible against m1 + m2")
 
     @property
     def m(self) -> float:

@@ -14,12 +14,7 @@ annulus [ρm, ρM].  Comparing the two yields, per quadrant point:
   pair can never decay faster than the whole x/σ spectrum;
 * semicircle membership: ω ≤ ρM, i.e. whether the δ eigenvalue pair
   (modulus exactly ω) lies inside the outer annulus radius;
-* a refined bound for quartics with two complex root pairs: whenever
-  a2/a4 ≤ 2ρm², every root real part lies left of the negative root of
-  r² + (a3/a4) r/2 + (a2/a4 − 2ρm²)/4 = 0; pushing that root left of
-  −ηω/2 certifies antiphase tendency without computing roots.  The
-  premise never holds in the open quadrant (see ``complex_root_bound``),
-  so grid sweeps report the refined verdict as ``na``.
+* the refined real-part bound, proven never to apply (``complex_root_bound``).
 
 All verdicts here are dimensionless (ω ≡ 1).  Analyses specific to the
 η ≤ 1 branch refuse η > 1 rather than guess.  Grid sweeps evaluate every
@@ -204,59 +199,21 @@ def semicircle_condition(q: QuadrantPoint) -> bool:
 
 class RootBound(NamedTuple):
     applicable: bool
-    b_bound: Optional[float]  # in units of ω
     refined_ok: Optional[bool]
-    pattern: str  # "complex", "real", or "mixed"
-
-
-_REAL_ROOT_RTOL = 1e-9
-
-
-def _root_pattern(roots: np.ndarray) -> str:
-    scale = np.maximum(np.abs(roots), 1e-30)
-    n_real = int(np.sum(np.abs(roots.imag) <= _REAL_ROOT_RTOL * scale))
-    return {4: "real", 0: "complex"}.get(n_real, "mixed")
 
 
 def complex_root_bound(q: QuadrantPoint) -> RootBound:
-    """Coefficient-only real-part bound for the all-complex root pattern.
+    """The refined real-part bound, proven never to apply in the quadrant.
 
-    Applicable when the quartic has two conjugate pairs and
-    a2/a4 ≤ 2ρm²; then every root real part is ≤ the negative root
-    of r² + (a3/a4) r/2 + (a2/a4 − 2ρm²)/4, and ``refined_ok`` records
-    whether that bound clears −ηω/2.  Real or mixed patterns return
-    not-applicable; the direct root comparison is used instead.
-
-    The premise never holds in the open quadrant, whatever the root
-    pattern.  With a0 = Y, a2 = ηX + Y + 1 and a4 = 1 − 2μ ∈ (0, 1):
-    ρm² ≤ (a0/a1)(a1/a2) = a0/a2, and a2² ≥ (Y + 1)² ≥ 4Y = 4a0, so
-    2ρm² ≤ a2/2; since a2/a4 ≥ a2, a2/a4 − 2ρm² ≥ a2/2 > 0 for every
-    X, Y, η > 0 and μ ∈ (0, ½).  The check is kept as the scalar
-    reference; grid sweeps report the refined verdict as ``na``.
-
-    A point whose quartic overflows in the root finder raises
-    :class:`ParamError`, as :func:`conic_conditions` does.
+    With two conjugate root pairs and a2/a4 ≤ 2ρm², every root real part is
+    ≤ the negative root of r² + (a3/a4) r/2 + (a2/a4 − 2ρm²)/4.  The premise
+    fails everywhere: with a0 = Y, a2 = ηX + Y + 1 and a4 = 1 − 2μ ∈ (0, 1),
+    ρm² ≤ (a0/a1)(a1/a2) = a0/a2 and a2² ≥ (Y + 1)² ≥ 4a0, so 2ρm² ≤ a2/2
+    and a2/a4 − 2ρm² ≥ a2/2 > 0 for all X, Y, η > 0 and μ ∈ (0, ½).  The
+    name stays for the benchmark's gates, which rebuild the CSV's
+    ``refined`` cell from it.
     """
-    quart = spectral.quartic_from_dimensionless([q.eta], [q.X], [q.Y], [q.mu], omega=1.0)
-    try:
-        with np.errstate(all="ignore", over="raise", invalid="raise"):
-            roots = spectral.poly_roots(quart)[0]
-    except FloatingPointError:
-        raise ParamError("point", f"quartic roots overflow on this point "
-                                  f"at eta = {q.eta:.6g}") from None
-    pattern = _root_pattern(roots)
-    if pattern != "complex":
-        return RootBound(applicable=False, b_bound=None, refined_ok=None, pattern=pattern)
-    r = q.ratios()
-    rho_m = min(r[0], r[1])
-    a = quart[0]
-    a24 = a[2] / a[4]
-    if a24 > 2.0 * rho_m**2:
-        return RootBound(applicable=False, b_bound=None, refined_ok=None, pattern=pattern)
-    h = a[3] / a[4] / 2.0
-    b_bound = 0.5 * (-h - math.sqrt(h * h - (a24 - 2.0 * rho_m**2)))
-    return RootBound(applicable=True, b_bound=float(b_bound),
-                     refined_ok=bool(-0.5 * q.eta >= b_bound), pattern=pattern)
+    return RootBound(applicable=False, refined_ok=None)
 
 
 # ---------------------------------------------------------------------------

@@ -259,8 +259,7 @@ def check_decay_panel(panel=None, fault: bool = False) -> CheckResult:
         if fault:
             predict_sigma_faster = not predict_sigma_faster
             fault = False
-        length = p.g / omega**2
-        y0 = SystemState.from_y(0.002 * length, 0.002, 0.002)
+        y0 = SystemState.from_y(0.002 * p.l1, 0.002, 0.002)
         t_end = n_periods * period
         try:
             rs, rd = empirical_decay_rates(p, y0, t_end)

@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import coupled_pendula
 from coupled_pendula.cli import MAX_SAMPLES, canonical_json, load_config, main
@@ -83,6 +86,21 @@ def test_non_finite_input_rejected(tmp_path, capsys, command, field, overrides):
     assert code == 2
     assert err.startswith(f"error: {field}:") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("spectrum", {"m0": 1e-30}, "m0: negligible against m1 + m2"),
+    ("simulate", {"m0": 1e-30}, "m0: negligible against m1 + m2"),
+    ("reduce", {"l1": 1e300}, "(34, "),  # float ** overflows: ERANGE
+    ("spectrum", {"beta0": 1.7e308}, "overflow encountered in multiply"),
+], ids=["spectrum_light_beam", "simulate_light_beam", "reduce_long_rod", "spectrum_huge_beta0"])
+def test_extreme_numbers_exit_2(tmp_path, capsys, command, overrides, message):
+    # finite but extreme parameters whose arithmetic overflows, or a beam
+    # so light that 1 - 2 mu rounds to 0, are refused in one line
+    path = write_config(tmp_path, **overrides)
+    code, out, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "o"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command, config, out_is_dir", [
@@ -186,35 +204,50 @@ def test_simulate_delta_decay_matches_closed_form(tmp_path, capsys):
     assert abs(data[-1, 3] - ref[-1]) <= 1e-6
 
 
-def test_simulate_integration_failure_exits_3(tmp_path, capsys):
-    # a sigma-dot of 1e160 overflows the right-hand side at t=0
-    path = write_config(tmp_path, initial_state=[0, 0, 0, 0, 1e160, 0])
-    out_csv = tmp_path / "t.csv"
-    code, out, err = run(capsys, "simulate", "--config", path, "--out", str(out_csv))
-    assert code == 3 and out == ""
-    assert err.startswith("integration error:") and "Traceback" not in err
-    assert not out_csv.exists()
+README_STATE = [0.01, 0.02, 0.015, 0, 0, 0]
 
 
 @pytest.mark.parametrize("overrides", [
-    {"initial_state": [1e10, 0, 0, 0, 0, 0]},
-    {"initial_state": [1e150, 0, 0, 0, 0, 0]},
-    {"initial_state": [0, 0, 0, 0, 1e6, 0]},
-    {"beta0": 0.0, "beta1": 0.0, "beta2": 0.0, "t_end": 1e6,
-     "initial_state": [0.01, 0.02, 0.015, 0, 0, 0]},
+    {"t_end": 60.0},
+    {"beta0": 0.0, "beta1": 0.0, "beta2": 0.0, "t_end": 2000.0},
 ])
 def test_simulate_evaluation_budget_exits_3(tmp_path, capsys, monkeypatch, overrides):
-    # a huge initial state or a very long run would integrate for hours;
-    # the evaluation budget ends it in exit 3 (lowered here to keep the
-    # suite fast)
+    # runs inside the run-size bounds still end in exit 3 when the
+    # evaluation budget runs out (lowered here: the README run takes
+    # 10,421 evaluations, and the frictionless one sits just below the
+    # t_end * rho(J) bound)
     from coupled_pendula import dynamics
     monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 5000)
-    path = write_config(tmp_path, **{"t_end": 1.0, "samples": 11, **overrides})
+    path = write_config(tmp_path, **{"initial_state": README_STATE, "samples": 11,
+                                     **overrides})
     out_csv = tmp_path / "t.csv"
     code, out, err = run(capsys, "simulate", "--config", path, "--out", str(out_csv))
     assert code == 3 and out == ""
     assert err.startswith("integration error: integration stopped at t=")
     assert err.endswith(": 5000 right-hand-side evaluations spent\n")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("initial_state", {"initial_state": [1e10, 0, 0, 0, 0, 0]}),
+    ("initial_state", {"initial_state": [1e150, 0, 0, 0, 0, 0]}),
+    ("initial_state", {"initial_state": [0, 0, 0, 0, 1e6, 0]}),
+    ("initial_state", {"initial_state": [0, 0, 0, 0, 1e160, 0]}),
+    ("t_end", {"beta0": 0.0, "beta1": 0.0, "beta2": 0.0, "t_end": 1e6,
+               "initial_state": README_STATE}),
+], ids=["x0_1e10", "x0_1e150", "sigmadot0_1e6", "sigmadot0_1e160", "frictionless_t_end_1e6"])
+def test_simulate_run_size_refused(tmp_path, capsys, monkeypatch, field, overrides):
+    # a huge initial state or a very long run would exhaust the evaluation
+    # budget (or overflow the right-hand side at t=0); it is refused
+    # before integrating, with no solver warning.  The lowered budget
+    # turns a missed refusal into a quick exit 3.
+    from coupled_pendula import dynamics
+    monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 5000)
+    path = write_config(tmp_path, **{"t_end": 1.0, "samples": 11, **overrides})
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run(capsys, "simulate", "--config", path, "--out", str(out_csv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
     assert not out_csv.exists()
 
 
@@ -546,3 +579,68 @@ def test_simulate_loads_scipy_integrate(tmp_path):
     codes, loaded = run_fresh(tmp_path, path, "simulate")
     assert codes == [0]
     assert "scipy.integrate" in loaded
+
+
+# ---------------------------------------------------------------------------
+# fuzz
+# ---------------------------------------------------------------------------
+
+_EXTREME = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308, -1.7e308,
+                            math.inf, -math.inf, math.nan, 10**400])
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.lists(st.integers(-2, 2), max_size=2), st.just({}))
+_PLAUSIBLE = st.floats(min_value=1e-3, max_value=1e3)
+_OPTIONAL = {
+    "g": _PLAUSIBLE,
+    "damping": st.sampled_from(["full", "rotational"]),
+    "initial_state": st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    "t_end": st.floats(1e-3, 2.0),
+    "samples": st.integers(2, 50),
+    "seed": st.integers(0, 3),
+    "grid": st.fixed_dictionaries(
+        {"nx": st.integers(1, 4), "ny": st.integers(1, 4)},
+        optional={k: _PLAUSIBLE for k in ("x_min", "x_max", "y_min", "y_max")}
+        | {"spacing": st.sampled_from(["log", "linear"])}),
+}
+
+
+@st.composite
+def config_docs(draw):
+    """A plausible config with up to two faults: a key set to an extreme
+    or non-finite number or to a value of the wrong type, a key missing,
+    or an unknown key.  Grids are small and runs short."""
+    doc = {k: draw(_PLAUSIBLE) for k in BASE}
+    if draw(st.booleans()):  # identical pendula, as `regions` needs
+        doc.update(m2=doc["m1"], l2=doc["l1"], beta2=doc["beta1"])
+    doc.update(draw(st.fixed_dictionaries({}, optional=_OPTIONAL)))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from([*BASE, *_OPTIONAL, "bogus"]))
+        fault = draw(st.sampled_from(["extreme", "junk", "missing"]))
+        if fault == "missing":
+            doc.pop(key, None)
+            continue
+        doc[key] = draw(_EXTREME if fault == "extreme" else _JUNK)
+        if key == "initial_state" and fault == "extreme":
+            doc[key] = draw(st.lists(st.one_of(st.floats(-1.0, 1.0), _EXTREME),
+                                     min_size=6, max_size=6))
+        if key == "grid" and fault == "extreme":
+            doc[key] = {"nx": 2, "ny": 2, draw(st.sampled_from(
+                ["x_min", "x_max", "y_min", "y_max"])): doc[key]}
+    return doc
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2), derandomize=True,
+          database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["reduce", "spectrum", "regions", "simulate"]),
+       doc=config_docs())
+def test_fuzzed_configs_exit_cleanly(tmp_path, capsys, monkeypatch, command, doc):
+    # whatever the document, a command ends in a documented exit code with
+    # a one-line message, not a traceback, and within the deadline; a
+    # low evaluation budget keeps the runs that integrate short
+    from coupled_pendula import dynamics
+    monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 2000)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err and len(err.splitlines()) <= 1

@@ -208,51 +208,28 @@ def test_semicircle_equals_direct_comparison(rng):
 # refined complex-root bound
 # ---------------------------------------------------------------------------
 
-def test_vieta_identity_constructed_quartic():
-    xi1, k1, xi2, k2 = -0.3, 0.9, -0.7, 1.4
-    roots = np.array([xi1 + 1j * k1, xi1 - 1j * k1, xi2 + 1j * k2, xi2 - 1j * k2])
-    asc = np.real(np.poly(roots))[::-1] * 1.7
-    a = asc
-    assert 2 * (xi1 + xi2) == pytest.approx(-a[3] / a[4], rel=1e-12)
-    assert (xi1**2 + k1**2 + xi2**2 + k2**2 + 4 * xi1 * xi2
-            == pytest.approx(a[2] / a[4], rel=1e-12))
-
-
 def test_refined_bound_premise_never_holds_for_stable_quartics(rng):
     # rho_m^2 <= (a0/a1)(a1/a2) = a0/a2 and a2^2 >= (Y+1)^2 >= 4 a0, so
     # 2 rho_m^2 <= a2/2; with a2/a4 >= a2 the premise a2/a4 <= 2 rho_m^2
     # fails by at least a2/2 at every quadrant point, for any eta.
-    for _ in range(20_000):
-        eta = rng.uniform(0.05, 3.0)
-        X, Y = 10 ** rng.uniform(-2, 2, 2)
-        mu = rng.uniform(0.01, 0.49)
-        q = QuadrantPoint(X=X, Y=Y, eta=eta, mu=mu)
-        rb = complex_root_bound(q)
-        assert not rb.applicable
-        r = q.ratios()
-        a2 = eta * X + Y + 1.0
-        margin = a2 / (1.0 - 2.0 * mu) - 2.0 * min(r[0], r[1]) ** 2
-        assert margin > 0
-        assert margin >= 0.5 * a2 * (1 - 1e-12)
+    # Columns eta, log10 X, log10 Y, mu, drawn row by row.
+    eta, lx, ly, mu = rng.uniform([0.05, -2, -2, 0.01], [3.0, 2, 2, 0.49], (20_000, 4)).T
+    X, Y = 10**lx, 10**ly
+    r = ek_ratios_dimensionless(eta, X, Y, mu)
+    a2 = eta * X + Y + 1.0
+    margin = a2 / (1.0 - 2.0 * mu) - 2.0 * np.minimum(r[:, 0], r[:, 1]) ** 2
+    assert np.all(margin > 0)
+    assert np.all(margin >= 0.5 * a2 * (1 - 1e-12))
 
 
-def test_real_pattern_not_applicable():
-    # heavy beam damping pushes the quartic to real roots
-    q = QuadrantPoint(X=50.0, Y=0.1, eta=0.5, mu=0.25)
-    rb = complex_root_bound(q)
-    assert rb.pattern in ("real", "mixed")
-    assert not rb.applicable and rb.b_bound is None and rb.refined_ok is None
-
-
-def test_root_bound_overflow_raises_param_error():
-    # a quartic whose roots overflow in the polish is refused with no
-    # warning, also where its conics are still finite (X = 1e100)
+def test_root_bound_never_applies():
+    # the premise fails everywhere, so no point needs a root or an
+    # overflow check, not even the far ones whose conics overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for X, Y in ((1e155, 1.0), (1e100, 1.0), (1.0, 1e300)):
-            q = QuadrantPoint(X=X, Y=Y, eta=0.6, mu=0.25)
-            with pytest.raises(ParamError, match="^point: quartic roots overflow"):
-                complex_root_bound(q)
+        for X, Y in ((1e155, 1.0), (1e100, 1.0), (1.0, 1e300), (0.3, 0.7)):
+            assert complex_root_bound(QuadrantPoint(X=X, Y=Y, eta=0.6, mu=0.25)) \
+                == (False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +440,10 @@ def test_in_a_with_all_real_roots_implies_faster_sigma(rng):
         q = QuadrantPoint(X=X, Y=Y, eta=eta, mu=mu)
         if not antiphase_conditions(q).in_a_set:
             continue
-        if complex_root_bound(q).pattern != "real":
+        roots = poly_roots(quartic_from_dimensionless([eta], [X], [Y], [mu]))[0]
+        if np.any(np.abs(roots.imag) > 1e-9 * np.abs(roots)):
             continue
         found += 1
-        roots = poly_roots(quartic_from_dimensionless([eta], [X], [Y], [mu]))
         assert float(np.min(np.abs(roots.real))) > 0.5 * eta
         if found >= 200:
             break
