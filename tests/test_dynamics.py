@@ -7,6 +7,7 @@ from coupled_pendula import (
     DampingModel,
     PhysicalParams,
     SystemState,
+    Trajectory,
     accel_q,
     accel_y,
     delta_closed_form,
@@ -248,6 +249,39 @@ def test_trajectory_csv_format(tmp_path, identical_params):
     # round trip: the sampled states are recoverable at the printed precision
     parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.allclose(parsed[:, 1:7], traj.states, rtol=1e-8, atol=1e-12)
+
+
+def _reference_trajectory_csv(traj):
+    """The CSV bytes with one ``format(v, ".9e")`` per cell."""
+    rows = np.column_stack([traj.times, traj.states, traj.energies]).tolist()
+    return "".join([CSV_HEADER + "\n"]
+                   + [",".join(format(v, ".9e") for v in row) + "\n" for row in rows]).encode()
+
+
+def test_trajectory_csv_bytes_match_format(tmp_path):
+    # signed cells over more than one 16,384-row block: zeros of both
+    # signs (the rest state and zero velocities), magnitudes below 1e-13,
+    # three-digit exponents, and decimal near-ties
+    rng = np.random.default_rng(7)
+    n = 17_000
+    v = rng.choice([-1.0, 1.0], (n, 8)) * 10.0 ** rng.uniform(-20.0, 12.0, (n, 8))
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-13, -9.99999999995e-14, 1.5e-150,
+               -2.5e200, -1.7976931348623157e308, 1e10, -9999999999.5, 1.0000000005]
+    v[rng.integers(0, n, 3000), rng.integers(0, 8, 3000)] = rng.choice(special, 3000)
+    v[0, 1:7] = 0.0
+    v[1, 4:7] = -0.0
+    traj = Trajectory(times=v[:, 0], states=v[:, 1:7], energies=v[:, 7])
+    path = tmp_path / "traj.csv"
+    traj.write_csv(path)
+    assert path.read_bytes() == _reference_trajectory_csv(traj)
+
+
+def test_integrated_trajectory_csv_bytes_match_format(tmp_path, identical_params):
+    traj = integrate(SystemState.from_y(-0.01, 0.02, -0.03), identical_params,
+                     FULL, 5.0, samples=501)
+    path = tmp_path / "traj.csv"
+    traj.write_csv(path)
+    assert path.read_bytes() == _reference_trajectory_csv(traj)
 
 
 def test_solve_ivp_seam_honours_rebinding(monkeypatch, identical_params):

@@ -327,7 +327,8 @@ def test_e9_word_tables_hold_their_f_strings():
 
 
 def test_e9_cells_exact_on_log_uniform_draws():
-    v = 10.0 ** np.random.default_rng(5).uniform(-15.0, 12.0, 1_000_000)
+    rng = np.random.default_rng(5)
+    v = rng.choice([-1.0, 1.0], 1_000_000) * 10.0 ** rng.uniform(-15.0, 12.0, 1_000_000)
     expected = [format(x, ".9e").encode() for x in v.tolist()]
     assert _e9_strings(v) == expected
 
@@ -344,6 +345,7 @@ def test_e9_cells_exact_on_adversarial_values():
     rng = np.random.default_rng(6)
     v += [float(f"{m}5e{k}") for m, k in zip(rng.integers(10**9, 10**10, 2000).tolist(),
                                                 rng.integers(-23, 0, 2000).tolist())]
+    v += [-x for x in v]
     assert _e9_strings(v) == [format(x, ".9e").encode() for x in v]
 
 
