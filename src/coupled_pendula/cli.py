@@ -54,7 +54,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _canon(obj) -> str:
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -69,16 +70,11 @@ def _canon(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_canon(v) for v in obj) + "]"
+        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: kv[0])
-        return "{" + ",".join(json.dumps(k) + ":" + _canon(v) for k, v in items) + "}"
+        return "{" + ",".join(json.dumps(k) + ":" + canonical_json(v) for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    return _canon(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,7 @@ class PhysicalParams:
         for name in ("m0", "l1", "l2", "k", "g"):
             if not getattr(self, name) > 0:
                 raise ParamError(name, "must be positive")
-        for name in ("m1", "m2"):
-            if getattr(self, name) < 0:
-                raise ParamError(name, "must be non-negative")
-        for name in ("beta0", "beta1", "beta2"):
+        for name in ("m1", "m2", "beta0", "beta1", "beta2"):
             if getattr(self, name) < 0:
                 raise ParamError(name, "must be non-negative")
         if self.beta1 > 0 and self.m1 == 0:

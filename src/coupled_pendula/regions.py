@@ -18,18 +18,8 @@ annulus [ρm, ρM].  Comparing the two yields, per quadrant point:
 
 All verdicts here are dimensionless (ω ≡ 1).  Analyses specific to the
 η ≤ 1 branch refuse η > 1 rather than guess.  Grid sweeps evaluate every
-node at once and keep the verdicts as numpy columns.
-
-``RegionMap.write_csv`` fills one reused uint8 buffer of 16,384 rows per
-block, without a Python string per row.  Separators are set once; each
-block overwrites every cell column in full, so no byte of the previous
-block survives.  Float cells are five uint32 words from the word tables
-of ``_e9_cells``, the others one lookup-table row per zone/flag
-combination; pad bytes are dropped with ``buf[buf != 0]``.  The bytes
-equal ``format(x, ".9e")`` per float: the ten-digit significand is
-rint(x·10^k) with an exact power of ten, which carries one rounding
-error of at most 2^-20, and every value whose rounding that error could
-flip, or that lies outside [1e-13, 1e10), goes to ``format`` itself.
+node at once and keep the verdicts as numpy columns.  The map's CSV
+goes through the shared ``.9e`` block writer of ``_csvio``.
 """
 
 from __future__ import annotations
@@ -42,27 +32,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import spectral
+from ._csvio import byte_cells, e9_cells, write_csv
 from .dynamics import DampingModel, integrate
 from .params import ParamError, PhysicalParams, SystemState, identical_pendula
 
 __all__ = [
-    "BranchUnsupportedError",
-    "QuadrantPoint",
-    "AntiphaseVerdict",
-    "InphaseCheck",
-    "RootBound",
-    "GridSpec",
-    "MAX_GRID_NODES",
-    "RegionMap",
-    "classify_zone",
-    "conic_conditions",
-    "antiphase_conditions",
-    "mu_threshold",
-    "no_inphase_check",
-    "semicircle_condition",
-    "complex_root_bound",
-    "region_map",
-    "empirical_decay_rates",
+    "BranchUnsupportedError", "QuadrantPoint", "AntiphaseVerdict", "InphaseCheck",
+    "RootBound", "GridSpec", "MAX_GRID_NODES", "RegionMap", "classify_zone",
+    "conic_conditions", "antiphase_conditions", "mu_threshold", "no_inphase_check",
+    "semicircle_condition", "complex_root_bound", "region_map", "empirical_decay_rates",
 ]
 
 
@@ -276,81 +254,13 @@ _CSV_HEADER = ("X,Y,zone,conic1,conic2,conic3,conic4,condA,condB,inA,"
                "semicircle,refined,rho_m_over_omega,rho_M_over_omega")
 
 
-def _byte_cells(strings: list[str]) -> np.ndarray:
-    """ASCII strings as rows of a uint8 array, zero-padded to the longest."""
-    a = np.array(strings, dtype=bytes)
-    return a.view(np.uint8).reshape(a.size, a.itemsize)
-
-
 # The middle cells of a row, zone through refined, indexed by
 # zone·16 + conic bits (·16 + branch bits when η ≤ 1); flag k is bit k.
 _FLAGS = [",".join("true" if code >> k & 1 else "false" for k in range(4))
           for code in range(16)]
-_MIDDLE_NA = _byte_cells([f"{z},{c},na,na,na,na,na" for z in _ZONES for c in _FLAGS])
-_MIDDLE_BRANCH = _byte_cells([f"{z},{c},{b},na" for z in _ZONES for c in _FLAGS
-                              for b in _FLAGS])
-
-# Widest ``.9e`` string, "-d.ddddddddde-ddd", padded to five uint32 words.
-_E9_WIDTH = 20
-# 10**k for k = 0..22, all exact in binary64 (5**22 < 2**53).
-_POW10 = np.array([float(10**k) for k in range(23)])
-# Row i holds the four ASCII digits of i, "0000" to "9999".
-# Built in uint16: int64 temporaries would raise the peak RSS of every
-# command that imports this module by about 1 MB.
-_DIGITS4 = (np.arange(10_000, dtype=np.uint16)[:, None]
-            // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
-
-
-# Word tables "D.DD", "DDDD", "DDDe" and "±EE\0" of a fast cell, one uint32 per entry,
-# indexed by the top three significand digits, the next four, the last three, and k.
-_LEAD_WORDS = np.insert(_DIGITS4[:1000, 1:], 1, ord("."), axis=1).view(np.uint32).ravel()
-_MID_WORDS = _DIGITS4.view(np.uint32).ravel()
-_TAIL_WORDS = np.insert(_DIGITS4[:1000, 1:], 3, ord("e"), axis=1).view(np.uint32).ravel()
-_EXP_WORDS = np.insert(np.insert(_DIGITS4[np.abs(np.arange(9, -14, -1)), 2:], 2, 0, axis=1),
-                       0, np.where(np.arange(23) > 9, ord("-"), ord("+")), axis=1
-                       ).view(np.uint32).ravel()
-
-
-def _e9_cells(v: np.ndarray) -> np.ndarray:
-    """``format(x, ".9e")`` of every value as (n, 20) zero-padded uint8 rows.
-
-    Fast path, for x in [1e-13, 1e10): with e = ⌊log10 x⌋ and k = 9 − e
-    clipped to [0, 22], 10^k is exact, so s = x·10^k carries a single
-    rounding error.  Rounding is monotone and 1e9, 1e10 are doubles, so
-    s lands in [1e9, 1e10) exactly when x·10^k does, and then 9 − k is
-    the decimal exponent of x and the error is at most half an ulp of a
-    number below 2^34, i.e. 2^-20.  Unless s is within 1e-5 of a
-    half-integer, d = rint(s) is therefore the correctly rounded ten-digit
-    significand, written from the word tables.  Every other value goes
-    through ``format`` one at a time: near-ties (about 2 in 10^5),
-    roundings up to 10^10, s outside [1e9, 1e10) (log10 off by one next
-    to a power of ten), and values out of range, non-finite or ≤ 0.  This
-    is Loitsch's split (Grisu, PLDI 2010): a fast path that is exact
-    whenever it answers, and an exact printer for the rest.
-    """
-    v = np.asarray(v, dtype=float)
-    fast = (v >= 1e-13) & (v < 1e10)
-    x = np.where(fast, v, 1.0)
-    k = np.clip(9 - np.floor(np.log10(x)).astype(np.int64), 0, 22)
-    s = x * _POW10[k]
-    d = np.rint(s)
-    fast &= (s >= 1e9) & (d < 1e10) & (np.abs(s - np.floor(s) - 0.5) > 1e-5)
-    d = np.where(fast, d, 1e9).astype(np.int64)  # keeps the table indices in range
-    high, tail = np.divmod(d, 1000)
-    lead, mid = np.divmod(high, 10**4)
-    out = np.column_stack([_LEAD_WORDS[lead], _MID_WORDS[mid], _TAIL_WORDS[tail],
-                           _EXP_WORDS[k], np.zeros(v.size, np.uint32)]).view(np.uint8)
-
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        cells = _byte_cells([format(u, ".9e") for u in v[slow].tolist()])
-        out[slow] = 0
-        out[slow, :cells.shape[1]] = cells
-    return out
-
-
-# Rows per block of the CSV writer; bounds its buffers to a few MB.
-_CSV_BLOCK = 16_384
+_MIDDLE_NA = byte_cells([f"{z},{c},na,na,na,na,na" for z in _ZONES for c in _FLAGS])
+_MIDDLE_BRANCH = byte_cells([f"{z},{c},{b},na" for z in _ZONES for c in _FLAGS
+                             for b in _FLAGS])
 
 
 def _flag_codes(flags: np.ndarray) -> np.ndarray:
@@ -388,28 +298,19 @@ class RegionMap:
         return int(np.count_nonzero(self.branch[:, 2])) / len(self.branch)
 
     def write_csv(self, path) -> None:
-        """One header line, then one row per node, built in one reused block buffer."""
-        nx, n = self.grid.nx, self.zone.size
-        x_cells, y_cells = _e9_cells(self.xs), _e9_cells(self.ys)
+        """One header line, then one row per node, row-major in Y then X."""
+        x_cells, y_cells = e9_cells(self.xs), e9_cells(self.ys)
         middle = _MIDDLE_NA if self.branch is None else _MIDDLE_BRANCH
-        w = _E9_WIDTH + 1  # a float cell and its separator
-        starts = np.cumsum([0, w, w, middle.shape[1] + 1, w])  # X, Y, middle, rho_m, rho_M
-        buf = np.full((min(n, _CSV_BLOCK), starts[-1] + w), ord(","), dtype=np.uint8)
-        buf[:, -1] = ord("\n")  # the cells overwrite every comma but the separators
-        with open(path, "wb") as fh:
-            fh.write((_CSV_HEADER + "\n").encode())
-            for lo in range(0, n, _CSV_BLOCK):
-                rows = slice(lo, lo + _CSV_BLOCK)
-                node = np.arange(lo, min(lo + _CSV_BLOCK, n))
-                code = self.zone[rows] * 16 + _flag_codes(self.conics[rows])
-                if self.branch is not None:
-                    code = code * 16 + _flag_codes(self.branch[rows])
-                block = buf[:node.size]
-                cells = (x_cells[node % nx], y_cells[node // nx], middle[code],
-                         _e9_cells(self.rho_m[rows]), _e9_cells(self.rho_M[rows]))
-                for start, c in zip(starts, cells):
-                    block[:, start:start + c.shape[1]] = c  # pad bytes included
-                fh.write(block[block != 0].tobytes())
+
+        def cells(rows):
+            node = np.arange(rows.start, rows.stop)
+            code = self.zone[rows] * 16 + _flag_codes(self.conics[rows])
+            if self.branch is not None:
+                code = code * 16 + _flag_codes(self.branch[rows])
+            return (x_cells[node % self.grid.nx], y_cells[node // self.grid.nx], middle[code],
+                    e9_cells(self.rho_m[rows]), e9_cells(self.rho_M[rows]))
+
+        write_csv(path, _CSV_HEADER, self.zone.size, cells)
 
 
 def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:

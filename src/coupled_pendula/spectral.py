@@ -375,14 +375,11 @@ def enestrom_kakeya(c):
 
 
 def ek_ratios_dimensionless(eta, X, Y, mu, omega=1.0):
-    """The four quartic coefficient ratios; broadcasts over array input."""
-    eta, X, Y, mu = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (eta, X, Y, mu)))
-    one = 1.0 - 2.0 * mu
-    q1 = X + eta * Y + 2.0 * mu * eta
-    q2 = eta * X + Y + 1.0
-    q3 = X + one * eta
-    return np.stack([Y / q1, q1 / q2, q2 / q3, q3 / one], axis=-1) * omega
+    """The four ratios a_j/a_{j+1} of the ω = 1 quartic, times ``omega``;
+    broadcasts over array input."""
+    cols = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (eta, X, Y, mu)))
+    a = np.stack(_quartic(*cols, 1.0), axis=-1)
+    return a[..., :-1] / a[..., 1:] * omega
 
 
 def ek_ratios(rp: ReducedParams) -> np.ndarray:
@@ -399,11 +396,7 @@ def ek_ratios(rp: ReducedParams) -> np.ndarray:
 def zone_from_ratios(ratios: np.ndarray) -> str:
     """Zone label by which ratios attain ρm and ρM (ties to lower index)."""
     r = np.asarray(ratios, dtype=float)
-    rm_first = r[0] <= r[1]
-    rM_first = r[2] >= r[3]
-    if rm_first:
-        return "Z1" if rM_first else "Z2"
-    return "Z3" if rM_first else "Z4"
+    return f"Z{1 + 2 * (not r[0] <= r[1]) + (not r[2] >= r[3])}"
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +419,16 @@ def gershgorin(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _cross_check_error(message: str, roots: np.ndarray, failing: np.ndarray) -> Exception:
+    """:class:`CrossCheckError`, or :class:`ParamError` when every failing root has
+    |z| ≤ 4·2⁻⁵²·max|z|, below what companion eigenvalues resolve: then the
+    coefficients span too many decades for the check to decide."""
+    mods = np.abs(roots)
+    if np.any(failing) and np.all(mods[failing] <= 4 * 2.0**-52 * np.max(mods)):
+        return ParamError("coeffs", f"roots too small to resolve fail a cross-check ({message})")
+    return CrossCheckError(message)
+
+
 def spectrum_report(p: PhysicalParams,
                     model: DampingModel = DampingModel.FULL_VELOCITY) -> dict:
     """The ``spectrum`` document of one parameter set.
@@ -436,7 +439,7 @@ def spectrum_report(p: PhysicalParams,
     full-velocity damping also the factors and, when the quartic is
     damped, its ratios and zone.  The roots must agree with the chain
     verdict and lie in the annulus to 1e-9 relative, or
-    :class:`CrossCheckError` is raised.
+    :class:`CrossCheckError` is raised (see :func:`_cross_check_error`).
     """
     row = np.array([dataclasses.astuple(p)])
     coeffs = char_poly_general(row, model)
@@ -444,15 +447,16 @@ def spectrum_report(p: PhysicalParams,
     rh = routh_hurwitz(coeffs)
     stable = bool(rh.stable[0])
     if bool(np.all(roots.real < 0)) != stable:
-        raise CrossCheckError("chain verdict disagrees with roots")
+        raise _cross_check_error("chain verdict disagrees with roots", roots, roots.real >= 0)
     try:
         rho_m, rho_M = (float(r[0]) for r in enestrom_kakeya(coeffs))
     except EKInapplicableError:
         rho_m = rho_M = None
     else:
         mods = np.abs(roots)
-        if np.any(mods < rho_m * (1 - 1e-9)) or np.any(mods > rho_M * (1 + 1e-9)):
-            raise CrossCheckError("root outside the annulus")
+        outside = (mods < rho_m * (1 - 1e-9)) | (mods > rho_M * (1 + 1e-9))
+        if np.any(outside):
+            raise _cross_check_error("root outside the annulus", roots, outside)
     centers, radii = gershgorin(linear_system(p, model))
     doc = {
         "coeffs": coeffs[0].tolist(),

@@ -397,6 +397,21 @@ def test_spectrum_cross_check_failure_exits_5(tmp_path, capsys, monkeypatch,
     assert not out_json.exists()
 
 
+def test_spectrum_unresolved_roots_exit_2(tmp_path, capsys):
+    # a beam 1e300 times heavier than the bobs: the sextic's two smallest
+    # roots lie below what the companion eigenvalues resolve and come out
+    # as exact zeros, so the stable chain disagrees with them; the input
+    # is out of range, not the program at fault
+    path = write_config(tmp_path, m0=1e300, m1=74.06, m2=74.06, l1=481.7, l2=481.7,
+                        beta0=44.3, beta1=4.91, beta2=4.91, k=988.0, g=380.6)
+    out_json = tmp_path / "s.json"
+    code, out, err = run(capsys, "spectrum", "--config", path, "--out", str(out_json))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: coeffs: roots too small to resolve fail a cross-check")
+    assert err.count("\n") == 1
+    assert not out_json.exists()
+
+
 # ---------------------------------------------------------------------------
 # regions
 # ---------------------------------------------------------------------------

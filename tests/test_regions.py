@@ -24,15 +24,8 @@ from coupled_pendula import (
     region_map,
     semicircle_condition,
 )
-from coupled_pendula.regions import (
-    MAX_GRID_NODES,
-    _EXP_WORDS,
-    _LEAD_WORDS,
-    _MID_WORDS,
-    _TAIL_WORDS,
-    _e9_cells,
-    _strict_peaks,
-)
+from coupled_pendula._csvio import _EXP_WORDS, _LEAD_WORDS, _MID_WORDS, e9_cells
+from coupled_pendula.regions import MAX_GRID_NODES, _strict_peaks
 from coupled_pendula.spectral import ek_ratios_dimensionless, quartic_from_dimensionless
 from coupled_pendula.verification import DECAY_PANEL
 from oracles import reference_region_csv
@@ -312,18 +305,20 @@ def test_map_csv_rows_match_scalar_verdicts(tmp_path, grid, eta, mu):
 
 
 def _e9_strings(v):
-    cells = _e9_cells(np.asarray(v))
-    return cells.view(f"S{cells.shape[1]}").ravel().tolist()
+    """The cells with their pad bytes dropped, as the CSV writer drops them."""
+    cells = e9_cells(np.asarray(v))
+    lines = np.column_stack([cells, np.full(len(cells), ord("\n"), np.uint8)])
+    return lines[lines != 0].tobytes().split(b"\n")[:-1]
 
 
 def test_e9_word_tables_hold_their_f_strings():
     def joined(strings):
         return "".join(strings).encode()
 
-    assert _LEAD_WORDS.tobytes() == joined(f"{q // 100}.{q % 100:02d}" for q in range(1000))
+    assert _LEAD_WORDS.tobytes() == joined(f"{sign}{q // 10}.{q % 10}"
+                                           for sign in ("\0", "-") for q in range(100))
     assert _MID_WORDS.tobytes() == joined(f"{r:04d}" for r in range(10_000))
-    assert _TAIL_WORDS.tobytes() == joined(f"{r:03d}e" for r in range(1000))
-    assert _EXP_WORDS.tobytes() == joined(f"{9 - k:+03d}\0" for k in range(23))
+    assert _EXP_WORDS.tobytes() == joined(f"e{9 - k:+03d}" for k in range(23))
 
 
 def test_e9_cells_exact_on_log_uniform_draws():

@@ -63,3 +63,12 @@ def test_exports_resolve():
                   if alias.name not in getattr(modules[node.module], "__all__", ())]
     assert not stale, f"__all__ entries with no attribute: {stale}"
     assert not undeclared, f"package imports missing from their module's __all__: {undeclared}"
+
+
+def test_one_module_holds_the_e9_cell_format():
+    # every CSV cell is ".9e"; a second module with that format spec would
+    # be a second cell writer
+    holders = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
+                     if any(isinstance(node, ast.Constant) and node.value == ".9e"
+                            for node in ast.walk(ast.parse(path.read_text(), str(path)))))
+    assert holders == ["_csvio.py"], f"modules with the .9e format spec: {holders}"
