@@ -24,7 +24,9 @@ command) guards against transcription mistakes in either one.
 The closed form is written once and takes its cos/sin from a module
 argument: numpy for :func:`accel_y` and the batched cross-checks, and
 ``math`` on plain floats for the integrator's right-hand side, where
-numpy's per-call overhead on scalars would dominate.  On a scalar both
+numpy's per-call overhead on scalars would dominate.  It reads the
+parameters from a tuple (:func:`_y_constants`) that an integration builds
+once, not from the dataclass on every call.  On a scalar both modules
 give the same bits.  On an array they can differ in the last bit, because
 numpy squares array elements exactly while float ``**`` calls libm
 ``pow``: 4 of 30,000 accelerations on 10,000 random states differ.  The
@@ -32,25 +34,28 @@ cross-checks compare against a tolerance, so this does not matter to
 them.  Θ = m0 + m1 sin²θ1 + m2 sin²θ2 ≥ m0 > 0, so the division by Θ
 needs no guard.
 
-The integrator is scipy's DOP853, the explicit adaptive Dormand–Prince
-8(5,3) pair (Hairer, Nørsett & Wanner, *Solving Ordinary Differential
-Equations I*, §II.5), with tight default tolerances: at these the
-eighth-order pair takes far fewer steps than a fifth-order one, and the
-system is non-stiff for physically sensible damping.  A run whose state
-blows up to inf or nan stalls the solver and raises
-:class:`StiffnessError`, and so does a run that spends
-:data:`MAX_RHS_EVALS` right-hand-side evaluations without reaching its
-end.  Right-hand sides are pure functions and each
-integration owns its state, so separate trajectories may run
-concurrently.
+The integrator is the in-repo DOP853 of :mod:`._dop853`, the explicit
+adaptive Dormand–Prince 8(5,3) pair (Hairer, Nørsett & Wanner, *Solving
+Ordinary Differential Equations I*, §II.5) stepped as scipy's
+``solve_ivp(method="DOP853")`` steps it, with tight default tolerances:
+at these the eighth-order pair takes far fewer steps than a fifth-order
+one, and the system is non-stiff for physically sensible damping.  It
+steps a batch of trajectories in lockstep, each with its own step-size
+control, and calls each trajectory's right-hand side on plain floats; the
+decay-rate fits integrate their trajectories as one batch.  A trajectory
+whose right-hand side is not finite at t = 0, whose state blows up to inf
+or nan (the solver then rejects steps until the step size falls below 10
+ulps of t), or that spends :data:`MAX_RHS_EVALS` right-hand-side
+evaluations without reaching its end raises :class:`StiffnessError`.
+Right-hand sides are pure functions and each integration owns its state,
+so separate integrations may run concurrently.
 
-scipy loads on the first integration, not at import: ``reduce``,
-``spectrum`` and ``regions`` never integrate, and ``scipy.integrate``
-would otherwise be most of their start-up time.  The module attribute
-``solve_ivp`` resolves through a module ``__getattr__`` (PEP 562) that
-imports and caches scipy's function, and :func:`integrate` reads it from
-the module globals on every call, so a rebinding of
-``dynamics.solve_ivp`` (a tracer's wrapper, a test's counter) is honoured.
+Integrations reach the solver through the module attribute ``solve_ivp``,
+read from the module globals on every call, so a rebinding of
+``dynamics.solve_ivp`` (a tracer's wrapper, a test's counter) sees every
+integration.  It returns the total right-hand-side evaluations as
+``nfev`` and ``status`` −1 when a trajectory stopped early.  No command
+imports scipy; the test suite keeps scipy's ``solve_ivp`` as the oracle.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import e9_cells, write_csv
+from ._dop853 import solve_ivp
 from .params import PhysicalParams, SystemState
 
 __all__ = [
@@ -75,14 +81,6 @@ __all__ = [
     "energy",
     "integrate",
 ]
-
-
-def __getattr__(name):
-    if name == "solve_ivp":
-        from scipy.integrate import solve_ivp
-        globals()["solve_ivp"] = solve_ivp
-        return solve_ivp
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class DampingModel(enum.Enum):
@@ -105,8 +103,9 @@ class DampingModel(enum.Enum):
 
 
 class StiffnessError(RuntimeError):
-    """The integration could not go on: the step size underflowed or the
-    evaluation budget ran out.  ``t_reached`` is the last time reached."""
+    """The integration could not go on: the right-hand side was not finite
+    at t = 0, the step size fell below 10 ulps of t, or the evaluation
+    budget ran out.  ``t_reached`` is the last time reached."""
 
     def __init__(self, message: str, t_reached: float):
         super().__init__(message)
@@ -182,9 +181,15 @@ def accel_q(state: SystemState, p: PhysicalParams,
 # Accelerations: explicit path (y-form)
 # ---------------------------------------------------------------------------
 
-def _accel_y_arrays(x, sg, dl, xd, sgd, dld, p: PhysicalParams,
-                    model: DampingModel, trig=np):
-    """Explicit accelerations (ẍ, σ̈, δ̈); requires m1, m2 > 0.
+def _y_constants(p: PhysicalParams, model: DampingModel) -> tuple:
+    """The parameters as :func:`_accel_y_arrays` reads them; requires
+    m1, m2 > 0."""
+    return (p.m, p.m1, p.m2, p.l1, p.l2, p.g, p.k, p.beta0, p.beta1, p.beta2,
+            p.beta1 / p.m1, p.beta2 / p.m2, model is DampingModel.FULL_VELOCITY)
+
+
+def _accel_y_arrays(x, sg, dl, xd, sgd, dld, c: tuple, trig=np):
+    """Explicit accelerations (ẍ, σ̈, δ̈), with ``c = _y_constants(p, model)``.
 
     ``trig`` supplies cos and sin: ``np`` for arrays or numpy scalars,
     ``math`` for the plain floats the integrator feeds in.  A scalar gets
@@ -193,24 +198,23 @@ def _accel_y_arrays(x, sg, dl, xd, sgd, dld, p: PhysicalParams,
     Array elements can differ in the last bit: numpy squares them
     exactly instead of calling ``pow``.
     """
+    m, m1, m2, l1, l2, g, k, beta0, beta1, beta2, bm1, bm2, full = c
     t1, t2 = 0.5 * (sg + dl), 0.5 * (sg - dl)
     t1d, t2d = 0.5 * (sgd + dld), 0.5 * (sgd - dld)
     c1, s1 = trig.cos(t1), trig.sin(t1)
     c2, s2 = trig.cos(t2), trig.sin(t2)
-    full = model is DampingModel.FULL_VELOCITY
 
-    theta = p.m - p.m1 * c1**2 - p.m2 * c2**2
-    drag_x = p.beta0 + p.beta1 * s1**2 + p.beta2 * s2**2 if full else p.beta0
-    xdd = (-p.k * x
-           + p.g * (p.m1 * s1 * c1 + p.m2 * s2 * c2)
-           + p.m1 * p.l1 * t1d**2 * s1 + p.m2 * p.l2 * t2d**2 * s2
+    theta = m - m1 * c1**2 - m2 * c2**2
+    drag_x = beta0 + beta1 * s1**2 + beta2 * s2**2 if full else beta0
+    xdd = (-k * x
+           + g * (m1 * s1 * c1 + m2 * s2 * c2)
+           + m1 * l1 * t1d**2 * s1 + m2 * l2 * t2d**2 * s2
            - drag_x * xd) / theta
 
-    bm1, bm2 = p.beta1 / p.m1, p.beta2 / p.m2
-    drag1 = bm1 * (xd * c1 + p.l1 * t1d) if full else bm1 * p.l1 * t1d
-    drag2 = bm2 * (xd * c2 + p.l2 * t2d) if full else bm2 * p.l2 * t2d
-    a1 = (-p.g * s1 - xdd * c1 - drag1) / p.l1
-    a2 = (-p.g * s2 - xdd * c2 - drag2) / p.l2
+    drag1 = bm1 * (xd * c1 + l1 * t1d) if full else bm1 * l1 * t1d
+    drag2 = bm2 * (xd * c2 + l2 * t2d) if full else bm2 * l2 * t2d
+    a1 = (-g * s1 - xdd * c1 - drag1) / l1
+    a2 = (-g * s2 - xdd * c2 - drag2) / l2
     return xdd, a1 + a2, a1 - a2
 
 
@@ -219,7 +223,7 @@ def accel_y(state: SystemState, p: PhysicalParams,
     """Accelerations (ẍ, σ̈, δ̈) from the explicit closed form."""
     p.require_positive_pendula("explicit y-form accelerations")
     y = state.to_y()
-    xdd, sdd, ddd = _accel_y_arrays(*y.coords, *y.vels, p, model)
+    xdd, sdd, ddd = _accel_y_arrays(*y.coords, *y.vels, _y_constants(p, model))
     return np.array([float(xdd), float(sdd), float(ddd)])
 
 
@@ -266,7 +270,7 @@ def _energy_arrays(y6: np.ndarray, p: PhysicalParams) -> np.ndarray:
 
 CSV_HEADER = "t,x,sigma,delta,xdot,sigmadot,deltadot,energy"
 
-#: Most right-hand-side evaluations one integration may spend, about 100
+#: Most right-hand-side evaluations one trajectory may spend, about 100
 #: times what the README's 60 s example run takes (10,421).  A huge
 #: initial state or a very long ``t_end`` needs far more, and would
 #: otherwise run for hours.
@@ -307,46 +311,49 @@ def integrate(state0: SystemState, p: PhysicalParams,
               atol: float = 1e-12) -> Trajectory:
     """Integrate the full nonlinear system and sample it uniformly.
 
-    Uses the explicit y-form right-hand side and scipy's DOP853, the
-    Dormand–Prince 8(5,3) pair.  A right-hand side that is
-    not finite at the initial state raises :class:`StiffnessError` at
-    t=0 before the solver starts: scipy would pick a NaN first step and
-    never return.  So does the evaluation after the first
-    :data:`MAX_RHS_EVALS`, at the time the solver asked for.
+    Uses the explicit y-form right-hand side and the in-repo DOP853, the
+    Dormand–Prince 8(5,3) pair.  Raises :class:`StiffnessError` when the
+    right-hand side is not finite at t = 0, when the step size falls
+    below 10 ulps of t, or before the evaluations pass
+    :data:`MAX_RHS_EVALS`.
     """
-    if not 0 < t_end < math.inf:
-        raise ValueError("t_end must be positive and finite")
-    p.require_positive_pendula("time integration")
-    y0 = state0.to_y().as_vector()
-    evals = 0
+    return _integrate_rows([state0], [p], model, [t_end], samples, rtol, atol)[0]
+
+
+def _rhs(p: PhysicalParams, model: DampingModel):
+    """One trajectory's right-hand side y' on the plain floats the solver
+    passes, with the parameters read once."""
+    c = _y_constants(p, model)
 
     def rhs(t, y):
-        nonlocal evals
-        evals += 1
-        if evals > MAX_RHS_EVALS:
-            raise StiffnessError(f"integration stopped at t={t:.6g}: {MAX_RHS_EVALS} "
-                                 "right-hand-side evaluations spent", t_reached=float(t))
-        y = y.tolist()
+        x, sg, dl, xd, sgd, dld = y
         try:
-            acc = _accel_y_arrays(*y, p, model, math)
+            return (xd, sgd, dld, *_accel_y_arrays(x, sg, dl, xd, sgd, dld, c, math))
         except (ValueError, OverflowError):
             # The state has blown up: math.cos(inf) and float ** overflow
             # raise where numpy returns nan or inf.  NaN derivatives make
             # the solver reject every step until it stalls, which is
             # reported as StiffnessError.
-            acc = (math.nan,) * 3
-        return (y[3], y[4], y[5], *acc)
+            return (xd, sgd, dld, math.nan, math.nan, math.nan)
+    return rhs
 
-    if not all(map(math.isfinite, rhs(0.0, y0))):
-        raise StiffnessError("right-hand side is not finite at t=0", t_reached=0.0)
-    t_eval = np.linspace(0.0, t_end, samples)
-    solver = globals().get("solve_ivp") or __getattr__("solve_ivp")
-    sol = solver(rhs, (0.0, t_end), y0, method="DOP853",
-                 rtol=rtol, atol=atol, t_eval=t_eval, dense_output=False)
-    if sol.status == -1:
-        raise StiffnessError(
-            f"integration stalled at t={sol.t[-1] if len(sol.t) else 0.0:.6g}: {sol.message}",
-            t_reached=float(sol.t[-1]) if len(sol.t) else 0.0)
-    states = sol.y.T.copy()
-    return Trajectory(times=sol.t.copy(), states=states,
-                      energies=_energy_arrays(states, p))
+
+def _integrate_rows(states, params, model: DampingModel, t_ends, samples: int,
+                    rtol: float = 1e-10, atol: float = 1e-12) -> list[Trajectory]:
+    """:func:`integrate` for several trajectories at once, stepped as one
+    batch: each takes the steps it would take alone, and its samples agree
+    with its lone run to rounding.  The first trajectory that stops early
+    raises its :class:`StiffnessError`."""
+    for t_end in t_ends:
+        if not 0 < t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
+    for p in params:
+        p.require_positive_pendula("time integration")
+    y0 = np.array([s.to_y().as_vector() for s in states])
+    sol = solve_ivp([_rhs(p, model) for p in params], y0, t_ends, samples,
+                    rtol=rtol, atol=atol, max_evals=MAX_RHS_EVALS)
+    for message, t_reached in zip(sol.message, sol.t_reached.tolist()):
+        if message is not None:
+            raise StiffnessError(message, t_reached=t_reached)
+    return [Trajectory(times=times, states=states, energies=_energy_arrays(states, p))
+            for times, states, p in zip(sol.t, sol.y, params)]

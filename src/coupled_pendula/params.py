@@ -157,28 +157,43 @@ class DerivedConstants:
     betam_minus: float  # (β1/m1 - β2/m2)/2               [1/s]
 
 
+def _extreme_field(p: PhysicalParams) -> str:
+    """The positive field farthest from 1 in scale: the one named when a
+    quantity built from the parameters overflows."""
+    return max((name for name, value in vars(p).items() if value > 0),
+               key=lambda name: abs(math.log(getattr(p, name))))
+
+
 def derived_constants(p: PhysicalParams) -> DerivedConstants:
     """Evaluate the sum/difference constants for a parameter set.
 
     The β/m ratios require positive bob masses; with zero masses (and
-    hence zero bob damping) they are reported as zero.
+    hence zero bob damping) they are reported as zero.  A constant that
+    overflows raises :class:`ParamError` naming the field farthest from 1
+    in scale.
     """
     bm1 = p.beta1 / p.m1 if p.m1 > 0 else 0.0
     bm2 = p.beta2 / p.m2 if p.m2 > 0 else 0.0
-    return DerivedConstants(
-        am_plus=(p.m1 * p.l1**2 + p.m2 * p.l2**2) / 4.0,
-        am_minus=(p.m1 * p.l1**2 - p.m2 * p.l2**2) / 4.0,
-        abeta_plus=(p.beta1 * p.l1**2 + p.beta2 * p.l2**2) / 4.0,
-        abeta_minus=(p.beta1 * p.l1**2 - p.beta2 * p.l2**2) / 4.0,
-        bm_plus=(p.m1 * p.l1 + p.m2 * p.l2) / 2.0,
-        bm_minus=(p.m1 * p.l1 - p.m2 * p.l2) / 2.0,
-        bbeta_plus=(p.beta1 * p.l1 + p.beta2 * p.l2) / 2.0,
-        bbeta_minus=(p.beta1 * p.l1 - p.beta2 * p.l2) / 2.0,
-        l_plus=(p.l1 + p.l2) / (2.0 * p.l1 * p.l2),
-        l_minus=(p.l1 - p.l2) / (2.0 * p.l1 * p.l2),
-        betam_plus=(bm1 + bm2) / 2.0,
-        betam_minus=(bm1 - bm2) / 2.0,
-    )
+    try:
+        dc = DerivedConstants(
+            am_plus=(p.m1 * p.l1**2 + p.m2 * p.l2**2) / 4.0,
+            am_minus=(p.m1 * p.l1**2 - p.m2 * p.l2**2) / 4.0,
+            abeta_plus=(p.beta1 * p.l1**2 + p.beta2 * p.l2**2) / 4.0,
+            abeta_minus=(p.beta1 * p.l1**2 - p.beta2 * p.l2**2) / 4.0,
+            bm_plus=(p.m1 * p.l1 + p.m2 * p.l2) / 2.0,
+            bm_minus=(p.m1 * p.l1 - p.m2 * p.l2) / 2.0,
+            bbeta_plus=(p.beta1 * p.l1 + p.beta2 * p.l2) / 2.0,
+            bbeta_minus=(p.beta1 * p.l1 - p.beta2 * p.l2) / 2.0,
+            l_plus=(p.l1 + p.l2) / (2.0 * p.l1 * p.l2),
+            l_minus=(p.l1 - p.l2) / (2.0 * p.l1 * p.l2),
+            betam_plus=(bm1 + bm2) / 2.0,
+            betam_minus=(bm1 - bm2) / 2.0,
+        )
+    except ArithmeticError:  # float ** overflows, or l1·l2 underflows to 0
+        dc = None
+    if dc is None or not all(map(math.isfinite, vars(dc).values())):
+        raise ParamError(_extreme_field(p), "out of range: the derived constants overflow")
+    return dc
 
 
 @dataclass(frozen=True)

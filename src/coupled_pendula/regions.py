@@ -33,7 +33,7 @@ import numpy as np
 
 from . import spectral
 from ._csvio import byte_cells, e9_cells, write_csv
-from .dynamics import DampingModel, integrate
+from .dynamics import DampingModel, _integrate_rows
 from .params import ParamError, PhysicalParams, SystemState, identical_pendula
 
 __all__ = [
@@ -365,19 +365,37 @@ def _envelope_rate(times: np.ndarray, signal: np.ndarray, t_start: float) -> flo
     return float(-slope)
 
 
-def empirical_decay_rates(p: PhysicalParams, y0: SystemState, t_end: float,
-                          samples: int = 4001) -> tuple[float, float]:
+def empirical_decay_rates(p, y0, t_end, samples: int = 4001):
     """Fitted decay rates of σ and δ from a nonlinear trajectory.
 
     Peak amplitudes of each signal over the final 60% of the run are fit
     by least squares in log scale; identical, damped pendula required.
+    A fit window with fewer than five peaks raises ValueError.
+
+    The batch form takes equal-length sequences of parameters, initial
+    states and end times, integrates them as one lockstep batch, and
+    returns a list with one entry per trajectory: its pair of rates, or
+    the ValueError its fit raised, so that one short trajectory does not
+    hide the rates of the others.
     """
-    if not identical_pendula(p):
-        raise ParamError("m2", "decay-rate fit requires identical pendula")
-    if p.frictionless:
-        raise ParamError("beta0", "decay-rate fit requires damping")
-    traj = integrate(y0, p, DampingModel.FULL_VELOCITY, t_end, samples=samples)
-    t_start = 0.4 * t_end
-    rate_sigma = _envelope_rate(traj.times, traj.states[:, 1], t_start)
-    rate_delta = _envelope_rate(traj.times, traj.states[:, 2], t_start)
-    return rate_sigma, rate_delta
+    batch = not isinstance(p, PhysicalParams)
+    params, states, t_ends = (list(p), list(y0), list(t_end)) if batch else ([p], [y0], [t_end])
+    if not len(params) == len(states) == len(t_ends):
+        raise ValueError("one initial state and one end time per parameter set")
+    for q in params:
+        if not identical_pendula(q):
+            raise ParamError("m2", "decay-rate fit requires identical pendula")
+        if q.frictionless:
+            raise ParamError("beta0", "decay-rate fit requires damping")
+    trajs = _integrate_rows(states, params, DampingModel.FULL_VELOCITY, t_ends, samples)
+    fits = []
+    for traj, t_end_i in zip(trajs, t_ends):
+        t_start = 0.4 * t_end_i
+        try:
+            fits.append((_envelope_rate(traj.times, traj.states[:, 1], t_start),
+                         _envelope_rate(traj.times, traj.states[:, 2], t_start)))
+        except ValueError as exc:
+            if not batch:
+                raise
+            fits.append(exc)
+    return fits if batch else fits[0]

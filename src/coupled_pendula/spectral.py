@@ -42,6 +42,7 @@ from .params import (
     ParamError,
     PhysicalParams,
     ReducedParams,
+    _extreme_field,
     _reduced_groups,
     _rel_close,
     identical_pendula,
@@ -440,9 +441,15 @@ def spectrum_report(p: PhysicalParams,
     damped, its ratios and zone.  The roots must agree with the chain
     verdict and lie in the annulus to 1e-9 relative, or
     :class:`CrossCheckError` is raised (see :func:`_cross_check_error`).
+    Coefficients that overflow raise :class:`ParamError` naming the field
+    farthest from 1 in scale.
     """
     row = np.array([dataclasses.astuple(p)])
-    coeffs = char_poly_general(row, model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = char_poly_general(row, model)
+    if not np.all(np.isfinite(coeffs)):
+        raise ParamError(_extreme_field(p),
+                         "out of range: the characteristic polynomial overflows")
     roots = np.sort_complex(poly_roots(coeffs)[0])
     rh = routh_hurwitz(coeffs)
     stable = bool(rh.stable[0])

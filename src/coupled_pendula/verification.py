@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import spectral
-from .dynamics import DampingModel, _accel_q_arrays, _accel_y_arrays
+from .dynamics import DampingModel, _accel_q_arrays, _accel_y_arrays, _y_constants
 from .params import PhysicalParams, SystemState, params_from_dimensionless
 from .regions import empirical_decay_rates
 
@@ -101,7 +101,8 @@ def check_formulation_equivalence(rng: np.random.Generator, n: int = 10_000,
         model = DampingModel.FULL_VELOCITY if rng.random() < 0.7 else DampingModel.ROTATIONAL_ONLY
         xdd_q, a1, a2 = _accel_q_arrays(x, t1, t2, xd, t1d, t2d, p, model)
         ref = np.stack([xdd_q, a1 + a2, a1 - a2])
-        got = np.stack(_accel_y_arrays(x, t1 + t2, t1 - t2, xd, t1d + t2d, t1d - t2d, p, model))
+        got = np.stack(_accel_y_arrays(x, t1 + t2, t1 - t2, xd, t1d + t2d, t1d - t2d,
+                                        _y_constants(p, model)))
         if fault:
             got = got * (1.0 + 1e-6)
             fault = False
@@ -170,6 +171,35 @@ _BUILT_LOW = np.array([-2.0] * 7 + [0.1])
 _BUILT_HIGH = np.array([0.8] * 7 + [2.0])
 
 
+def _monic_from_roots(roots: np.ndarray) -> np.ndarray:
+    """Ascending real coefficients of the monic polynomials whose roots,
+    closed under conjugation, are the rows of ``roots``.
+
+    The factors (λ − r) are multiplied in one pass over the coefficient
+    columns each, for the whole batch.  A row has the bits of
+    ``np.real(np.poly(r))[::-1]``: numpy's complex ``convolve`` there is a
+    BLAS complex dot, which sums the re·re and the im·im products of a
+    coefficient apart and subtracts them last, and likewise the re·im and
+    im·re products.  With w = −r, the degree-j coefficient a'[j] of
+    a·(λ + w) is, with a[j]·1 and a[j]·0 exact,
+
+        re: (a[j-1].re·w.re + a[j].re) − a[j-1].im·w.im
+        im: a[j-1].re·w.im + (a[j-1].im·w.re + a[j].im)
+
+    in descending powers, a[j] = 0 past the end.
+    """
+    n, d = roots.shape
+    w = -roots
+    re, im = np.zeros((n, d + 1)), np.zeros((n, d + 1))
+    re[:, 0] = 1.0
+    for k in range(d):
+        w_re, w_im = w.real[:, k:k + 1], w.imag[:, k:k + 1]
+        lo_re, lo_im, hi_re, hi_im = re[:, :k + 1], im[:, :k + 1], re[:, 1:k + 2], im[:, 1:k + 2]
+        re[:, 1:k + 2], im[:, 1:k + 2] = ((lo_re * w_re + hi_re) - lo_im * w_im,
+                                          lo_re * w_im + (lo_im * w_re + hi_im))
+    return re[:, ::-1]
+
+
 def _rh_block_coeffs(rng: np.random.Generator, block: range) -> np.ndarray:
     """Sextics of one ``check_rh_vs_roots`` block: rows i % 4 == 0 built
     from roots, the others from parameter draws, taking the variates of
@@ -185,11 +215,10 @@ def _rh_block_coeffs(rng: np.random.Generator, block: range) -> np.ndarray:
     variates[taken] = rng.uniform(lows[taken], highs[taken])
     coeffs = np.empty((len(block), 7))
     coeffs[~built] = spectral.char_poly_general(_param_rows(take, variates[~built]))
-    for j in np.flatnonzero(built):
-        *real, re, im = variates[j, :-1].tolist()
-        roots = np.array(real) + 0j
-        roots[:2] = (re + 1j * im, re - 1j * im)
-        coeffs[j] = np.real(np.poly(roots))[::-1]
+    real, re, im = variates[built, :6], variates[built, 6:7], variates[built, 7:8]
+    roots = real + 0j
+    roots[:, :2] = np.hstack([re + 1j * im, re - 1j * im])
+    coeffs[built] = _monic_from_roots(roots)
     return coeffs
 
 
@@ -243,29 +272,31 @@ PANEL_OMEGA = np.pi  # pendulum frequency ω of every panel point (1/s)
 def check_decay_panel(panel=None, fault: bool = False) -> CheckResult:
     """Nonlinear σ/δ decay ordering vs the spectral prediction.
 
-    A point whose trajectory is too short for the envelope fit counts as
-    failed, with the fit's message in place of the rates.
+    The panel's trajectories are integrated as one batch.  A point whose
+    trajectory is too short for the envelope fit counts as failed, with
+    the fit's message in place of the rates.
     """
     panel = DECAY_PANEL[:4] if panel is None else panel
     omega = PANEL_OMEGA
     period = 2.0 * np.pi / omega
     quarts = spectral.quartic_from_dimensionless(*np.array(panel)[:, :4].T, omega)
     sigma_rates = np.min(np.abs(spectral.poly_roots(quarts).real), axis=1).tolist()
+    params = [params_from_dimensionless(eta, X, Y, mu, omega=omega)
+              for eta, X, Y, mu, _ in panel]
+    fits = empirical_decay_rates(
+        params, [SystemState.from_y(0.002 * p.l1, 0.002, 0.002) for p in params],
+        [n_periods * period for *_, n_periods in panel])
     bad = []
-    for (eta, X, Y, mu, n_periods), sigma_rate_pred in zip(panel, sigma_rates):
-        p = params_from_dimensionless(eta, X, Y, mu, omega=omega)
+    for (eta, X, Y, mu, _), sigma_rate_pred, fit in zip(panel, sigma_rates, fits):
         delta_rate_pred = 0.5 * eta * omega
         predict_sigma_faster = sigma_rate_pred > delta_rate_pred
         if fault:
             predict_sigma_faster = not predict_sigma_faster
             fault = False
-        y0 = SystemState.from_y(0.002 * p.l1, 0.002, 0.002)
-        t_end = n_periods * period
-        try:
-            rs, rd = empirical_decay_rates(p, y0, t_end)
-        except ValueError as exc:  # too few envelope peaks to fit
-            bad.append((eta, X, Y, mu, str(exc)))
+        if isinstance(fit, ValueError):  # too few envelope peaks to fit
+            bad.append((eta, X, Y, mu, str(fit)))
             continue
+        rs, rd = fit
         ok = ((rs > rd) == predict_sigma_faster
               and abs(rd - delta_rate_pred) <= 0.05 * delta_rate_pred
               and abs(rs - sigma_rate_pred) <= 0.05 * sigma_rate_pred)

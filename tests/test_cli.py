@@ -91,8 +91,8 @@ def test_non_finite_input_rejected(tmp_path, capsys, command, field, overrides):
 @pytest.mark.parametrize("command, overrides, message", [
     ("spectrum", {"m0": 1e-30}, "m0: negligible against m1 + m2"),
     ("simulate", {"m0": 1e-30}, "m0: negligible against m1 + m2"),
-    ("reduce", {"l1": 1e300}, "(34, "),  # float ** overflows: ERANGE
-    ("spectrum", {"beta0": 1.7e308}, "overflow encountered in multiply"),
+    ("reduce", {"l1": 1e300}, "l1: out of range"),  # float ** overflows
+    ("spectrum", {"beta0": 1.7e308}, "beta0: out of range"),
 ], ids=["spectrum_light_beam", "simulate_light_beam", "reduce_long_rod", "spectrum_huge_beta0"])
 def test_extreme_numbers_exit_2(tmp_path, capsys, command, overrides, message):
     # finite but extreme parameters whose arithmetic overflows, or a beam
@@ -583,17 +583,13 @@ def run_fresh(tmp_path, config, *commands):
 
 
 def test_non_integrating_commands_never_import_scipy(tmp_path):
-    path = write_config(tmp_path, grid={"nx": 3, "ny": 3})
-    codes, loaded = run_fresh(tmp_path, path, "reduce", "spectrum", "regions")
-    assert codes == [0, 0, 0]
+    # scipy is a test-only dependency: no command imports it, the two that
+    # integrate included
+    path = write_config(tmp_path, grid={"nx": 3, "ny": 3}, t_end=1.0, samples=3)
+    codes, loaded = run_fresh(tmp_path, path, "reduce", "spectrum", "regions", "simulate",
+                              "verify")
+    assert codes == [0, 0, 0, 0, 0]
     assert loaded == []
-
-
-def test_simulate_loads_scipy_integrate(tmp_path):
-    path = write_config(tmp_path, t_end=1.0, samples=3)
-    codes, loaded = run_fresh(tmp_path, path, "simulate")
-    assert codes == [0]
-    assert "scipy.integrate" in loaded
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from coupled_pendula import (
     integrate,
     linear_system,
 )
-from coupled_pendula.dynamics import CSV_HEADER, _accel_q_arrays, _accel_y_arrays
+from coupled_pendula.dynamics import (CSV_HEADER, _accel_q_arrays, _accel_y_arrays,
+                                      _y_constants)
 from coupled_pendula.verification import random_params
 
 from oracles import generalized_damping, propagate_linear, reference_trajectory
@@ -81,7 +82,7 @@ def test_accel_formulations_agree(rng):
             xdd, a1, a2 = _accel_q_arrays(x, t1, t2, xd, t1d, t2d, p, model)
             ref = np.stack([xdd, a1 + a2, a1 - a2])
             got = np.stack(_accel_y_arrays(x, t1 + t2, t1 - t2, xd,
-                                           t1d + t2d, t1d - t2d, p, model))
+                                           t1d + t2d, t1d - t2d, _y_constants(p, model)))
             scale = np.maximum(1.0, np.abs(ref).max(axis=0))
             assert np.max(np.abs(got - ref).max(axis=0) / scale) <= 1e-9
 
@@ -93,7 +94,7 @@ def test_plain_float_accel_matches_numpy_bits(rng):
         p = random_params(rng)
         for v in rng.uniform(-3, 3, (50, 6)).tolist():
             for model in (FULL, ROT):
-                plain = _accel_y_arrays(*v, p, model, math)
+                plain = _accel_y_arrays(*v, _y_constants(p, model), math)
                 assert list(plain) == accel_y(SystemState.from_y(*v), p, model).tolist()
 
 
@@ -285,27 +286,29 @@ def test_integrated_trajectory_csv_bytes_match_format(tmp_path, identical_params
 
 
 def test_solve_ivp_seam_honours_rebinding(monkeypatch, identical_params):
-    # the module attribute is scipy's solver, loaded on first use; a
-    # wrapper bound over it (as a tracer does) sees every integration
-    import scipy.integrate
-    from coupled_pendula import dynamics, regions
+    # the module attribute is the in-repo batch solver; a wrapper bound
+    # over it (as a tracer does) sees every integration, one call per batch
+    from coupled_pendula import _dop853, dynamics, regions
     assert not hasattr(dynamics, "no_such_name")
-    assert dynamics.solve_ivp is scipy.integrate.solve_ivp
+    assert dynamics.solve_ivp is _dop853.solve_ivp
     state = SystemState.from_y(0.01, 0.02, 0.015)
     ref = integrate(state, identical_params, FULL, 2.0, samples=21)
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["method"])
-        return scipy.integrate.solve_ivp(*args, **kwargs)
+    def counting(funs, *args, **kwargs):
+        calls.append(len(funs))
+        return _dop853.solve_ivp(funs, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "solve_ivp", counting)
     traj = integrate(state, identical_params, FULL, 2.0, samples=21)
-    assert calls == ["DOP853"]
+    assert calls == [1]
     assert np.array_equal(traj.times, ref.times)
     assert np.array_equal(traj.states, ref.states)
     regions.empirical_decay_rates(identical_params, state, 20.0, samples=401)
-    assert calls == ["DOP853", "DOP853"]
+    assert calls == [1, 1]
+    regions.empirical_decay_rates([identical_params] * 2, [state] * 2, [20.0, 10.0],
+                                  samples=401)
+    assert calls == [1, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +317,9 @@ def test_solve_ivp_seam_honours_rebinding(monkeypatch, identical_params):
 
 @pytest.mark.parametrize("sigmadot0", [1e160, math.inf, math.nan])
 def test_non_finite_rhs_at_start_raises_before_solving(identical_params, sigmadot0):
-    # a NaN right-hand side at t=0 gives scipy a NaN first step, and the
-    # solver would never return; at 1e160 the float ** overflows, which
-    # the right-hand side turns into NaN
+    # a NaN right-hand side at t=0 would make the first step NaN, so the
+    # solver stops the trajectory before stepping; at 1e160 the float **
+    # overflows, which the right-hand side turns into NaN
     from coupled_pendula import StiffnessError
     with pytest.raises(StiffnessError, match="not finite at t=0") as exc:
         integrate(SystemState.from_y(0, 0, 0, 0, sigmadot0, 0), identical_params,
@@ -325,11 +328,12 @@ def test_non_finite_rhs_at_start_raises_before_solving(identical_params, sigmado
 
 
 def _forced_solver(force):
-    # scipy's solver on the right-hand side as ``force`` rewrites it
-    import scipy.integrate
+    # the in-repo solver on the right-hand sides as ``force`` rewrites them
+    from coupled_pendula import _dop853
 
-    def solver(fun, *args, **kwargs):
-        return scipy.integrate.solve_ivp(lambda t, y: force(fun, t, y), *args, **kwargs)
+    def solver(funs, *args, **kwargs):
+        return _dop853.solve_ivp([lambda t, y, fun=fun: force(fun, t, y) for fun in funs],
+                                 *args, **kwargs)
     return solver
 
 
@@ -350,14 +354,13 @@ def test_finite_time_blowup_raises_stiffness_error(identical_params, monkeypatch
     assert 0.0 < exc.value.t_reached <= 1.05
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_infinite_state_in_solver_raises_stiffness_error(identical_params, monkeypatch):
     # the state becomes inf (and 0 * inf = nan) on the first trial step;
     # the plain-float right-hand side must stall the solver, not leak
     # math's ValueError
     from coupled_pendula import StiffnessError, dynamics
     monkeypatch.setattr(dynamics, "solve_ivp", _forced_solver(
-        lambda fun, t, y: fun(t, y * math.inf if t > 0 else y)))
+        lambda fun, t, y: fun(t, [v * math.inf for v in y] if t > 0 else y)))
     with pytest.raises(StiffnessError) as exc:
         integrate(SystemState.from_y(0.01, 0.02, 0.015), identical_params, FULL,
                   t_end=5.0, samples=11)

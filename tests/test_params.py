@@ -118,6 +118,14 @@ def test_bm_values_exact():
     assert d.bm_minus == 0.0
 
 
+def test_derived_constants_overflow_names_the_field():
+    # l1**2 overflows a float: a typed error, not a bare OverflowError
+    p = PhysicalParams(m0=1, m1=1, m2=1, l1=1e300, l2=1, beta0=1, beta1=1, beta2=1, k=1)
+    with pytest.raises(ParamError, match="^l1: ") as exc:
+        derived_constants(p)
+    assert exc.value.field == "l1"
+
+
 # ---------------------------------------------------------------------------
 # coordinate transforms
 # ---------------------------------------------------------------------------

@@ -18,33 +18,20 @@ def test_no_runtime_invariant_relies_on_assert():
     assert not found, f"assert statements in the package: {found}"
 
 
-def _import_time_statements(tree):
-    """Import statements that run when the module is imported: everything
-    outside function bodies (module level, class bodies, if/try blocks)."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _is_scipy(name):
     return name == "scipy" or name.startswith("scipy.")
 
 
 def test_scipy_not_imported_at_module_level():
-    # reduce, spectrum and regions never integrate; scipy loads inside the
-    # function that first needs it, so those commands start without it
+    # scipy is a test-only dependency: the package imports it nowhere,
+    # neither at module level nor inside a function
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(PACKAGE_DIR.glob("*.py"))
-             for node in _import_time_statements(ast.parse(path.read_text(), str(path)))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if (isinstance(node, ast.Import) and any(_is_scipy(a.name) for a in node.names))
              or (isinstance(node, ast.ImportFrom) and node.level == 0
                  and _is_scipy(node.module))]
-    assert not found, f"module-level scipy imports in the package: {found}"
+    assert not found, f"scipy imports in the package: {found}"
 
 
 def test_exports_resolve():

@@ -22,7 +22,7 @@ from coupled_pendula import (
     routh_hurwitz,
     spectrum_report,
 )
-from coupled_pendula.dynamics import _accel_y_arrays
+from coupled_pendula.dynamics import _accel_y_arrays, _y_constants
 from coupled_pendula.spectral import (
     ek_ratios_dimensionless,
     quartic_from_dimensionless,
@@ -73,7 +73,8 @@ def test_jacobian_matches_rhs_derivative(rng):
         J = linear_system(p, model)
 
         def rhs(v):
-            xdd, sdd, ddd = _accel_y_arrays(v[0], v[1], v[2], v[3], v[4], v[5], p, model)
+            xdd, sdd, ddd = _accel_y_arrays(v[0], v[1], v[2], v[3], v[4], v[5],
+                                            _y_constants(p, model))
             return np.array([v[3], v[4], v[5], xdd, sdd, ddd])
 
         num = central_difference_jacobian(rhs, np.zeros(6), step=1e-6)
@@ -425,6 +426,17 @@ def test_report_identical_has_factors_and_zone(identical_params):
     assert doc["zone"] == zone_from_ratios(doc["ratios"])
     assert len(doc["rh_chain"]) == 7 and len(doc["coeffs"]) == 7
     assert len(doc["gershgorin"]) == 6
+
+
+@pytest.mark.parametrize("field, value", [("beta0", 1.7e308), ("k", 1e308)])
+def test_report_overflowing_coefficients_name_the_field(field, value):
+    # the sextic's coefficients overflow: a typed error, with no numpy
+    # warning (the suite turns warnings into errors) and no inf answer
+    p = PhysicalParams(**{**dict(m0=1, m1=1, m2=1, l1=1, l2=1, beta0=1, beta1=1,
+                                 beta2=1, k=1), field: value})
+    with pytest.raises(ParamError, match=f"^{field}: ") as exc:
+        spectrum_report(p)
+    assert exc.value.field == field
 
 
 def test_report_asymmetric_has_no_zone(asymmetric_params):

@@ -43,15 +43,16 @@ def test_batch_draw_matches_scalar_draws(damped, identical):
     assert len(next_draws) == 1
 
 
-@pytest.mark.parametrize("seed", [3, 20161])
+@pytest.mark.parametrize("seed, n", [(3, 517), (20161, 517), (1, 2000)],
+                         ids=["3", "20161", "1-2000"])
 @pytest.mark.parametrize("check, kernel, reference", [
     (check_ek_containment, "enestrom_kakeya", ek_containment_coeffs),
     (check_rh_vs_roots, "routh_hurwitz", rh_vs_roots_coeffs),
 ])
-def test_batched_check_draws_the_scalar_stream(monkeypatch, seed, check, kernel, reference):
+def test_batched_check_draws_the_scalar_stream(monkeypatch, seed, n, check, kernel, reference):
     # 517 rows: two full blocks of 256 and a short one ending on a
-    # root-built row of the Routh-Hurwitz pattern
-    n = 517
+    # root-built row of the Routh-Hurwitz pattern; 2000 rows: what
+    # ``verify`` draws, 500 of them root-built
     seen = []
     inner = getattr(spectral, kernel)
 
@@ -62,7 +63,7 @@ def test_batched_check_draws_the_scalar_stream(monkeypatch, seed, check, kernel,
     monkeypatch.setattr(spectral, kernel, record)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert check(rng, n).ok
-    assert [len(c) for c in seen] == [256, 256, 5]
+    assert [len(c) for c in seen] == [min(256, n - start) for start in range(0, n, 256)]
     assert np.array_equal(np.concatenate(seen), reference(ref_rng, n))
     assert rng.random() == ref_rng.random()
 
