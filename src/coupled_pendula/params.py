@@ -43,6 +43,7 @@ use is safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,12 +221,21 @@ def reduce_params(p: PhysicalParams) -> ReducedParams:
     """Compute the dimensionless parameter set.
 
     Raises :class:`ParamError` when a pendulum mass is not strictly
-    positive (μ and η would be ill-defined).
+    positive (μ and η would be ill-defined), and, naming the field
+    farthest from 1 in scale, when a group overflows or divides by zero
+    or when l1·l2 is not a normal float (√(l1 l2) and so Λ would be wrong).
     """
     p.require_positive_pendula("parameter reduction")
-    return ReducedParams(*_reduced_groups(p.m0, p.m1, p.m2, p.l1, p.l2, p.beta0,
-                                          p.beta1, p.beta2, p.k, p.g),
-                         nominal=not identical_pendula(p))
+    groups = None
+    if sys.float_info.min <= p.l1 * p.l2 <= sys.float_info.max:
+        try:
+            groups = _reduced_groups(p.m0, p.m1, p.m2, p.l1, p.l2, p.beta0,
+                                     p.beta1, p.beta2, p.k, p.g)
+        except ZeroDivisionError:  # a scale such as 2mg underflows to 0
+            pass
+    if groups is None or not all(map(math.isfinite, groups)):
+        raise ParamError(_extreme_field(p), "out of range for the dimensionless groups")
+    return ReducedParams(*groups, nominal=not identical_pendula(p))
 
 
 def _reduced_groups(m0, m1, m2, l1, l2, beta0, beta1, beta2, k, g, sqrt=math.sqrt):

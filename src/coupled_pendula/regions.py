@@ -16,10 +16,12 @@ annulus [ρm, ρM].  Comparing the two yields, per quadrant point:
   (modulus exactly ω) lies inside the outer annulus radius;
 * the refined real-part bound, proven never to apply (``complex_root_bound``).
 
-All verdicts here are dimensionless (ω ≡ 1).  Analyses specific to the
-η ≤ 1 branch refuse η > 1 rather than guess.  Grid sweeps evaluate every
-node at once and keep the verdicts as numpy columns.  The map's CSV
-goes through the shared ``.9e`` block writer of ``_csvio``.
+All verdicts here are dimensionless (ω ≡ 1) and come from one columnar
+kernel, ``_verdicts``, which holds the one copy of each formula: a grid
+sweep is one call on every node, and each scalar verdict is a one-row
+call.  Analyses specific to the η ≤ 1 branch refuse η > 1 rather than
+guess.  The map's CSV goes through the shared ``.9e`` block writer of
+``_csvio``.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import spectral
+from .spectral import _ZONES, _zone_index
 from ._csvio import byte_cells, e9_cells, write_csv
 from .dynamics import DampingModel, _integrate_rows
-from .params import ParamError, PhysicalParams, SystemState, identical_pendula
+from .params import ParamError, PhysicalParams, identical_pendula
 
 __all__ = [
     "BranchUnsupportedError", "QuadrantPoint", "AntiphaseVerdict", "InphaseCheck",
@@ -48,6 +51,17 @@ class BranchUnsupportedError(ValueError):
     """Requested verdict is only analyzed for η ≤ 1."""
 
 
+def _check_quadrant(**fields: float) -> None:
+    """Refuse an X, Y or η that is not positive and finite, and a μ
+    outside (0, ½), naming the field."""
+    for name, v in fields.items():
+        if name == "mu":
+            if not 0.0 < v < 0.5:
+                raise ParamError(name, "must lie in (0, 1/2)")
+        elif not 0.0 < v < math.inf:
+            raise ParamError(name, "must be positive and finite")
+
+
 @dataclass(frozen=True)
 class QuadrantPoint:
     """A point of the open positive quadrant with its (η, μ) context."""
@@ -58,22 +72,10 @@ class QuadrantPoint:
     mu: float
 
     def __post_init__(self):
-        if not self.X > 0:
-            raise ParamError("X", "must be positive")
-        if not self.Y > 0:
-            raise ParamError("Y", "must be positive")
-        if not self.eta > 0:
-            raise ParamError("eta", "must be positive")
-        if not 0.0 < self.mu < 0.5:
-            raise ParamError("mu", "must lie in (0, 1/2)")
+        _check_quadrant(**vars(self))
 
     def ratios(self) -> np.ndarray:
         return spectral.ek_ratios_dimensionless(self.eta, self.X, self.Y, self.mu)
-
-
-def classify_zone(q: QuadrantPoint) -> str:
-    """Zone Z1-Z4 from the ratio comparison; ties go to the lower index."""
-    return spectral.zone_from_ratios(q.ratios())
 
 
 def _conic_values(X, Y, eta, mu):
@@ -89,16 +91,52 @@ def _conic_values(X, Y, eta, mu):
 
 
 def _conic_signs(X, Y, eta: float, mu: float, field: str) -> np.ndarray:
-    """Signs of the four conics, stacked on a last axis of length 4.
-
-    Raises :class:`ParamError` on ``field`` where a conic overflows: the
-    sign of an infinite or NaN value decides nothing.
-    """
+    """Signs of the four conics as (n, 4) flags; :class:`ParamError` on
+    ``field`` where one overflows, as the sign of inf or NaN decides nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.stack(_conic_values(X, Y, eta, mu), axis=-1)
     if not np.isfinite(vals).all():
         raise ParamError(field, f"conic values overflow on this {field} at eta = {eta:.6g}")
     return vals > 0
+
+
+def _verdicts(X: np.ndarray, Y: np.ndarray, eta: float, mu: float, field: str) -> dict:
+    """Every verdict at the points of the (n,) columns X and Y for one (η, μ).
+
+    The one copy of each formula: grids and single points both come here.
+    Returns the columns ``zone``, ``conics``, ``branch``, ``rho_m`` and
+    ``rho_M`` described under :class:`RegionMap`.
+    """
+    _check_quadrant(eta=eta, mu=mu)
+    conics = _conic_signs(X, Y, eta, mu, field)
+    r = spectral.ek_ratios_dimensionless(eta, X, Y, mu)  # (n, 4)
+    zone, rm_first, rM_first = _zone_index(r)
+    branch = None
+    if eta <= 1.0:
+        one = 1.0 - 2.0 * mu
+        cond_a = eta < 2.0 * r[:, 0]
+        cond_b = eta < 2.0 * r[:, 1]
+        semi = np.where(rM_first, Y > (1.0 - eta) * X + one * eta - 1.0,
+                        X > one * (1.0 - eta))
+        branch = np.stack([cond_a, cond_b, np.where(rm_first, cond_a, cond_b), semi],
+                          axis=-1)
+    return dict(zone=zone, conics=conics, branch=branch,
+                rho_m=np.minimum(r[:, 0], r[:, 1]), rho_M=np.maximum(r[:, 2], r[:, 3]))
+
+
+def _at(q: QuadrantPoint, refuse: Optional[str] = None) -> dict:
+    """The kernel's one-row call at ``q``; with ``refuse``, the name of a
+    verdict analyzed for η ≤ 1 only, η > 1 raises
+    :class:`BranchUnsupportedError`."""
+    v = _verdicts(np.array([q.X]), np.array([q.Y]), q.eta, q.mu, "point")
+    if refuse and v["branch"] is None:
+        raise BranchUnsupportedError(f"{refuse} analyzed for eta <= 1 only")
+    return v
+
+
+def classify_zone(q: QuadrantPoint) -> str:
+    """Zone Z1-Z4 from the ratio comparison; ties go to the lower index."""
+    return _ZONES[int(_at(q)["zone"][0])]
 
 
 def conic_conditions(q: QuadrantPoint) -> tuple[bool, bool, bool, bool]:
@@ -108,8 +146,7 @@ def conic_conditions(q: QuadrantPoint) -> tuple[bool, bool, bool, bool]:
     a1/a2 < a2/a3, a2/a3 < a3/a4.  A point whose conics overflow raises
     :class:`ParamError`, as a grid does.
     """
-    return tuple(_conic_signs(np.float64(q.X), np.float64(q.Y), q.eta, q.mu,
-                              "point").tolist())
+    return tuple(_at(q)["conics"][0].tolist())
 
 
 class AntiphaseVerdict(NamedTuple):
@@ -125,13 +162,7 @@ def antiphase_conditions(q: QuadrantPoint) -> AntiphaseVerdict:
     against a1/a2 (binding in Z3 ∪ Z4).  ``in_a_set`` is the condition
     matching the point's zone.  Only the η ≤ 1 branch is analyzed.
     """
-    if q.eta > 1.0:
-        raise BranchUnsupportedError("antiphase conditions analyzed for eta <= 1 only")
-    r = q.ratios()
-    cond_a = bool(q.eta < 2.0 * r[0])
-    cond_b = bool(q.eta < 2.0 * r[1])
-    in_a = cond_a if r[0] <= r[1] else cond_b
-    return AntiphaseVerdict(cond_a=cond_a, cond_b=cond_b, in_a_set=in_a)
+    return AntiphaseVerdict(*_at(q, "antiphase conditions")["branch"][0, :3].tolist())
 
 
 def mu_threshold(eta: float) -> float:
@@ -152,10 +183,7 @@ def no_inphase_check(q: QuadrantPoint) -> InphaseCheck:
     For η ≤ 1 this holds at every quadrant point, which is why in-phase
     synchronization is never facilitated.
     """
-    if q.eta > 1.0:
-        raise BranchUnsupportedError("in-phase check analyzed for eta <= 1 only")
-    r = q.ratios()
-    margin = 2.0 * max(r[2], r[3]) - q.eta
+    margin = 2.0 * _at(q, "in-phase check")["rho_M"][0] - q.eta
     return InphaseCheck(ok=bool(margin >= 0.0), margin=float(margin))
 
 
@@ -166,13 +194,7 @@ def semicircle_condition(q: QuadrantPoint) -> bool:
     condition reads Y > (1−η)X + (1−2μ)η − 1; with ρM = a3/a4
     (Z2 ∪ Z4) it reads X > (1−2μ)(1−η).
     """
-    if q.eta > 1.0:
-        raise BranchUnsupportedError("semicircle condition analyzed for eta <= 1 only")
-    one = 1.0 - 2.0 * q.mu
-    r = q.ratios()
-    if r[2] >= r[3]:
-        return bool(q.Y > (1.0 - q.eta) * q.X + one * q.eta - 1.0)
-    return bool(q.X > one * (1.0 - q.eta))
+    return bool(_at(q, "semicircle condition")["branch"][0, 3])
 
 
 class RootBound(NamedTuple):
@@ -249,7 +271,6 @@ class GridSpec:
         return np.linspace(lo, hi, n)
 
 
-_ZONES = ("Z1", "Z2", "Z3", "Z4")
 _CSV_HEADER = ("X,Y,zone,conic1,conic2,conic3,conic4,condA,condB,inA,"
                "semicircle,refined,rho_m_over_omega,rho_M_over_omega")
 
@@ -315,33 +336,9 @@ class RegionMap:
 
 def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:
     """Evaluate every verdict on the grid; refuse it if a conic overflows."""
-    if not eta > 0:
-        raise ParamError("eta", "must be positive")
-    if not 0.0 < mu < 0.5:
-        raise ParamError("mu", "must lie in (0, 1/2)")
-    xs = grid.axis("x")
-    ys = grid.axis("y")
-    X = np.tile(xs, ys.size)
-    Y = np.repeat(ys, xs.size)
-    conics = _conic_signs(X, Y, eta, mu, "grid")
-    r = spectral.ek_ratios_dimensionless(eta, X, Y, mu)  # (n, 4)
-    rm_first = r[:, 0] <= r[:, 1]
-    rM_first = r[:, 2] >= r[:, 3]
-    branch = None
-    if eta <= 1.0:
-        one = 1.0 - 2.0 * mu
-        cond_a = eta < 2.0 * r[:, 0]
-        cond_b = eta < 2.0 * r[:, 1]
-        semi = np.where(rM_first, Y > (1.0 - eta) * X + one * eta - 1.0,
-                        X > one * (1.0 - eta))
-        branch = np.stack([cond_a, cond_b, np.where(rm_first, cond_a, cond_b), semi],
-                          axis=-1)
-    return RegionMap(grid=grid, eta=eta, mu=mu, xs=xs, ys=ys,
-                     zone=2 * ~rm_first + ~rM_first,
-                     conics=conics,
-                     branch=branch,
-                     rho_m=np.minimum(r[:, 0], r[:, 1]),
-                     rho_M=np.maximum(r[:, 2], r[:, 3]))
+    xs, ys = grid.axis("x"), grid.axis("y")
+    return RegionMap(grid, eta, mu, xs, ys,
+                     **_verdicts(np.tile(xs, ys.size), np.repeat(ys, xs.size), eta, mu, "grid"))
 
 
 # ---------------------------------------------------------------------------

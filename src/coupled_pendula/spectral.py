@@ -78,7 +78,11 @@ class EKInapplicableError(ValueError):
 
 def linear_system(p: PhysicalParams,
                   model: DampingModel = DampingModel.FULL_VELOCITY) -> np.ndarray:
-    """6x6 matrix of the linearized system in (x, σ, δ, ẋ, σ̇, δ̇)."""
+    """6x6 matrix of the linearized system in (x, σ, δ, ẋ, σ̇, δ̇).
+
+    An entry that overflows, or a scale d·l1·l2 that underflows to 0,
+    raises :class:`ParamError` naming the field farthest from 1 in scale.
+    """
     p.require_positive_pendula("linear system")
     m, g, k = p.m, p.g, p.k
     l1, l2 = p.l1, p.l2
@@ -92,12 +96,14 @@ def linear_system(p: PhysicalParams,
     J[0, 3] = J[1, 4] = J[2, 5] = 1.0
 
     d = m * (1.0 - 2.0 * mu)
+    e = d * l1 * l2
+    if not e > 0:  # d·l1·l2, and so maybe d, underflows to 0
+        raise ParamError(_extreme_field(p), "out of range for the linear system")
     J[3, 0] = -k / d
     J[3, 1] = 0.5 * (m1 + m2) * g / d
     J[3, 2] = 0.5 * (m1 - m2) * g / d
     J[3, 3] = -b0 / d
 
-    e = d * l1 * l2
     J[4, 0] = (l1 + l2) * k / e
     J[4, 1] = -(l1 + l2) * m * g / 2.0 / e
     J[4, 2] = 0.5 * g * (m * (l1 - l2) - 2.0 * (m1 * l1 - m2 * l2)) / e
@@ -115,6 +121,8 @@ def linear_system(p: PhysicalParams,
         J[5, 3] = -(l1 - l2) * b0 / e
     J[4, 4] = J[5, 5] = -0.5 * (bm1 + bm2)
     J[4, 5] = J[5, 4] = -0.5 * (bm1 - bm2)
+    if not np.isfinite(J).all():
+        raise ParamError(_extreme_field(p), "out of range for the linear system")
     return J
 
 
@@ -394,10 +402,21 @@ def ek_ratios(rp: ReducedParams) -> np.ndarray:
     return ek_ratios_dimensionless(rp.eta, rp.X, rp.Y, rp.mu, rp.omega)
 
 
+_ZONES = ("Z1", "Z2", "Z3", "Z4")
+
+
+def _zone_index(r: np.ndarray):
+    """Zone index 0-3 (Z1-Z4) of ratio rows (..., 4) by which ratios attain
+    ρm and ρM, ties to the lower index, with the two masks it is built
+    from: whether a0/a1 attains ρm and whether a2/a3 attains ρM."""
+    rm_first = r[..., 0] <= r[..., 1]
+    rM_first = r[..., 2] >= r[..., 3]
+    return 2 * ~rm_first + ~rM_first, rm_first, rM_first
+
+
 def zone_from_ratios(ratios: np.ndarray) -> str:
-    """Zone label by which ratios attain ρm and ρM (ties to lower index)."""
-    r = np.asarray(ratios, dtype=float)
-    return f"Z{1 + 2 * (not r[0] <= r[1]) + (not r[2] >= r[3])}"
+    """Zone label of one row of four ratios (see :func:`_zone_index`)."""
+    return _ZONES[int(_zone_index(np.asarray(ratios, dtype=float))[0])]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ return at the first zero pivot, congruence products by plain matrix multiplicati
 eigendecomposition propagation of the linear system, a tight
 mass-matrix trajectory for the nonlinear integrator, a per-row
 f-string region CSV writer that the block writer must match byte for
-byte, the one-draw-at-a-time polynomial loops whose generator
+byte, every quadrant verdict from its definition on a quartic written
+out by hand, the one-draw-at-a-time polynomial loops whose generator
 stream and coefficient rows the batched ``verify`` checks must
 reproduce, the generalized damping force Φ behind the energy-rate
 identity dE/dt = q̇·Φ, and the inertia and stiffness matrices of the
@@ -178,6 +179,47 @@ def reference_region_csv(rmap) -> bytes:
         lines.append(f"{X:.9e},{Y:.9e},Z{int(rmap.zone[i]) + 1},{flags(rmap.conics[i])},"
                      f"{branch},na,{float(rmap.rho_m[i]):.9e},{float(rmap.rho_M[i]):.9e}")
     return ("\n".join(lines) + "\n").encode()
+
+
+def _less(u, v):
+    """(u < v, |v − u| / max(u, v)) on positive columns: a comparison and
+    its relative gap (for finite floats, v − u > 0 exactly when u < v)."""
+    d = v - u
+    return d > 0, np.abs(d) / np.maximum(u, v)
+
+
+def quadrant_oracle(X, Y, eta, mu) -> tuple[dict, dict]:
+    """Every quadrant verdict from its definition, on broadcast columns.
+
+    The x/σ quartic at ω = 1 is written out here: a0 = Y,
+    a1 = X + ηY + 2μη, a2 = ηX + Y + 1, a3 = X + (1−2μ)η, a4 = 1 − 2μ,
+    with ratios r_j = a_j/a_{j+1} (``ratios``, shape (4, n)).  ρm and ρM
+    are the least and greatest of the four.  The zone is Z1 when r0
+    attains ρm and r2 attains ρM, plus 2 when r0 does not and 1 when r2
+    does not, so ties go to the lower index.  condA is η < 2r0,
+    condB η < 2r1, inA η < 2ρm, semicircle 1 < ρM, and the conics are
+    r0 < r1, r0 < r3, r1 < r2, r2 < r3.
+
+    Returns (verdicts, gaps): ``gaps`` holds, for each decided verdict,
+    the relative gap of the comparison that decides it, so that a test
+    can set aside the draws within rounding of a boundary.
+    """
+    X, Y, eta, mu = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (X, Y, eta, mu)))
+    a = (Y, X + eta * Y + 2.0 * mu * eta, eta * X + Y + 1.0, X + (1.0 - 2.0 * mu) * eta,
+         1.0 - 2.0 * mu)
+    r = [a[j] / a[j + 1] for j in range(4)]
+    ratios = np.stack(r)
+    verdicts = {"ratios": ratios, "rho_m": ratios.min(axis=0), "rho_M": ratios.max(axis=0)}
+    gaps = {}
+    for name, (u, v) in {"cond_a": (eta, 2.0 * r[0]), "cond_b": (eta, 2.0 * r[1]),
+                         "in_a": (eta, 2.0 * verdicts["rho_m"]),
+                         "semicircle": (1.0, verdicts["rho_M"])}.items():
+        verdicts[name], gaps[name] = _less(u, v)
+    conics = [_less(r[i], r[j]) for i, j in ((0, 1), (0, 3), (1, 2), (2, 3))]
+    verdicts["conics"], gaps["conics"] = (np.stack(c, axis=-1) for c in zip(*conics))
+    verdicts["zone"] = 2 * (r[0] != verdicts["rho_m"]) + (r[2] != verdicts["rho_M"])
+    gaps["zone"] = np.minimum(conics[0][1], conics[3][1])
+    return verdicts, gaps
 
 
 def scalar_random_params(rng: np.random.Generator, *, damped: bool = True,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -93,7 +94,12 @@ def test_non_finite_input_rejected(tmp_path, capsys, command, field, overrides):
     ("simulate", {"m0": 1e-30}, "m0: negligible against m1 + m2"),
     ("reduce", {"l1": 1e300}, "l1: out of range"),  # float ** overflows
     ("spectrum", {"beta0": 1.7e308}, "beta0: out of range"),
-], ids=["spectrum_light_beam", "simulate_light_beam", "reduce_long_rod", "spectrum_huge_beta0"])
+    ("reduce", {"k": 1e308}, "k: out of range"),  # Y overflows
+    ("reduce", {"l1": 1e300, "l2": 1e300}, "l1: out of range"),  # l1·l2 overflows
+    ("reduce", {"l1": 1e-200, "l2": 1e-200}, "l1: out of range"),  # l1·l2 underflows
+    ("simulate", {"k": 1e308}, "k: out of range"),
+], ids=["spectrum_light_beam", "simulate_light_beam", "reduce_long_rod", "spectrum_huge_beta0",
+        "reduce_stiff_spring", "reduce_long_rods", "reduce_short_rods", "simulate_stiff_spring"])
 def test_extreme_numbers_exit_2(tmp_path, capsys, command, overrides, message):
     # finite but extreme parameters whose arithmetic overflows, or a beam
     # so light that 1 - 2 mu rounds to 0, are refused in one line
@@ -432,6 +438,45 @@ def test_regions_all_zones_present(tmp_path, capsys):
     assert summary["mu"] == 0.25
     assert all(summary["zone_fractions"][z] > 0 for z in ("Z1", "Z2", "Z3", "Z4"))
     assert len(out_csv.read_text().splitlines()) == 50 * 50 + 1
+
+
+# Pinned bytes: (overrides, stdout without its newline, sha256 of the CSV)
+# for η = 0.5 on a log grid, η = 1 exactly (ω = 2 at g = 4) on a linear
+# grid, and η = 1.7 on a linear grid, whose branch cells are all "na".
+REGIONS_GOLDEN = {
+    "eta-below-one-log": (
+        {"beta1": 0.5 * math.sqrt(9.81), "beta2": 0.5 * math.sqrt(9.81),
+         "grid": {"x_min": 0.01, "x_max": 10.0, "y_min": 0.01, "y_max": 10.0,
+                  "nx": 60, "ny": 50, "spacing": "log"}},
+        '{"cells":3000,"eta":0.5,"in_a_fraction":0.53733333333333333,"mu":0.25,"out":"map.c'
+        'sv","zone_fractions":{"Z1":0.24233333333333335,"Z2":0.34033333333333332,"Z3":0.39033'
+        '333333333331,"Z4":0.027}}',
+        "7222a4a9d020af169a8152c97b18a81b48f814c4553a8af836c9716d31628be9"),
+    "eta-one": (
+        {"g": 4.0, "m0": 3.0, "m1": 0.5, "m2": 0.5, "beta1": 1.0, "beta2": 1.0,
+         "grid": {"x_min": 0.05, "x_max": 5.0, "y_min": 0.05, "y_max": 5.0,
+                  "nx": 40, "ny": 40, "spacing": "linear"}},
+        '{"cells":1600,"eta":1,"in_a_fraction":0.46187499999999998,"mu":0.125,"out":"map.csv'
+        '","zone_fractions":{"Z1":0.14874999999999999,"Z2":0.78812499999999996,"Z3":0.063125'
+        '000000000001,"Z4":0}}',
+        "ab44647d05757a470f445a5a256d5ef062bd4f1f87143c035aa789f3e6b89a68"),
+    "eta-above-one-linear": (
+        {"m0": 1.0, "beta1": 1.7 * math.sqrt(9.81), "beta2": 1.7 * math.sqrt(9.81),
+         "grid": {"x_min": 0.1, "x_max": 8.0, "y_min": 0.1, "y_max": 8.0,
+                  "nx": 45, "ny": 35, "spacing": "linear"}},
+        '{"cells":1575,"eta":1.7,"in_a_fraction":null,"mu":0.33333333333333331,"out":"map.cs'
+        'v","zone_fractions":{"Z1":0.10476190476190476,"Z2":0.89523809523809528,"Z3":0,"Z4":0}}',
+        "f683181f31e5278360c335ec77daeb9721d4ad5802a63dff66934d3ebf99659f"),
+}
+
+
+@pytest.mark.parametrize("name", list(REGIONS_GOLDEN))
+def test_regions_output_golden(tmp_path, capsys, monkeypatch, name):
+    overrides, text, digest = REGIONS_GOLDEN[name]
+    path = write_config(tmp_path, **overrides)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "regions", "--config", path, "--out", "map.csv") == (0, text + "\n", "")
+    assert hashlib.sha256((tmp_path / "map.csv").read_bytes()).hexdigest() == digest
 
 
 def test_regions_grid_validation(tmp_path, capsys):

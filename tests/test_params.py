@@ -126,6 +126,21 @@ def test_derived_constants_overflow_names_the_field():
     assert exc.value.field == "l1"
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"k": 1e308}, "k"),  # Y = k(l1 + l2)/(2mg) overflows
+    ({"l1": 1e300, "l2": 1e300}, "l1"),  # l1·l2 overflows: Λ would read 0
+    ({"l1": 1e-200, "l2": 1e-200}, "l1"),  # l1·l2 underflows: Λ divides by 0
+])
+def test_reduce_params_out_of_range_names_the_field(overrides, field):
+    # the suite turns warnings into errors, so no numpy or float warning
+    # passes either
+    p = PhysicalParams(**{**dict(m0=1, m1=1, m2=1, l1=1, l2=1, beta0=1, beta1=1,
+                                 beta2=1, k=1), **overrides})
+    with pytest.raises(ParamError, match=f"^{field}: out of range") as exc:
+        reduce_params(p)
+    assert exc.value.field == field
+
+
 # ---------------------------------------------------------------------------
 # coordinate transforms
 # ---------------------------------------------------------------------------

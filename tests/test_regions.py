@@ -25,10 +25,14 @@ from coupled_pendula import (
     semicircle_condition,
 )
 from coupled_pendula._csvio import _EXP_WORDS, _LEAD_WORDS, _MID_WORDS, e9_cells
-from coupled_pendula.regions import MAX_GRID_NODES, _strict_peaks
+from coupled_pendula.regions import MAX_GRID_NODES, _strict_peaks, _verdicts
 from coupled_pendula.spectral import ek_ratios_dimensionless, quartic_from_dimensionless
 from coupled_pendula.verification import DECAY_PANEL
-from oracles import reference_region_csv
+from oracles import quadrant_oracle, reference_region_csv
+
+# Relative gap to a verdict's boundary below which a draw is set aside:
+# there the kernel's formula and the oracle's definition may round apart.
+BAND = 1e-12
 
 
 def rand_points(rng, n, eta_hi=1.0):
@@ -37,6 +41,30 @@ def rand_points(rng, n, eta_hi=1.0):
     Y = 10 ** rng.uniform(-2, 2, n)
     mu = rng.uniform(0.01, 0.49, n)
     return eta, X, Y, mu
+
+
+def kernel_draws(rng, n_ctx, n_pts, eta=(0.05, 1.0), mu=(0.01, 0.49), x=(-2, 2), y=(-2, 2)):
+    """The verdict kernel on n_ctx uniform (η, μ) draws, each with n_pts
+    (X, Y) draws log-uniform over the decades ``x`` and ``y``.
+
+    Returns the kernel's columns, concatenated (``branch`` None if some
+    η > 1), and the (X, Y, η, μ) columns of the draws.
+    """
+    etas, mus = rng.uniform(*eta, n_ctx), rng.uniform(*mu, n_ctx)
+    X = 10 ** rng.uniform(*x, (n_ctx, n_pts))
+    Y = 10 ** rng.uniform(*y, (n_ctx, n_pts))
+    parts = [_verdicts(*row, "point") for row in zip(X, Y, etas.tolist(), mus.tolist())]
+    got = {k: None if any(v[k] is None for v in parts) else np.concatenate([v[k] for v in parts])
+           for k in parts[0]}
+    return got, (X.ravel(), Y.ravel(), np.repeat(etas, n_pts), np.repeat(mus, n_pts))
+
+
+def assert_agree(got, want, gap, max_set_aside=10):
+    """``got`` equals ``want`` wherever the relative gap to the boundary
+    exceeds BAND; only a few draws lie within it."""
+    near = gap <= BAND
+    assert not np.any((got != want) & ~near)
+    assert np.count_nonzero(near) <= max_set_aside
 
 
 # ---------------------------------------------------------------------------
@@ -50,18 +78,15 @@ def test_zone_example():
 
 
 def test_zone_agrees_with_bruteforce(rng):
-    eta, X, Y, mu = rand_points(rng, 100_000, eta_hi=3.0)
-    r = ek_ratios_dimensionless(eta, X, Y, mu)
-    for i in rng.choice(100_000, 400, replace=False):
-        q = QuadrantPoint(X=X[i], Y=Y[i], eta=eta[i], mu=mu[i])
-        zone = classify_zone(q)
-        rho_m, rho_M = np.min(r[i]), np.max(r[i])
-        assert rho_m in (r[i, 0], r[i, 1]) and rho_M in (r[i, 2], r[i, 3])
-        expected = {("yes", "yes"): "Z1", ("yes", "no"): "Z2",
-                    ("no", "yes"): "Z3", ("no", "no"): "Z4"}[
-            ("yes" if r[i, 0] <= r[i, 1] else "no",
-             "yes" if r[i, 2] >= r[i, 3] else "no")]
-        assert zone == expected
+    got, cols = kernel_draws(rng, 20, 2500, eta=(0.05, 3.0))
+    want, gap = quadrant_oracle(*cols)
+    # rho_m is attained by a0/a1 or a1/a2, rho_M by a2/a3 or a3/a4
+    r = want["ratios"]
+    assert np.all((r[0] == want["rho_m"]) | (r[1] == want["rho_m"]))
+    assert np.all((r[2] == want["rho_M"]) | (r[3] == want["rho_M"]))
+    assert_agree(got["zone"], want["zone"], gap["zone"])
+    for name in ("rho_m", "rho_M"):
+        assert np.allclose(got[name], want[name], rtol=1e-14, atol=0)
 
 
 def test_quadrant_point_validation():
@@ -69,6 +94,22 @@ def test_quadrant_point_validation():
         QuadrantPoint(X=0.0, Y=1.0, eta=0.5, mu=0.2)
     with pytest.raises(ParamError):
         QuadrantPoint(X=1.0, Y=1.0, eta=0.5, mu=0.6)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("X", math.inf), ("X", math.nan), ("Y", math.inf), ("Y", -1.0),
+    ("eta", math.inf), ("eta", math.nan), ("eta", 0.0), ("mu", math.nan), ("mu", 0.5),
+])
+def test_non_finite_quadrant_input_names_the_field(field, value):
+    # refused where it enters, before any verdict divides by it
+    point = {**dict(X=1.0, Y=1.0, eta=0.6, mu=0.25), field: value}
+    with pytest.raises(ParamError) as exc:
+        QuadrantPoint(**point)
+    assert exc.value.field == field
+    if field in ("eta", "mu"):
+        with pytest.raises(ParamError) as exc:
+            region_map(GridSpec(0.1, 1.0, 0.1, 1.0, 3, 3), point["eta"], point["mu"])
+        assert exc.value.field == field
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +122,14 @@ def test_conic_one_near_origin():
 
 
 def test_conic_overflow_raises_param_error():
-    # the point path refuses what the grid path refuses, with no warning
+    # the point path refuses what the grid path refuses, with no warning,
+    # in every one-row call of the kernel
     for X, Y in ((1e155, 1.0), (1e300, 1.0), (1.0, 1e155)):
         q = QuadrantPoint(X=X, Y=Y, eta=0.6, mu=0.25)
-        with np.errstate(all="raise"), pytest.raises(ParamError, match="^point: conic"):
-            conic_conditions(q)
+        for verdict in (conic_conditions, classify_zone, antiphase_conditions,
+                        no_inphase_check, semicircle_condition):
+            with np.errstate(all="raise"), pytest.raises(ParamError, match="^point: conic"):
+                verdict(q)
 
 
 def test_conics_equal_ratio_comparisons(rng):
@@ -104,13 +148,10 @@ def test_conics_equal_ratio_comparisons(rng):
 def test_conic_degenerate_eta():
     # eta^2 = 4/3: first conic degenerates to lines; verdicts stay consistent
     eta = np.sqrt(4 / 3)
-    rng = np.random.default_rng(5)
-    for _ in range(2000):
-        X, Y = 10 ** rng.uniform(-1.5, 1.5, 2)
-        mu = rng.uniform(0.05, 0.45)
-        q = QuadrantPoint(X=X, Y=Y, eta=eta, mu=mu)
-        r = q.ratios()
-        assert conic_conditions(q)[0] == (r[0] < r[1])
+    got, cols = kernel_draws(np.random.default_rng(5), 40, 100, eta=(eta, eta),
+                             mu=(0.05, 0.45), x=(-1.5, 1.5), y=(-1.5, 1.5))
+    want, gap = quadrant_oracle(*cols)
+    assert_agree(got["conics"], want["conics"], gap["conics"])
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +168,37 @@ def test_antiphase_example_not_facilitated():
 
 def test_antiphase_condition_is_line_inequality(rng):
     # (A) <=> eta X + (eta^2-2) Y + 2 mu eta^2 < 0; (B) similarly
-    for _ in range(10_000):
-        eta = rng.uniform(0.05, 1.0)
-        X, Y = 10 ** rng.uniform(-2, 2, 2)
-        mu = rng.uniform(0.01, 0.49)
-        q = QuadrantPoint(X=X, Y=Y, eta=eta, mu=mu)
-        v = antiphase_conditions(q)
-        assert v.cond_a == (eta * X + (eta**2 - 2) * Y + 2 * mu * eta**2 < 0)
-        assert v.cond_b == ((2 - eta**2) * X + eta * Y - eta * (1 - 4 * mu) > 0)
+    got, (X, Y, eta, mu) = kernel_draws(rng, 100, 200)
+    want, gap = quadrant_oracle(X, Y, eta, mu)
+    cond_a, cond_b, in_a, _ = got["branch"].T
+    for name, flags in (("cond_a", cond_a), ("cond_b", cond_b), ("in_a", in_a)):
+        assert_agree(flags, want[name], gap[name])
+    for flags, terms in ((cond_a, (eta * X, (eta**2 - 2) * Y, 2 * mu * eta**2)),
+                         (cond_b, ((eta**2 - 2) * X, -eta * Y, eta * (1 - 4 * mu)))):
+        line = sum(terms)
+        assert_agree(flags, line < 0, np.abs(line) / sum(np.abs(t) for t in terms))
 
 
 def test_antiphase_rejects_large_eta():
     with pytest.raises(BranchUnsupportedError):
         antiphase_conditions(QuadrantPoint(X=1.0, Y=1.0, eta=1.5, mu=0.2))
+
+
+@pytest.mark.parametrize("verdict", [antiphase_conditions, no_inphase_check,
+                                     semicircle_condition])
+def test_branch_verdicts_refuse_eta_above_one(verdict):
+    q = QuadrantPoint(X=1.0, Y=1.0, eta=1.0 + 1e-12, mu=0.2)
+    with pytest.raises(BranchUnsupportedError, match="eta <= 1 only"):
+        verdict(q)
+
+
+def test_scalar_verdicts_example_point():
+    # one-row calls at X = Y = eta = 1, mu = 1/4: ratios 0.4, 5/6, 2, 3
+    q = QuadrantPoint(X=1.0, Y=1.0, eta=1.0, mu=0.25)
+    assert conic_conditions(q) == (True, True, True, True)
+    assert antiphase_conditions(q) == (False, True, False)
+    assert semicircle_condition(q) is True
+    assert no_inphase_check(q) == (True, 5.0)
 
 
 def test_mu_threshold_values():
@@ -156,13 +215,11 @@ def test_mu_threshold_values():
 # ---------------------------------------------------------------------------
 
 def test_no_inphase_always_true(rng):
-    for _ in range(10_000):
-        eta = rng.uniform(0.01, 1.0)
-        X, Y = 10 ** rng.uniform(-3, 3, 2)
-        mu = rng.uniform(0.001, 0.499)
-        chk = no_inphase_check(QuadrantPoint(X=X, Y=Y, eta=eta, mu=mu))
-        assert chk.ok
-        assert chk.margin >= 0
+    got, (X, Y, eta, mu) = kernel_draws(rng, 100, 100, eta=(0.01, 1.0), mu=(0.001, 0.499),
+                                        x=(-3, 3), y=(-3, 3))
+    want, _ = quadrant_oracle(X, Y, eta, mu)
+    assert np.allclose(got["rho_M"], want["rho_M"], rtol=1e-14, atol=0)
+    assert np.all(2.0 * got["rho_M"] - eta >= 0)  # no_inphase_check's margin
 
 
 def test_no_inphase_margin_example():
@@ -188,13 +245,9 @@ def test_semicircle_eta_one_everywhere(rng):
 
 
 def test_semicircle_equals_direct_comparison(rng):
-    for _ in range(10_000):
-        eta = rng.uniform(0.05, 1.0)
-        X, Y = 10 ** rng.uniform(-2, 2, 2)
-        mu = rng.uniform(0.01, 0.49)
-        q = QuadrantPoint(X=X, Y=Y, eta=eta, mu=mu)
-        r = q.ratios()
-        assert semicircle_condition(q) == bool(1.0 < max(r[2], r[3]))
+    got, cols = kernel_draws(rng, 100, 100)
+    want, gap = quadrant_oracle(*cols)
+    assert_agree(got["branch"][:, 3], want["semicircle"], gap["semicircle"])
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +281,28 @@ def test_root_bound_never_applies():
 # ---------------------------------------------------------------------------
 # region maps
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid, eta, mu", [
+    (GridSpec(0.01, 10.0, 0.01, 10.0, 60, 50, "log"), 0.6, 0.25),
+    (GridSpec(0.05, 5.0, 0.05, 5.0, 40, 40, "linear"), 1.0, 0.125),
+    (GridSpec(0.1, 8.0, 0.1, 8.0, 45, 35, "linear"), 1.7, 0.3),
+])
+def test_region_map_matches_quadrant_oracle(grid, eta, mu):
+    # the formula check of every CSV column: each verdict of the map
+    # against its definition on the hand-written quartic
+    rmap = region_map(grid, eta, mu)
+    want, gap = quadrant_oracle(np.tile(rmap.xs, rmap.ys.size), np.repeat(rmap.ys, rmap.xs.size),
+                                eta, mu)
+    assert_agree(rmap.zone, want["zone"], gap["zone"])
+    assert_agree(rmap.conics, want["conics"], gap["conics"])
+    for name in ("rho_m", "rho_M"):
+        assert np.allclose(getattr(rmap, name), want[name], rtol=1e-14, atol=0)
+    if eta > 1.0:
+        assert rmap.branch is None
+        return
+    for k, name in enumerate(("cond_a", "cond_b", "in_a", "semicircle")):
+        assert_agree(rmap.branch[:, k], want[name], gap[name])
+
 
 def test_map_zone_boundaries_match_conics():
     grid = GridSpec(0.05, 5.0, 0.05, 5.0, 100, 100, "linear")
@@ -428,20 +503,13 @@ def test_in_a_with_all_real_roots_implies_faster_sigma(rng):
     # set rho_m > eta/2, so every sigma mode decays faster than delta.
     # The combination needs heavy pendula (mu near 1/2), a lightly damped
     # pendulum pair, moderate beam damping, and a soft spring.
-    found = 0
-    for _ in range(40_000):
-        eta = rng.uniform(0.05, 0.4)
-        X = rng.uniform(0.3, 0.7)
-        Y = 10 ** rng.uniform(-2, -0.6)
-        mu = rng.uniform(0.44, 0.4999)
-        q = QuadrantPoint(X=X, Y=Y, eta=eta, mu=mu)
-        if not antiphase_conditions(q).in_a_set:
-            continue
-        roots = poly_roots(quartic_from_dimensionless([eta], [X], [Y], [mu]))[0]
-        if np.any(np.abs(roots.imag) > 1e-9 * np.abs(roots)):
-            continue
-        found += 1
-        assert float(np.min(np.abs(roots.real))) > 0.5 * eta
-        if found >= 200:
-            break
-    assert found >= 200
+    got, cols = kernel_draws(rng, 400, 100, eta=(0.05, 0.4), mu=(0.44, 0.4999),
+                             x=(math.log10(0.3), math.log10(0.7)), y=(-2, -0.6))
+    want, gap = quadrant_oracle(*cols)
+    in_a = got["branch"][:, 2]
+    assert_agree(in_a, want["in_a"], gap["in_a"])
+    X, Y, eta, mu = (c[in_a] for c in cols)
+    roots = poly_roots(quartic_from_dimensionless(eta, X, Y, mu))
+    real = np.all(np.abs(roots.imag) <= 1e-9 * np.abs(roots), axis=1)
+    assert np.count_nonzero(real) >= 200
+    assert np.all(np.min(np.abs(roots[real].real), axis=1) > 0.5 * eta[real])

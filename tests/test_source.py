@@ -59,3 +59,30 @@ def test_one_module_holds_the_e9_cell_format():
                      if any(isinstance(node, ast.Constant) and node.value == ".9e"
                             for node in ast.walk(ast.parse(path.read_text(), str(path)))))
     assert holders == ["_csvio.py"], f"modules with the .9e format spec: {holders}"
+
+
+PERFBENCH_DIR = Path(__file__).parents[1] / "perfbench"
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # the benchmark wraps the functions in perfbench/spans.py's TARGETS
+    # and its gates import names from the package; a refactor that moves
+    # one must not silently break traced runs or the gates
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))
+    spans = importlib.import_module("spans")
+    missing = []
+    for module, attr, *_ in spans.TARGETS:
+        owner = importlib.import_module(module)
+        *cls, name = attr.split(".")
+        if cls:
+            owner = getattr(owner, cls[0], None)
+        if owner is None or name not in vars(owner):
+            missing.append(f"{module}.{attr}")
+    gates = ast.parse((PERFBENCH_DIR / "gates.py").read_text())
+    imported = [alias.name for node in ast.walk(gates)
+                if isinstance(node, ast.ImportFrom) and node.module == "coupled_pendula"
+                for alias in node.names]
+    missing += [f"coupled_pendula.{name}" for name in imported
+                if not hasattr(coupled_pendula, name)]
+    assert imported and len(spans.TARGETS) > 10
+    assert not missing, f"benchmark hooks with no target: {missing}"

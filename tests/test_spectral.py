@@ -439,6 +439,18 @@ def test_report_overflowing_coefficients_name_the_field(field, value):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"k": 1e308}, "k"),  # (l1 + l2)k/(d l1 l2) overflows
+    ({"l1": 1e-200, "l2": 1e-200}, "l1"),  # d·l1·l2 underflows to 0
+])
+def test_linear_system_out_of_range_names_the_field(overrides, field):
+    p = PhysicalParams(**{**dict(m0=1, m1=1, m2=1, l1=1, l2=1, beta0=1, beta1=1,
+                                 beta2=1, k=1), **overrides})
+    with pytest.raises(ParamError, match=f"^{field}: out of range") as exc:
+        linear_system(p)
+    assert exc.value.field == field
+
+
 def test_report_asymmetric_has_no_zone(asymmetric_params):
     doc = spectrum_report(asymmetric_params)
     assert doc["stable"]
