@@ -1,11 +1,13 @@
 """The ``.9e`` CSV writer of ``simulate`` and ``regions``.
 
-:func:`write_csv` fills one reused uint8 buffer of 16,384 rows per block,
-without a Python string per row: separators are set once, each block
-overwrites every cell column in full, so no byte of the previous block
-survives, and pad bytes are dropped with ``bytes.translate``, whose cost,
-unlike a ``buf != 0`` mask's, does not grow with the number of pad runs.
-Float cells are five uint32 words from the word tables of :func:`e9_cells`.
+:func:`write_csv` fills one reused buffer of :data:`BLOCK_ROWS` (8,192)
+rows per block, without a Python string per row: separators are set once,
+each block overwrites every cell column in full, so no byte of the previous
+block survives, and pad bytes are dropped with ``bytearray.translate`` on the
+buffer itself, whose cost, unlike a ``buf != 0`` mask's, does not grow with
+the number of pad runs.  Float cells are five uint32 words from the word
+tables of :func:`e9_cells`.  ``regions`` sweeps its grid in blocks of the
+same size.
 """
 
 from __future__ import annotations
@@ -77,8 +79,10 @@ def e9_cells(v: np.ndarray) -> np.ndarray:
     return out
 
 
-# Rows per block of the CSV writer; bounds its buffers to a few MB.
-_CSV_BLOCK = 16_384
+#: Rows per block of the CSV writer and nodes per block of the ``regions``
+#: sweep; bounds their temporaries to a few MB.  From 4,096 to 16,384 rows
+#: the writer takes the same time; at 32,768 it is slower.
+BLOCK_ROWS = 8_192
 
 
 def write_csv(path, header: str, n: int, cells) -> None:
@@ -86,14 +90,17 @@ def write_csv(path, header: str, n: int, cells) -> None:
     ``rows`` as zero-padded uint8 cell columns, each of one width in every block."""
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode())
-        buf = starts = None
-        for lo in range(0, n, _CSV_BLOCK):
-            columns = cells(slice(lo, min(lo + _CSV_BLOCK, n)))
+        raw = buf = starts = None
+        for lo in range(0, n, BLOCK_ROWS):
+            columns = cells(slice(lo, min(lo + BLOCK_ROWS, n)))
             if buf is None:
                 starts = np.cumsum([0] + [c.shape[1] + 1 for c in columns])
-                buf = np.full((min(n, _CSV_BLOCK), starts[-1]), ord(","), dtype=np.uint8)
+                raw = bytearray(b",") * (min(n, BLOCK_ROWS) * int(starts[-1]))
+                buf = np.frombuffer(raw, np.uint8).reshape(-1, starts[-1])
                 buf[:, -1] = ord("\n")  # the cells overwrite every comma but the separators
-            block = buf[:len(columns[0])]
+            filled = len(columns[0])
             for start, c in zip(starts, columns):
-                block[:, start:start + c.shape[1]] = c  # pad bytes included
-            fh.write(block.tobytes().translate(None, b"\0"))
+                buf[:filled, start:start + c.shape[1]] = c  # pad bytes included
+            # a full block is translated straight from the buffer, not from a copy
+            fh.write((raw if filled == len(buf) else raw[:filled * buf.shape[1]])
+                     .translate(None, b"\0"))

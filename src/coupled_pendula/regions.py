@@ -18,10 +18,10 @@ annulus [ρm, ρM].  Comparing the two yields, per quadrant point:
 
 All verdicts here are dimensionless (ω ≡ 1) and come from one columnar
 kernel, ``_verdicts``, which holds the one copy of each formula: a grid
-sweep is one call on every node, and each scalar verdict is a one-row
-call.  Analyses specific to the η ≤ 1 branch refuse η > 1 rather than
-guess.  The map's CSV goes through the shared ``.9e`` block writer of
-``_csvio``.
+sweep calls it on blocks of ``BLOCK_ROWS`` nodes, and each scalar verdict
+is a one-row call.  Analyses specific to the η ≤ 1 branch refuse η > 1
+rather than guess.  The map's CSV goes through the shared ``.9e`` block
+writer of ``_csvio``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import spectral
 from .spectral import _ZONES, _zone_index
-from ._csvio import byte_cells, e9_cells, write_csv
+from ._csvio import BLOCK_ROWS, byte_cells, e9_cells, write_csv
 from .dynamics import DampingModel, _integrate_rows
 from .params import ParamError, PhysicalParams, identical_pendula
 
@@ -221,8 +221,9 @@ def complex_root_bound(q: QuadrantPoint) -> RootBound:
 # ---------------------------------------------------------------------------
 
 
-#: Most grid nodes (nx·ny) a sweep accepts: 2000×2000.  A sweep peaks at
-#: about 116 bytes per node in memory and writes about 112 per CSV row.
+#: Most grid nodes (nx·ny) a sweep accepts: 2000×2000.  A sweep keeps
+#: about 25 bytes per node in memory (its per-node columns; block
+#: temporaries add a few MB) and writes about 112 per CSV row.
 MAX_GRID_NODES = 4_000_000
 
 
@@ -293,8 +294,8 @@ def _flag_codes(flags: np.ndarray) -> np.ndarray:
 class RegionMap:
     """Verdicts over a grid as per-node columns, row-major in Y then X.
 
-    ``zone`` indexes Z1-Z4; ``conics`` holds the four conic signs and
-    ``branch`` the condA, condB, inA and semicircle flags, both (n, 4),
+    ``zone`` indexes Z1-Z4 as uint8; ``conics`` holds the four conic signs
+    and ``branch`` the condA, condB, inA and semicircle flags, both (n, 4),
     with ``branch`` None when η > 1.
     """
 
@@ -310,8 +311,9 @@ class RegionMap:
     rho_M: np.ndarray
 
     def zone_fractions(self) -> dict[str, float]:
-        counts = np.bincount(self.zone, minlength=len(_ZONES)).tolist()
-        return {z: c / self.zone.size for z, c in zip(_ZONES, counts)}
+        # four passes over the uint8 column beat bincount, which widens it to intp
+        return {z: int(np.count_nonzero(self.zone == k)) / self.zone.size
+                for k, z in enumerate(_ZONES)}
 
     def in_a_fraction(self) -> Optional[float]:
         if self.branch is None:
@@ -325,7 +327,8 @@ class RegionMap:
 
         def cells(rows):
             node = np.arange(rows.start, rows.stop)
-            code = self.zone[rows] * 16 + _flag_codes(self.conics[rows])
+            # in intp: zone and the flag codes are uint8, and codes reach 1,023
+            code = self.zone[rows].astype(np.intp) * 16 + _flag_codes(self.conics[rows])
             if self.branch is not None:
                 code = code * 16 + _flag_codes(self.branch[rows])
             return (x_cells[node % self.grid.nx], y_cells[node // self.grid.nx], middle[code],
@@ -335,10 +338,25 @@ class RegionMap:
 
 
 def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:
-    """Evaluate every verdict on the grid; refuse it if a conic overflows."""
+    """Evaluate every verdict on the grid; refuse it if a conic overflows.
+
+    The kernel runs on blocks of :data:`BLOCK_ROWS` nodes, whose results
+    fill preallocated columns, so its temporaries never span the grid.
+    """
     xs, ys = grid.axis("x"), grid.axis("y")
-    return RegionMap(grid, eta, mu, xs, ys,
-                     **_verdicts(np.tile(xs, ys.size), np.repeat(ys, xs.size), eta, mu, "grid"))
+    n, cols = xs.size * ys.size, None
+    for lo in range(0, n, BLOCK_ROWS):
+        rows = slice(lo, min(lo + BLOCK_ROWS, n))
+        node = np.arange(rows.start, rows.stop)
+        block = _verdicts(xs[node % grid.nx], ys[node // grid.nx], eta, mu, "grid")
+        if cols is None:  # zone 0-3 fits uint8; the rest keep the kernel's dtypes
+            cols = {k: None if v is None else
+                    np.empty((n,) + v.shape[1:], np.uint8 if k == "zone" else v.dtype)
+                    for k, v in block.items()}
+        for k, v in block.items():
+            if v is not None:
+                cols[k][rows] = v
+    return RegionMap(grid, eta, mu, xs, ys, **cols)
 
 
 # ---------------------------------------------------------------------------

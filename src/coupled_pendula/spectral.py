@@ -386,9 +386,12 @@ def enestrom_kakeya(c):
 def ek_ratios_dimensionless(eta, X, Y, mu, omega=1.0):
     """The four ratios a_j/a_{j+1} of the ω = 1 quartic, times ``omega``;
     broadcasts over array input."""
-    cols = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (eta, X, Y, mu)))
-    a = np.stack(_quartic(*cols, 1.0), axis=-1)
-    return a[..., :-1] / a[..., 1:] * omega
+    a = _quartic(*(np.asarray(v, dtype=float) for v in (eta, X, Y, mu)), 1.0)
+    r = np.empty(a[1].shape + (4,))  # a1 holds all four inputs: the broadcast shape
+    for j in range(4):
+        np.divide(a[j], a[j + 1], out=r[..., j])
+    r *= omega
+    return r
 
 
 def ek_ratios(rp: ReducedParams) -> np.ndarray:

@@ -531,11 +531,14 @@ def test_run_size_limits_admit_pinned_configs(tmp_path):
 
 
 @pytest.mark.parametrize("grid, code", [
-    ({"x_max": 1e155}, 2),  # X**2 overflows in the conics
+    ({"x_max": 1e155}, 2),  # X**2 overflows in the conics of the first sweep block
     ({"x_min": 1e-200, "x_max": 1e100, "y_min": 1e-200, "y_max": 1e100}, 0),
+    # Y**2 overflows on the top row only, in the last of two sweep blocks
+    ({"y_min": 0.01, "y_max": 1e155, "nx": 100, "ny": 100}, 2),
 ])
 def test_regions_conic_overflow_rejected(tmp_path, capsys, grid, code):
-    path = write_config(tmp_path, grid=dict(grid, nx=20, ny=20))
+    grid = dict({"nx": 20, "ny": 20}, **grid)
+    path = write_config(tmp_path, grid=grid)
     out_csv = tmp_path / "map.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -546,7 +549,7 @@ def test_regions_conic_overflow_rejected(tmp_path, capsys, grid, code):
     if code:
         assert err.startswith("error: grid:") and not out_csv.exists()
     else:
-        assert len(out_csv.read_text().splitlines()) == 20 * 20 + 1
+        assert len(out_csv.read_text().splitlines()) == grid["nx"] * grid["ny"] + 1
 
 
 def test_threads_flag_rejected(tmp_path):

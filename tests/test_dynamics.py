@@ -260,9 +260,9 @@ def _reference_trajectory_csv(traj):
 
 
 def test_trajectory_csv_bytes_match_format(tmp_path):
-    # signed cells over more than one 16,384-row block: zeros of both
-    # signs (the rest state and zero velocities), magnitudes below 1e-13,
-    # three-digit exponents, and decimal near-ties
+    # signed cells over two full 8,192-row blocks and a partial one: zeros
+    # of both signs (the rest state and zero velocities), magnitudes below
+    # 1e-13, three-digit exponents, and decimal near-ties
     rng = np.random.default_rng(7)
     n = 17_000
     v = rng.choice([-1.0, 1.0], (n, 8)) * 10.0 ** rng.uniform(-20.0, 12.0, (n, 8))
@@ -338,17 +338,18 @@ def _forced_solver(force):
 
 
 def test_finite_time_blowup_raises_stiffness_error(identical_params, monkeypatch):
-    # a forcing 1/(1 - t)^2 on sigma'' sends the state to infinity at t=1,
-    # where the step size underflows
+    # a forcing 1/(1 - t) on sigma'' sends sigma' = -ln(1 - t) to infinity
+    # at t=1, where the step size falls below 10 ulps of t; the solver must
+    # stall there, long before its evaluation budget runs out
     from coupled_pendula import StiffnessError, dynamics
 
     def blowup(fun, t, y):
         d = list(fun(t, y))
-        d[4] += 1.0 / (1.0 - t) ** 2
+        d[4] += 1.0 / (1.0 - t)
         return d
 
     monkeypatch.setattr(dynamics, "solve_ivp", _forced_solver(blowup))
-    with pytest.raises(StiffnessError) as exc:
+    with pytest.raises(StiffnessError, match="integration stalled") as exc:
         integrate(SystemState.from_y(0, 0, 0), identical_params, FULL,
                   t_end=2.0, samples=101)
     assert 0.0 < exc.value.t_reached <= 1.05

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from coupled_pendula import (
     region_map,
     semicircle_condition,
 )
-from coupled_pendula._csvio import _EXP_WORDS, _LEAD_WORDS, _MID_WORDS, e9_cells
+from coupled_pendula._csvio import BLOCK_ROWS, _EXP_WORDS, _LEAD_WORDS, _MID_WORDS, e9_cells
 from coupled_pendula.regions import MAX_GRID_NODES, _strict_peaks, _verdicts
 from coupled_pendula.spectral import ek_ratios_dimensionless, quartic_from_dimensionless
 from coupled_pendula.verification import DECAY_PANEL
@@ -304,6 +305,48 @@ def test_region_map_matches_quadrant_oracle(grid, eta, mu):
         assert_agree(rmap.branch[:, k], want[name], gap[name])
 
 
+@pytest.mark.parametrize("grid, eta, mu", [
+    (GridSpec(0.01, 10.0, 0.01, 10.0, 173, 131, "log"), 0.6, 0.25),
+    (GridSpec(0.01, 10.0, 0.01, 10.0, 173, 131, "linear"), 2.1, 0.2),
+])
+def test_blockwise_map_equals_one_kernel_call(grid, eta, mu):
+    # 22,663 nodes: two full sweep blocks and a partial third
+    assert 2 * BLOCK_ROWS < grid.nx * grid.ny < 3 * BLOCK_ROWS
+    rmap = region_map(grid, eta, mu)
+    want = _verdicts(np.tile(rmap.xs, grid.ny), np.repeat(rmap.ys, grid.nx), eta, mu, "grid")
+    assert rmap.zone.dtype == np.uint8
+    for name, col in want.items():
+        got = getattr(rmap, name)
+        assert got is None if col is None else np.array_equal(got, col), name
+
+
+def test_conic_overflow_in_last_block_refuses_the_grid():
+    # only the top row, y = 1e155, squares past the float range, and every
+    # node of it lies in the last sweep block
+    grid = GridSpec(0.01, 10.0, 0.01, 1e155, 100, 100, "log")
+    ys = grid.axis("y")
+    with np.errstate(over="ignore"):
+        assert np.isfinite(ys[-2] ** 2) and np.isinf(ys[-1] ** 2)
+    assert grid.nx * (grid.ny - 1) >= BLOCK_ROWS
+    with pytest.raises(ParamError) as exc:
+        region_map(grid, 0.6, 0.25)
+    assert exc.value.field == "grid"
+
+
+def test_sweep_and_csv_memory_peak_bounded(tmp_path):
+    # the benchmark's 500x500 sweep with its CSV, in blocks: 6.25 MB of
+    # per-node columns, and numpy memory peaking at 10.5 MB, where one
+    # kernel call on every node peaked at 25 MB
+    grid = GridSpec(0.01, 10.0, 0.01, 10.0, 500, 500, "log")
+    tracemalloc.start()
+    try:
+        region_map(grid, 0.6, 0.25).write_csv(tmp_path / "map.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_map_zone_boundaries_match_conics():
     grid = GridSpec(0.05, 5.0, 0.05, 5.0, 100, 100, "linear")
     rmap = region_map(grid, eta=1.0, mu=0.25)
@@ -423,7 +466,7 @@ def test_e9_cells_exact_on_adversarial_values():
     (GridSpec(0.01, 10.0, 0.01, 10.0, 130, 130, "log"), 0.6, 0.25),  # 16,900 rows
     (GridSpec(0.05, 5.0, 0.02, 8.0, 130, 130, "linear"), 2.1, 0.2),
     (GridSpec(0.3, 0.3, 0.7, 0.7, 1, 1, "log"), 0.6, 0.25),
-    # a full block and a partial one; X, Y and rho mix 15-byte fast cells
+    # two full blocks and a partial one; X, Y and rho mix 15-byte fast cells
     # with 16-byte format cells (3-digit exponents) within and across
     # blocks, so a byte left over from the previous block would show;
     # region_map refuses non-finite conics, so they are all finite here

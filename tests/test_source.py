@@ -61,6 +61,28 @@ def test_one_module_holds_the_e9_cell_format():
     assert holders == ["_csvio.py"], f"modules with the .9e format spec: {holders}"
 
 
+def _int_literals(path):
+    return [node.value for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Constant) and type(node.value) is int]
+
+
+def test_one_block_size_for_sweep_and_writer():
+    # _csvio.BLOCK_ROWS sizes the blocks of the CSV writer and of the region
+    # sweep: regions imports it, and its value is written nowhere else, nor
+    # does either module write a second power-of-two block size
+    from coupled_pendula._csvio import BLOCK_ROWS
+    regions = ast.parse((PACKAGE_DIR / "regions.py").read_text())
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "_csvio"
+               and "BLOCK_ROWS" in [alias.name for alias in node.names]
+               for node in ast.walk(regions))
+    spelled = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
+                     for v in _int_literals(path) if v == BLOCK_ROWS)
+    assert spelled == ["_csvio.py"], f"modules writing the block size: {spelled}"
+    sizes = [v for name in ("_csvio.py", "regions.py")
+             for v in _int_literals(PACKAGE_DIR / name) if v >= 1024 and v & (v - 1) == 0]
+    assert sizes == [BLOCK_ROWS], f"block-size literals in the writer and sweep: {sizes}"
+
+
 PERFBENCH_DIR = Path(__file__).parents[1] / "perfbench"
 
 
