@@ -242,6 +242,8 @@ def cmd_spectrum(cfg: RunConfig, out: Optional[str]) -> int:
 def cmd_regions(cfg: RunConfig, out: Optional[str]) -> int:
     if not identical_pendula(cfg.params):
         raise ParamError("m2", "region analysis requires identical pendula")
+    if cfg.damping is not DampingModel.FULL_VELOCITY:
+        raise ParamError("damping", "region analysis covers full-velocity damping only")
     rp = reduce_params(cfg.params)
     rmap = region_map(cfg.grid, rp.eta, rp.mu)
     path = out or cfg.out or "regions.csv"

@@ -13,7 +13,8 @@ annulus [ρm, ρM].  Comparing the two yields, per quadrant point:
 * in-phase impossibility: ηω/2 ≤ ρM always holds for η ≤ 1, so the δ
   pair can never decay faster than the whole x/σ spectrum;
 * semicircle membership: ω ≤ ρM, i.e. whether the δ eigenvalue pair
-  (modulus exactly ω) lies inside the outer annulus radius;
+  (modulus exactly ω) lies inside the outer annulus radius, proven true
+  for η ≤ 1 (``semicircle_condition``);
 * the refined real-part bound, proven never to apply (``complex_root_bound``).
 
 All verdicts here are dimensionless (ω ≡ 1) and come from one columnar
@@ -37,7 +38,7 @@ from . import spectral
 from .spectral import _ZONES, _zone_index
 from ._csvio import BLOCK_ROWS, byte_cells, e9_cells, write_csv
 from .dynamics import DampingModel, _integrate_rows
-from .params import ParamError, PhysicalParams, identical_pendula
+from .params import ParamError, identical_pendula
 
 __all__ = [
     "BranchUnsupportedError", "QuadrantPoint", "AntiphaseVerdict", "InphaseCheck",
@@ -110,14 +111,12 @@ def _verdicts(X: np.ndarray, Y: np.ndarray, eta: float, mu: float, field: str) -
     _check_quadrant(eta=eta, mu=mu)
     conics = _conic_signs(X, Y, eta, mu, field)
     r = spectral.ek_ratios_dimensionless(eta, X, Y, mu)  # (n, 4)
-    zone, rm_first, rM_first = _zone_index(r)
+    zone, rm_first = _zone_index(r)
     branch = None
     if eta <= 1.0:
-        one = 1.0 - 2.0 * mu
         cond_a = eta < 2.0 * r[:, 0]
         cond_b = eta < 2.0 * r[:, 1]
-        semi = np.where(rM_first, Y > (1.0 - eta) * X + one * eta - 1.0,
-                        X > one * (1.0 - eta))
+        semi = np.ones_like(cond_a)  # proven true for η ≤ 1 (``semicircle_condition``)
         branch = np.stack([cond_a, cond_b, np.where(rm_first, cond_a, cond_b), semi],
                           axis=-1)
     return dict(zone=zone, conics=conics, branch=branch,
@@ -188,11 +187,13 @@ def no_inphase_check(q: QuadrantPoint) -> InphaseCheck:
 
 
 def semicircle_condition(q: QuadrantPoint) -> bool:
-    """Whether the δ eigenvalue pair (|z| = ω) lies within |z| ≤ ρM.
+    """Whether the δ eigenvalue pair (|z| = ω) lies within |z| ≤ ρM,
+    proven true at every quadrant point with η ≤ 1.
 
-    Equivalent closed forms per zone: with ρM = a2/a3 (Z1 ∪ Z3) the
-    condition reads Y > (1−η)X + (1−2μ)η − 1; with ρM = a3/a4
-    (Z2 ∪ Z4) it reads X > (1−2μ)(1−η).
+    ρM > 1 fails only if a2/a3 ≤ 1 and a3/a4 ≤ 1.  With a4 = 1 − 2μ in
+    (0, 1), the second reads X ≤ (1−2μ)(1−η), and the first then gives
+    Y + 1 ≤ X(1−η) + (1−2μ)η ≤ (1−2μ)(1 − η + η²) ≤ 1 − 2μ < 1, impossible
+    for Y > 0.  The one-row call still validates q and refuses η > 1.
     """
     return bool(_at(q, "semicircle condition")["branch"][0, 3])
 
@@ -380,21 +381,18 @@ def _envelope_rate(times: np.ndarray, signal: np.ndarray, t_start: float) -> flo
     return float(-slope)
 
 
-def empirical_decay_rates(p, y0, t_end, samples: int = 4001):
-    """Fitted decay rates of σ and δ from a nonlinear trajectory.
+def empirical_decay_rates(p, y0, t_end, samples: int = 4001) -> list:
+    """Fitted decay rates of σ and δ from nonlinear trajectories.
 
-    Peak amplitudes of each signal over the final 60% of the run are fit
-    by least squares in log scale; identical, damped pendula required.
-    A fit window with fewer than five peaks raises ValueError.
-
-    The batch form takes equal-length sequences of parameters, initial
-    states and end times, integrates them as one lockstep batch, and
-    returns a list with one entry per trajectory: its pair of rates, or
-    the ValueError its fit raised, so that one short trajectory does not
-    hide the rates of the others.
+    Takes equal-length sequences of parameters (identical, damped
+    pendula), initial states and end times, and integrates them as one
+    lockstep batch.  Peak amplitudes of each signal over the final 60% of
+    a run are fit by least squares in log scale.  Returns one entry per
+    trajectory: its pair of rates, or the ValueError its fit raised when
+    the fit window holds fewer than five peaks, so that one short
+    trajectory does not hide the rates of the others.
     """
-    batch = not isinstance(p, PhysicalParams)
-    params, states, t_ends = (list(p), list(y0), list(t_end)) if batch else ([p], [y0], [t_end])
+    params, states, t_ends = list(p), list(y0), list(t_end)
     if not len(params) == len(states) == len(t_ends):
         raise ValueError("one initial state and one end time per parameter set")
     for q in params:
@@ -410,7 +408,5 @@ def empirical_decay_rates(p, y0, t_end, samples: int = 4001):
             fits.append((_envelope_rate(traj.times, traj.states[:, 1], t_start),
                          _envelope_rate(traj.times, traj.states[:, 2], t_start)))
         except ValueError as exc:
-            if not batch:
-                raise
             fits.append(exc)
-    return fits if batch else fits[0]
+    return fits

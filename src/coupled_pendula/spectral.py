@@ -410,11 +410,10 @@ _ZONES = ("Z1", "Z2", "Z3", "Z4")
 
 def _zone_index(r: np.ndarray):
     """Zone index 0-3 (Z1-Z4) of ratio rows (..., 4) by which ratios attain
-    ρm and ρM, ties to the lower index, with the two masks it is built
-    from: whether a0/a1 attains ρm and whether a2/a3 attains ρM."""
+    ρm and ρM, ties to the lower index, with the mask of whether a0/a1
+    attains ρm."""
     rm_first = r[..., 0] <= r[..., 1]
-    rM_first = r[..., 2] >= r[..., 3]
-    return 2 * ~rm_first + ~rM_first, rm_first, rM_first
+    return 2 * ~rm_first + ~(r[..., 2] >= r[..., 3]), rm_first
 
 
 def zone_from_ratios(ratios: np.ndarray) -> str:

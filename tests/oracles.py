@@ -10,8 +10,8 @@ mass-matrix trajectory for the nonlinear integrator, a per-row
 f-string region CSV writer that the block writer must match byte for
 byte, every quadrant verdict from its definition on a quartic written
 out by hand, the one-draw-at-a-time polynomial loops whose generator
-stream and coefficient rows the batched ``verify`` checks must
-reproduce, the generalized damping force Φ behind the energy-rate
+stream and coefficient rows the batched annulus and factorization
+checks must reproduce, the generalized damping force Φ behind the energy-rate
 identity dE/dt = q̇·Φ, and the inertia and stiffness matrices of the
 frictionless linearization.  ``param_rows`` turns parameter sets into
 the (n, 10) rows that the spectral functions take.
@@ -243,22 +243,6 @@ def scalar_random_params(rng: np.random.Generator, *, damped: bool = True,
 def ek_containment_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
     """The n sextics of ``check_ek_containment``, built one draw at a time."""
     return char_poly_general(param_rows(*(scalar_random_params(rng) for _ in range(n))))
-
-
-def rh_vs_roots_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The n sextics of ``check_rh_vs_roots``, built one draw at a time:
-    every fourth from a root set, possibly unstable, the rest from
-    parameter draws."""
-    rows = []
-    for i in range(n):
-        if i % 4 == 0:
-            roots = rng.uniform(-2.0, 0.8, 6) + 0j
-            re, im = rng.uniform(-2.0, 0.8), rng.uniform(0.1, 2.0)
-            roots[:2] = (re + 1j * im, re - 1j * im)
-            rows.append(np.real(np.poly(roots))[::-1])
-        else:
-            rows.append(char_poly_general(param_rows(scalar_random_params(rng)))[0])
-    return np.array(rows)
 
 
 def factorization_worst(rng: np.random.Generator, n: int) -> float:

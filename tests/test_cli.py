@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coupled_pendula
+from coupled_pendula import spectral, verification
 from coupled_pendula.cli import MAX_SAMPLES, canonical_json, load_config, main
 from coupled_pendula.regions import MAX_GRID_NODES
 from coupled_pendula.verification import check_decay_panel, run_verification
@@ -491,6 +492,17 @@ def test_regions_rejects_asymmetric(tmp_path, capsys):
     assert code == 2
 
 
+def test_regions_rejects_rotational_damping(tmp_path, capsys):
+    # the region layer analyzes the full-velocity quartic only; a rotational
+    # config is refused before the CSV is opened, not mapped as full-velocity
+    path = write_config(tmp_path, damping="rotational")
+    out_csv = tmp_path / "map.csv"
+    code, out, err = run(capsys, "regions", "--config", path, "--out", str(out_csv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: damping:") and "Traceback" not in err
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("grid, field", [
     ({"nx": 2.9}, "nx"),
     ({"ny": True}, "ny"),
@@ -583,14 +595,68 @@ def test_verify_stdout_golden(tmp_path, capsys, seed):
         "verify: 5/5 checks passed\n")
 
 
-@pytest.mark.parametrize("fault", ["formulation_equivalence", "factorization",
-                                   "ek_containment", "rh_vs_roots", "decay_panel"])
-def test_fault_injection_caught(fault):
-    results = run_verification(seed=7, fault=fault)
-    by_name = {r.name: r.ok for r in results}
-    assert by_name[fault] is False
-    others = {k: v for k, v in by_name.items() if k != fault}
-    assert all(others.values())
+def _scaled_accels(inner):
+    return lambda *args: tuple(a * (1.0 + 1e-6) for a in inner(*args))
+
+
+def _scaled_quartic(inner):
+    def planted(rows):
+        quad, quart = inner(rows)
+        quart[0] *= 1.0 + 1e-6
+        return quad, quart
+    return planted
+
+
+def _far_root(inner):
+    def planted(coeffs):
+        roots = inner(coeffs)
+        roots[0, 0] *= 1e3
+        return roots
+    return planted
+
+
+def _flipped_verdict(inner):
+    def planted(coeffs):
+        report = inner(coeffs)
+        report.stable[0] = not report.stable[0]
+        return report
+    return planted
+
+
+def _swapped_rates(inner):
+    def planted(*args, **kwargs):
+        fits = inner(*args, **kwargs)
+        fits[0] = fits[0][::-1]
+        return fits
+    return planted
+
+
+# check -> (module, kernel the check calls, wrapper that plants a fault in it)
+FAULTS = {
+    "formulation_equivalence": (verification, "_accel_y_arrays", _scaled_accels),
+    "factorization": (spectral, "char_poly_identical", _scaled_quartic),
+    "ek_containment": (spectral, "poly_roots", _far_root),
+    "rh_vs_roots": (spectral, "routh_hurwitz", _flipped_verdict),
+    "decay_panel": (verification, "empirical_decay_rates", _swapped_rates),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_fault_injection_caught(monkeypatch, fault):
+    # a broken kernel, planted for the duration of one check, fails that
+    # check and no other
+    module, kernel, plant = FAULTS[fault]
+    check = getattr(verification, f"check_{fault}")
+
+    def faulted(*args):
+        with monkeypatch.context() as m:
+            m.setattr(module, kernel, plant(getattr(module, kernel)))
+            return check(*args)
+
+    monkeypatch.setattr(verification, f"check_{fault}", faulted)
+    by_name = {r.name: r.ok for r in run_verification(seed=7)}
+    assert by_name.pop(fault) is False
+    assert list(by_name.values()) == [True] * 4
 
 
 def test_decay_panel_short_trajectory_counts_as_failed():

@@ -108,3 +108,25 @@ def test_benchmark_hooks_resolve(monkeypatch):
                 if not hasattr(coupled_pendula, name)]
     assert imported and len(spans.TARGETS) > 10
     assert not missing, f"benchmark hooks with no target: {missing}"
+
+
+def test_run_verification_reaches_each_traced_check(monkeypatch):
+    # perfbench times each verify check by wrapping verification.check_* on
+    # the module; run_verification must call each of them through that name
+    # once, or its span would silently read 0
+    from coupled_pendula import verification
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))
+    traced = [attr for module, attr, *_ in importlib.import_module("spans").TARGETS
+              if module == "coupled_pendula.verification" and attr.startswith("check_")]
+    calls = dict.fromkeys(traced, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in traced:
+        monkeypatch.setattr(verification, name, counting(name, getattr(verification, name)))
+    verification.run_verification(seed=1)
+    assert len(calls) == 5 and all(n == 1 for n in calls.values()), calls
