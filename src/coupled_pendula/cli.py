@@ -6,9 +6,10 @@ and output path) so that every run is reproducible from a checked-in
 document.  Outputs are canonical: object keys sorted, floats
 printed with 17 significant digits, so identical runs are byte-identical.
 
-Exit codes: 0 success, 2 validation failure (also a config or output path
-that cannot be opened, a config that is not UTF-8 or one whose numbers
-overflow), 3 integration failure, 4 method inapplicable (reported, other
+Exit codes: 0 success, 2 validation failure (also a massless pendulum or
+a field outside [1e-40, 1e40], a config or output path that cannot be
+opened, a config that is not UTF-8, and, as a backstop, any floating-point
+error), 3 integration failure, 4 method inapplicable (reported, other
 results still emitted), 5 internal cross-check violation.
 """
 

@@ -125,10 +125,7 @@ def _accel_q_arrays(x, t1, t2, xd, t1d, t2d, p: PhysicalParams,
                     model: DampingModel):
     """Batched mass-matrix solve; scalar or broadcastable array inputs.
 
-    The pendulum rows are scaled by 1/(m_i l_i), which leaves the system
-    unchanged for m_i > 0 and stays regular in the massless limit
-    (where the row reduces to the ideal-pendulum relation
-    l_i θ̈_i + ẍ cos θ_i + g sin θ_i = 0).
+    The pendulum rows are scaled by 1/(m_i l_i).
     """
     x, t1, t2, xd, t1d, t2d = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (x, t1, t2, xd, t1d, t2d)))
@@ -154,16 +151,10 @@ def _accel_q_arrays(x, t1, t2, xd, t1d, t2d, p: PhysicalParams,
     b[..., 0] = (-p.k * x + p.m1 * p.l1 * t1d**2 * s1 + p.m2 * p.l2 * t2d**2 * s2
                  - beta_x * xd
                  - p.beta1 * p.l1 * t1d * c1 - p.beta2 * p.l2 * t2d * c2)
-    r1 = -p.g * s1
-    r2 = -p.g * s2
-    if p.m1 > 0:
-        drag1 = p.beta1 * (xd * c1 + p.l1 * t1d) if full else p.beta1 * p.l1 * t1d
-        r1 = r1 - drag1 / p.m1
-    if p.m2 > 0:
-        drag2 = p.beta2 * (xd * c2 + p.l2 * t2d) if full else p.beta2 * p.l2 * t2d
-        r2 = r2 - drag2 / p.m2
-    b[..., 1] = r1
-    b[..., 2] = r2
+    drag1 = p.beta1 * (xd * c1 + p.l1 * t1d) if full else p.beta1 * p.l1 * t1d
+    drag2 = p.beta2 * (xd * c2 + p.l2 * t2d) if full else p.beta2 * p.l2 * t2d
+    b[..., 1] = -p.g * s1 - drag1 / p.m1
+    b[..., 2] = -p.g * s2 - drag2 / p.m2
 
     acc = np.linalg.solve(A, b[..., None])[..., 0]
     return acc[..., 0], acc[..., 1], acc[..., 2]
@@ -182,8 +173,7 @@ def accel_q(state: SystemState, p: PhysicalParams,
 # ---------------------------------------------------------------------------
 
 def _y_constants(p: PhysicalParams, model: DampingModel) -> tuple:
-    """The parameters as :func:`_accel_y_arrays` reads them; requires
-    m1, m2 > 0."""
+    """The parameters as :func:`_accel_y_arrays` reads them, β/m included."""
     return (p.m, p.m1, p.m2, p.l1, p.l2, p.g, p.k, p.beta0, p.beta1, p.beta2,
             p.beta1 / p.m1, p.beta2 / p.m2, model is DampingModel.FULL_VELOCITY)
 
@@ -221,7 +211,6 @@ def _accel_y_arrays(x, sg, dl, xd, sgd, dld, c: tuple, trig=np):
 def accel_y(state: SystemState, p: PhysicalParams,
             model: DampingModel = DampingModel.FULL_VELOCITY) -> np.ndarray:
     """Accelerations (ẍ, σ̈, δ̈) from the explicit closed form."""
-    p.require_positive_pendula("explicit y-form accelerations")
     y = state.to_y()
     xdd, sdd, ddd = _accel_y_arrays(*y.coords, *y.vels, _y_constants(p, model))
     return np.array([float(xdd), float(sdd), float(ddd)])
@@ -347,8 +336,6 @@ def _integrate_rows(states, params, model: DampingModel, t_ends, samples: int,
     for t_end in t_ends:
         if not 0 < t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
-    for p in params:
-        p.require_positive_pendula("time integration")
     y0 = np.array([s.to_y().as_vector() for s in states])
     sol = solve_ivp([_rhs(p, model) for p in params], y0, t_ends, samples,
                     rtol=rtol, atol=atol, max_evals=MAX_RHS_EVALS)

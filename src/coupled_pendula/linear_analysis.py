@@ -205,7 +205,6 @@ def closed_form(p: PhysicalParams, y0: SystemState) -> ClosedFormSolution:
         raise ParamError("beta0", "closed form requires a frictionless system")
     if not _rel_close(p.l1, p.l2):
         raise ParamError("l2", "closed form requires l1 = l2")
-    p.require_positive_pendula("closed-form solution")
 
     length = 0.5 * (p.l1 + p.l2)
     rp = reduce_params(p)
@@ -250,7 +249,6 @@ def delta_closed_form(p: PhysicalParams, delta0: float, delta0_dot: float, t):
     """
     if not identical_pendula(p):
         raise ParamError("m2", "delta closed form requires identical pendula")
-    p.require_positive_pendula("delta closed form")
     rp = reduce_params(p)
     om, eta = rp.omega, rp.eta
     t = np.asarray(t, dtype=float)

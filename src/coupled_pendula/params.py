@@ -38,12 +38,14 @@ nominal.
 All angles are radians and all quantities are SI; every type here is an
 immutable value and every function is pure, so unrestricted concurrent
 use is safe.
+
+:class:`PhysicalParams` alone decides the parameter domain; nothing
+downstream checks masses or scales again.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +65,10 @@ __all__ = [
 #: Relative tolerance below which two pendula count as identical.
 IDENTICAL_RTOL = 1e-12
 
+#: Bounds of every field of :class:`PhysicalParams` (a damping may also be 0).
+MIN_SCALE = 1e-40
+MAX_SCALE = 1e40
+
 
 class ParamError(ValueError):
     """Invalid physical parameter; ``field`` names the offender."""
@@ -76,9 +82,16 @@ class ParamError(ValueError):
 class PhysicalParams:
     """Dimensional parameters of the beam-and-pendula system (SI units).
 
-    Pendulum masses may be zero to express degenerate limits (a massless
-    pendulum must then also be undamped); every analysis routine that
-    divides by m1 or m2 rejects such inputs explicitly.
+    The one check of the parameter domain: every field lies in
+    [MIN_SCALE, MAX_SCALE] = [1e-40, 1e40], or is 0 for a damping, so both
+    pendula have positive mass; anything else, or a beam so light that
+    1 − 2μ rounds to 0, raises :class:`ParamError` naming the field.  Why
+    1e±40: each quantity built from the fields (derived constants, reduced
+    groups, linear system, sextic) is a sum of monomials in them, or a
+    quotient of such sums, so its extremes lie at the box's corners; at all
+    2^10 of them, each damping also at 0, every one is finite and normal out
+    to 1e±50, and the first overflow at 1e±55
+    (``test_domain_corners_stay_finite_and_normal``).
     """
 
     m0: float  # beam mass [kg]
@@ -96,16 +109,10 @@ class PhysicalParams:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ParamError(name, "must be finite")
-        for name in ("m0", "l1", "l2", "k", "g"):
-            if not getattr(self, name) > 0:
-                raise ParamError(name, "must be positive")
-        for name in ("m1", "m2", "beta0", "beta1", "beta2"):
-            if getattr(self, name) < 0:
-                raise ParamError(name, "must be non-negative")
-        if self.beta1 > 0 and self.m1 == 0:
-            raise ParamError("beta1", "damping on a massless pendulum")
-        if self.beta2 > 0 and self.m2 == 0:
-            raise ParamError("beta2", "damping on a massless pendulum")
+            damping = name.startswith("beta")
+            if not (MIN_SCALE <= value <= MAX_SCALE or damping and value == 0):
+                raise ParamError(name, f"out of range: not {'0 or ' if damping else ''}in "
+                                       f"[{MIN_SCALE:g}, {MAX_SCALE:g}]")
         if not 1.0 - (self.m1 + self.m2) / self.m > 0:  # 1 − 2μ, the sextic's lead
             raise ParamError("m0", "negligible against m1 + m2")
 
@@ -117,12 +124,6 @@ class PhysicalParams:
     @property
     def frictionless(self) -> bool:
         return self.beta0 == 0.0 and self.beta1 == 0.0 and self.beta2 == 0.0
-
-    def require_positive_pendula(self, where: str = "operation") -> None:
-        if self.m1 <= 0:
-            raise ParamError("m1", f"must be positive for {where}")
-        if self.m2 <= 0:
-            raise ParamError("m2", f"must be positive for {where}")
 
 
 def _rel_close(a, b):
@@ -158,43 +159,24 @@ class DerivedConstants:
     betam_minus: float  # (β1/m1 - β2/m2)/2               [1/s]
 
 
-def _extreme_field(p: PhysicalParams) -> str:
-    """The positive field farthest from 1 in scale: the one named when a
-    quantity built from the parameters overflows."""
-    return max((name for name, value in vars(p).items() if value > 0),
-               key=lambda name: abs(math.log(getattr(p, name))))
-
-
 def derived_constants(p: PhysicalParams) -> DerivedConstants:
-    """Evaluate the sum/difference constants for a parameter set.
-
-    The β/m ratios require positive bob masses; with zero masses (and
-    hence zero bob damping) they are reported as zero.  A constant that
-    overflows raises :class:`ParamError` naming the field farthest from 1
-    in scale.
-    """
-    bm1 = p.beta1 / p.m1 if p.m1 > 0 else 0.0
-    bm2 = p.beta2 / p.m2 if p.m2 > 0 else 0.0
-    try:
-        dc = DerivedConstants(
-            am_plus=(p.m1 * p.l1**2 + p.m2 * p.l2**2) / 4.0,
-            am_minus=(p.m1 * p.l1**2 - p.m2 * p.l2**2) / 4.0,
-            abeta_plus=(p.beta1 * p.l1**2 + p.beta2 * p.l2**2) / 4.0,
-            abeta_minus=(p.beta1 * p.l1**2 - p.beta2 * p.l2**2) / 4.0,
-            bm_plus=(p.m1 * p.l1 + p.m2 * p.l2) / 2.0,
-            bm_minus=(p.m1 * p.l1 - p.m2 * p.l2) / 2.0,
-            bbeta_plus=(p.beta1 * p.l1 + p.beta2 * p.l2) / 2.0,
-            bbeta_minus=(p.beta1 * p.l1 - p.beta2 * p.l2) / 2.0,
-            l_plus=(p.l1 + p.l2) / (2.0 * p.l1 * p.l2),
-            l_minus=(p.l1 - p.l2) / (2.0 * p.l1 * p.l2),
-            betam_plus=(bm1 + bm2) / 2.0,
-            betam_minus=(bm1 - bm2) / 2.0,
-        )
-    except ArithmeticError:  # float ** overflows, or l1·l2 underflows to 0
-        dc = None
-    if dc is None or not all(map(math.isfinite, vars(dc).values())):
-        raise ParamError(_extreme_field(p), "out of range: the derived constants overflow")
-    return dc
+    """Evaluate the sum/difference constants for a parameter set."""
+    bm1 = p.beta1 / p.m1
+    bm2 = p.beta2 / p.m2
+    return DerivedConstants(
+        am_plus=(p.m1 * p.l1**2 + p.m2 * p.l2**2) / 4.0,
+        am_minus=(p.m1 * p.l1**2 - p.m2 * p.l2**2) / 4.0,
+        abeta_plus=(p.beta1 * p.l1**2 + p.beta2 * p.l2**2) / 4.0,
+        abeta_minus=(p.beta1 * p.l1**2 - p.beta2 * p.l2**2) / 4.0,
+        bm_plus=(p.m1 * p.l1 + p.m2 * p.l2) / 2.0,
+        bm_minus=(p.m1 * p.l1 - p.m2 * p.l2) / 2.0,
+        bbeta_plus=(p.beta1 * p.l1 + p.beta2 * p.l2) / 2.0,
+        bbeta_minus=(p.beta1 * p.l1 - p.beta2 * p.l2) / 2.0,
+        l_plus=(p.l1 + p.l2) / (2.0 * p.l1 * p.l2),
+        l_minus=(p.l1 - p.l2) / (2.0 * p.l1 * p.l2),
+        betam_plus=(bm1 + bm2) / 2.0,
+        betam_minus=(bm1 - bm2) / 2.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -218,23 +200,9 @@ class ReducedParams:
 
 
 def reduce_params(p: PhysicalParams) -> ReducedParams:
-    """Compute the dimensionless parameter set.
-
-    Raises :class:`ParamError` when a pendulum mass is not strictly
-    positive (μ and η would be ill-defined), and, naming the field
-    farthest from 1 in scale, when a group overflows or divides by zero
-    or when l1·l2 is not a normal float (√(l1 l2) and so Λ would be wrong).
-    """
-    p.require_positive_pendula("parameter reduction")
-    groups = None
-    if sys.float_info.min <= p.l1 * p.l2 <= sys.float_info.max:
-        try:
-            groups = _reduced_groups(p.m0, p.m1, p.m2, p.l1, p.l2, p.beta0,
-                                     p.beta1, p.beta2, p.k, p.g)
-        except ZeroDivisionError:  # a scale such as 2mg underflows to 0
-            pass
-    if groups is None or not all(map(math.isfinite, groups)):
-        raise ParamError(_extreme_field(p), "out of range for the dimensionless groups")
+    """Compute the dimensionless parameter set."""
+    groups = _reduced_groups(p.m0, p.m1, p.m2, p.l1, p.l2, p.beta0,
+                             p.beta1, p.beta2, p.k, p.g)
     return ReducedParams(*groups, nominal=not identical_pendula(p))
 
 

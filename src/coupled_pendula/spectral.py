@@ -42,7 +42,6 @@ from .params import (
     ParamError,
     PhysicalParams,
     ReducedParams,
-    _extreme_field,
     _reduced_groups,
     _rel_close,
     identical_pendula,
@@ -78,12 +77,7 @@ class EKInapplicableError(ValueError):
 
 def linear_system(p: PhysicalParams,
                   model: DampingModel = DampingModel.FULL_VELOCITY) -> np.ndarray:
-    """6x6 matrix of the linearized system in (x, σ, δ, ẋ, σ̇, δ̇).
-
-    An entry that overflows, or a scale d·l1·l2 that underflows to 0,
-    raises :class:`ParamError` naming the field farthest from 1 in scale.
-    """
-    p.require_positive_pendula("linear system")
+    """6x6 matrix of the linearized system in (x, σ, δ, ẋ, σ̇, δ̇)."""
     m, g, k = p.m, p.g, p.k
     l1, l2 = p.l1, p.l2
     m1, m2 = p.m1, p.m2
@@ -97,8 +91,6 @@ def linear_system(p: PhysicalParams,
 
     d = m * (1.0 - 2.0 * mu)
     e = d * l1 * l2
-    if not e > 0:  # d·l1·l2, and so maybe d, underflows to 0
-        raise ParamError(_extreme_field(p), "out of range for the linear system")
     J[3, 0] = -k / d
     J[3, 1] = 0.5 * (m1 + m2) * g / d
     J[3, 2] = 0.5 * (m1 - m2) * g / d
@@ -121,8 +113,6 @@ def linear_system(p: PhysicalParams,
         J[5, 3] = -(l1 - l2) * b0 / e
     J[4, 4] = J[5, 5] = -0.5 * (bm1 + bm2)
     J[4, 5] = J[5, 4] = -0.5 * (bm1 - bm2)
-    if not np.isfinite(J).all():
-        raise ParamError(_extreme_field(p), "out of range for the linear system")
     return J
 
 
@@ -246,13 +236,15 @@ def _horner(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _polish(desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """One Newton step per root, kept only where it lowers |p(r)|."""
+    """One Newton step per root, kept only where it lowers |p(r)|; a step
+    whose residual overflows compares false, so it is never kept."""
     deriv = desc[:, :-1] * np.arange(desc.shape[1] - 1, 0, -1)
-    pv = _horner(desc, roots)
-    dv = _horner(deriv, roots)
-    safe = np.abs(dv) > 0
-    polished = np.where(safe, roots - np.where(safe, pv, 0) / np.where(safe, dv, 1), roots)
-    better = np.abs(_horner(desc, polished)) < np.abs(pv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pv = _horner(desc, roots)
+        dv = _horner(deriv, roots)
+        safe = np.abs(dv) > 0
+        polished = np.where(safe, roots - np.where(safe, pv, 0) / np.where(safe, dv, 1), roots)
+        better = np.abs(_horner(desc, polished)) < np.abs(pv)
     return np.where(better, polished, roots)
 
 
@@ -441,13 +433,18 @@ def gershgorin(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _cross_check_error(message: str, roots: np.ndarray, failing: np.ndarray) -> Exception:
-    """:class:`CrossCheckError`, or :class:`ParamError` when every failing root has
-    |z| ≤ 4·2⁻⁵²·max|z|, below what companion eigenvalues resolve: then the
-    coefficients span too many decades for the check to decide."""
-    mods = np.abs(roots)
-    if np.any(failing) and np.all(mods[failing] <= 4 * 2.0**-52 * np.max(mods)):
+def _cross_check_error(message: str, roots: np.ndarray, deciding: np.ndarray,
+                       real_parts: bool = False) -> Exception:
+    """:class:`CrossCheckError`, or :class:`ParamError` when the roots that
+    decide the check lie below what companion eigenvalues resolve,
+    4·2⁻⁵²·max|z|: each in modulus, or, with ``real_parts``, each in |Re z|.
+    Then the coefficients span too many decades for the check to decide."""
+    tol = 4 * 2.0**-52 * np.max(np.abs(roots))
+    if np.all(np.abs(roots[deciding]) <= tol):
         return ParamError("coeffs", f"roots too small to resolve fail a cross-check ({message})")
+    if real_parts and np.all(np.abs(roots[deciding].real) <= tol):
+        return ParamError("coeffs", "real parts too close to 0 to resolve fail a "
+                                    f"cross-check ({message})")
     return CrossCheckError(message)
 
 
@@ -461,21 +458,20 @@ def spectrum_report(p: PhysicalParams,
     full-velocity damping also the factors and, when the quartic is
     damped, its ratios and zone.  The roots must agree with the chain
     verdict and lie in the annulus to 1e-9 relative, or
-    :class:`CrossCheckError` is raised (see :func:`_cross_check_error`).
-    Coefficients that overflow raise :class:`ParamError` naming the field
-    farthest from 1 in scale.
+    :class:`CrossCheckError` is raised, or :class:`ParamError` when the
+    roots that decide a disagreement are too small, or too close to the
+    imaginary axis, to resolve (see :func:`_cross_check_error`).
     """
     row = np.array([dataclasses.astuple(p)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = char_poly_general(row, model)
-    if not np.all(np.isfinite(coeffs)):
-        raise ParamError(_extreme_field(p),
-                         "out of range: the characteristic polynomial overflows")
+    coeffs = char_poly_general(row, model)
     roots = np.sort_complex(poly_roots(coeffs)[0])
     rh = routh_hurwitz(coeffs)
     stable = bool(rh.stable[0])
     if bool(np.all(roots.real < 0)) != stable:
-        raise _cross_check_error("chain verdict disagrees with roots", roots, roots.real >= 0)
+        # Re ≥ 0, or the largest Re when every root says stable
+        deciding = roots.real >= min(0.0, roots.real.max())
+        raise _cross_check_error("chain verdict disagrees with roots", roots, deciding,
+                                 real_parts=True)
     try:
         rho_m, rho_M = (float(r[0]) for r in enestrom_kakeya(coeffs))
     except EKInapplicableError:

@@ -404,19 +404,62 @@ def test_spectrum_cross_check_failure_exits_5(tmp_path, capsys, monkeypatch,
     assert not out_json.exists()
 
 
-def test_spectrum_unresolved_roots_exit_2(tmp_path, capsys):
-    # a beam 1e300 times heavier than the bobs: the sextic's two smallest
-    # roots lie below what the companion eigenvalues resolve and come out
-    # as exact zeros, so the stable chain disagrees with them; the input
-    # is out of range, not the program at fault
-    path = write_config(tmp_path, m0=1e300, m1=74.06, m2=74.06, l1=481.7, l2=481.7,
-                        beta0=44.3, beta1=4.91, beta2=4.91, k=988.0, g=380.6)
+def spectrum_refused(tmp_path, capsys, config):
+    """stderr of a ``spectrum`` run that must exit 2 and write nothing."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     out_json = tmp_path / "s.json"
-    code, out, err = run(capsys, "spectrum", "--config", path, "--out", str(out_json))
+    code, out, err = run(capsys, "spectrum", "--config", str(path), "--out", str(out_json))
     assert (code, out) == (2, "")
-    assert err.startswith("error: coeffs: roots too small to resolve fail a cross-check")
     assert err.count("\n") == 1
     assert not out_json.exists()
+    return err
+
+
+def test_spectrum_unresolved_roots_exit_2(tmp_path, capsys):
+    # fields 1e±24 apart: the smallest roots lie below what the companion
+    # eigenvalues resolve and fall outside the annulus; the input is badly
+    # conditioned, not the program at fault
+    err = spectrum_refused(tmp_path, capsys, {
+        "m0": 1e24, "m1": 1e-24, "m2": 1e24, "l1": 1e-24, "l2": 1e-24, "beta0": 0,
+        "beta1": 0, "beta2": 1e-24, "k": 1e-24, "g": 1e24})
+    assert err.startswith("error: coeffs: roots too small to resolve fail a cross-check")
+
+
+@pytest.mark.parametrize("config", [
+    # the chain says stable, and the roots with Re >= 0 have
+    # |Re z| <= 4 * 2**-52 * max|z|
+    {"m0": 33264404.119562298, "m1": 1134650.3821165161, "m2": 7.075006784484925e-09,
+     "l1": 1.5697371380829997e-12, "l2": 62974258210.05288,
+     "beta0": 1.7405881741345752e-11, "beta1": 7.619460973934221e-12,
+     "beta2": 9562679.1223757, "k": 567707867.4497334, "g": 1.4647884252943843e-08},
+    # the chain says unstable and every root has Re < 0, the largest by
+    # less than 4 * 2**-52 * max|z| (a seeded log-uniform draw over 1e±12)
+    {"m0": 150244.5066070294, "m1": 0.00010220564069576752, "m2": 11220829558.885069,
+     "l1": 0.08952645739620461, "l2": 2.4807103956879288e-06,
+     "beta0": 1.1996536718598479e-12, "beta1": 0.025489334443926436,
+     "beta2": 5.158468106724271e-09, "k": 3.446993510723191e-05,
+     "g": 2.2394228244823826e-06},
+], ids=["chain_stable", "chain_unstable"])
+def test_spectrum_unresolved_real_parts_exit_2(tmp_path, capsys, config):
+    # the roots that decide the chain-vs-roots check sit closer to the
+    # imaginary axis than the eigenvalue solve resolves
+    err = spectrum_refused(tmp_path, capsys, config)
+    assert err.startswith("error: coeffs: real parts too close to 0 to resolve fail a "
+                          "cross-check (chain verdict disagrees with roots)")
+
+
+def test_spectrum_newton_overflow_is_discarded(tmp_path, capsys):
+    # a Newton candidate of the root polish overflows; it is thrown away
+    # like any step that does not lower |p(r)|, and the report is written
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"m0": 1e-12, "m1": 1e-12, "m2": 1e-12, "l1": 1e-12,
+                                "l2": 1e-12, "beta0": 1e12, "beta1": 0.0, "beta2": 1e12,
+                                "k": 1e-12, "g": 1e-12}))
+    code, out, err = run(capsys, "spectrum", "--config", str(path))
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    assert doc["stable"] and 0 < doc["rho_m"] < 1e-24 and doc["rho_M"] > 1e24
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +753,8 @@ def test_non_integrating_commands_never_import_scipy(tmp_path):
 # fuzz
 # ---------------------------------------------------------------------------
 
-_EXTREME = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308, -1.7e308,
-                            math.inf, -math.inf, math.nan, 10**400])
+_EXTREME = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e-41, 1e-40, 1e40, 1e41, 1e300,
+                            1.7e308, -1.7e308, math.inf, -math.inf, math.nan, 10**400])
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                   st.lists(st.integers(-2, 2), max_size=2), st.just({}))
 _PLAUSIBLE = st.floats(min_value=1e-3, max_value=1e3)

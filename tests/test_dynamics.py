@@ -5,7 +5,6 @@ import pytest
 
 from coupled_pendula import (
     DampingModel,
-    PhysicalParams,
     SystemState,
     Trajectory,
     accel_q,
@@ -41,14 +40,6 @@ def test_origin_is_equilibrium(rng):
         for model in (FULL, ROT):
             assert np.max(np.abs(accel_q(rest, p, model))) == 0.0
             assert np.max(np.abs(accel_y(rest, p, model))) == 0.0
-
-
-def test_massless_pendula_reduce_to_spring_mass():
-    p = PhysicalParams(m0=1.5, m1=0, m2=0, l1=1, l2=1, beta0=0.4,
-                       beta1=0, beta2=0, k=3.0)
-    s = SystemState.from_q(0.2, 0, 0, -0.1, 0, 0)
-    acc = accel_q(s, p, FULL)
-    assert acc[0] == pytest.approx((-3.0 * 0.2 - 0.4 * -0.1) / 1.5, rel=1e-14)
 
 
 def test_displaced_beam_accel_cross_check(asymmetric_params):

@@ -61,6 +61,24 @@ def test_one_module_holds_the_e9_cell_format():
     assert holders == ["_csvio.py"], f"modules with the .9e format spec: {holders}"
 
 
+def _builds_out_of_range_error(node):
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ParamError"
+            and any(isinstance(part, ast.Constant) and isinstance(part.value, str)
+                    and "out of range" in part.value
+                    for arg in node.args for part in ast.walk(arg)))
+
+
+def test_one_module_decides_the_parameter_range():
+    # PhysicalParams checks the parameter domain once, where a parameter
+    # set is built; an "out of range" ParamError anywhere else would be a
+    # scale guard growing back downstream
+    holders = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
+                     if any(map(_builds_out_of_range_error,
+                                ast.walk(ast.parse(path.read_text(), str(path))))))
+    assert holders == ["params.py"], f"modules raising out-of-range ParamErrors: {holders}"
+
+
 def _int_literals(path):
     return [node.value for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, ast.Constant) and type(node.value) is int]
