@@ -169,6 +169,29 @@ def test_bm_values_exact():
     assert d.bm_minus == 0.0
 
 
+def test_derived_constants_overflow_names_the_field():
+    # l1**2 would overflow a float: refused with a typed error naming the
+    # field before derived_constants can see it, not a bare OverflowError
+    with pytest.raises(ParamError, match="^l1: ") as exc:
+        derived_constants(PhysicalParams(m0=1, m1=1, m2=1, l1=1e300, l2=1, beta0=1,
+                                         beta1=1, beta2=1, k=1))
+    assert exc.value.field == "l1"
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"k": 1e308}, "k"),  # Y = k(l1 + l2)/(2mg) would overflow
+    ({"l1": 1e300, "l2": 1e300}, "l1"),  # l1·l2 would overflow: Λ would read 0
+    ({"l1": 1e-200, "l2": 1e-200}, "l1"),  # l1·l2 would underflow: Λ would divide by 0
+])
+def test_reduce_params_out_of_range_names_the_field(overrides, field):
+    # refused at construction, so reduce_params never runs on it; the suite
+    # turns warnings into errors, so no numpy or float warning passes either
+    with pytest.raises(ParamError, match=f"^{field}: out of range") as exc:
+        reduce_params(PhysicalParams(**{**dict(m0=1, m1=1, m2=1, l1=1, l2=1, beta0=1,
+                                               beta1=1, beta2=1, k=1), **overrides}))
+    assert exc.value.field == field
+
+
 # ---------------------------------------------------------------------------
 # coordinate transforms
 # ---------------------------------------------------------------------------

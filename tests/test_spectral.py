@@ -428,6 +428,28 @@ def test_report_identical_has_factors_and_zone(identical_params):
     assert len(doc["gershgorin"]) == 6
 
 
+@pytest.mark.parametrize("field, value", [("beta0", 1.7e308), ("k", 1e308)])
+def test_report_overflowing_coefficients_name_the_field(field, value):
+    # the sextic's coefficients would overflow: refused at construction with
+    # a typed error, with no numpy warning (the suite turns warnings into
+    # errors) and no inf answer
+    with pytest.raises(ParamError, match=f"^{field}: ") as exc:
+        spectrum_report(PhysicalParams(**{**dict(m0=1, m1=1, m2=1, l1=1, l2=1, beta0=1,
+                                                 beta1=1, beta2=1, k=1), field: value}))
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"k": 1e308}, "k"),  # (l1 + l2)k/(d l1 l2) would overflow
+    ({"l1": 1e-200, "l2": 1e-200}, "l1"),  # d·l1·l2 would underflow to 0
+])
+def test_linear_system_out_of_range_names_the_field(overrides, field):
+    with pytest.raises(ParamError, match=f"^{field}: out of range") as exc:
+        linear_system(PhysicalParams(**{**dict(m0=1, m1=1, m2=1, l1=1, l2=1, beta0=1,
+                                               beta1=1, beta2=1, k=1), **overrides}))
+    assert exc.value.field == field
+
+
 def test_report_newton_overflow_emits_no_warning():
     # a Newton candidate of the root polish overflows and is thrown away;
     # the suite turns warnings into errors, so none may escape
