@@ -62,8 +62,6 @@ from .regions import (
     complex_root_bound,
     conic_conditions,
     empirical_decay_rates,
-    mu_threshold,
-    no_inphase_check,
     region_map,
     semicircle_condition,
 )

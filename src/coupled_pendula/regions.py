@@ -10,12 +10,24 @@ annulus [ρm, ρM].  Comparing the two yields, per quadrant point:
 * antiphase facilitation: ηω < 2ρm, split into condition (A) when
   ρm = a0/a1 (zones Z1, Z2) and (B) when ρm = a1/a2 (zones Z3, Z4) —
   the set 𝒜 collects the points whose zone-matching condition holds;
-* in-phase impossibility: ηω/2 ≤ ρM always holds for η ≤ 1, so the δ
-  pair can never decay faster than the whole x/σ spectrum;
 * semicircle membership: ω ≤ ρM, i.e. whether the δ eigenvalue pair
   (modulus exactly ω) lies inside the outer annulus radius, proven true
   for η ≤ 1 (``semicircle_condition``);
 * the refined real-part bound, proven never to apply (``complex_root_bound``).
+
+In-phase synchronization is never facilitated, for any η: with
+a3 = X + (1−2μ)η and a4 = 1 − 2μ, ρM ≥ a3/a4 = η + X/(1−2μ) > η, so
+2ρM − η > 0 and the δ pair never out-decays the whole x/σ spectrum.
+
+The quadrant domain is a fixed box, checked once where X, Y, η and μ
+enter: X, Y ∈ (0, 1e30], η ∈ [1e-121, 1e121] and μ ∈ (0, ½).  It holds
+every η of an in-domain ``PhysicalParams`` (η = (β/m)/ω, β/m ≤ 1e80,
+1/ω ≤ 1e40), and inside it the kernel is plain arithmetic.  Each conic
+and quartic coefficient is a sum of monomials, largest at a corner of
+the box, where none exceeds 1e302.  The ratios stay finite, as
+a0/a1 ≤ 1/η, a1/a2 ≤ 1/η + 2η, a2/a3 ≤ (ηX + Y + 1)/((1−2μ)η),
+a3/a4 = η + X/(1−2μ), 1 − 2μ ≥ 2⁻⁵³ and a1, a3 ≥ X > 0, a2 ≥ 1
+(``test_quadrant_corners_stay_finite``).
 
 All verdicts here are dimensionless (ω ≡ 1) and come from one columnar
 kernel, ``_verdicts``, which holds the one copy of each formula: a grid
@@ -27,7 +39,6 @@ writer of ``_csvio``.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -41,31 +52,39 @@ from .dynamics import DampingModel, _integrate_rows
 from .params import ParamError, identical_pendula
 
 __all__ = [
-    "BranchUnsupportedError", "QuadrantPoint", "AntiphaseVerdict", "InphaseCheck",
-    "RootBound", "GridSpec", "MAX_GRID_NODES", "RegionMap", "classify_zone",
-    "conic_conditions", "antiphase_conditions", "mu_threshold", "no_inphase_check",
-    "semicircle_condition", "complex_root_bound", "region_map", "empirical_decay_rates",
+    "BranchUnsupportedError", "QuadrantPoint", "AntiphaseVerdict", "RootBound",
+    "GridSpec", "MAX_XY", "MIN_ETA", "MAX_ETA", "MAX_GRID_NODES", "RegionMap",
+    "classify_zone", "conic_conditions", "antiphase_conditions", "semicircle_condition",
+    "complex_root_bound", "region_map", "empirical_decay_rates",
 ]
+
+#: The quadrant box: X, Y ∈ (0, MAX_XY], η ∈ [MIN_ETA, MAX_ETA], μ ∈ (0, ½).
+MAX_XY, MIN_ETA, MAX_ETA = 1e30, 1e-121, 1e121
 
 
 class BranchUnsupportedError(ValueError):
     """Requested verdict is only analyzed for η ≤ 1."""
 
 
-def _check_quadrant(**fields: float) -> None:
-    """Refuse an X, Y or η that is not positive and finite, and a μ
-    outside (0, ½), naming the field."""
+def _check_box(**fields) -> None:
+    """Refuse a bool, a non-real or an out-of-box value, naming the field;
+    each field but η and μ is an X or a Y, grid bounds included."""
     for name, v in fields.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ParamError(name, "must be a real number")
         if name == "mu":
-            if not 0.0 < v < 0.5:
-                raise ParamError(name, "must lie in (0, 1/2)")
-        elif not 0.0 < v < math.inf:
-            raise ParamError(name, "must be positive and finite")
+            inside, span = 0.0 < v < 0.5, "(0, 1/2)"
+        elif name == "eta":
+            inside, span = MIN_ETA <= v <= MAX_ETA, f"[{MIN_ETA:g}, {MAX_ETA:g}]"
+        else:
+            inside, span = 0.0 < v <= MAX_XY, f"(0, {MAX_XY:g}]"
+        if not inside:
+            raise ParamError(name, f"must lie in {span}")
 
 
 @dataclass(frozen=True)
 class QuadrantPoint:
-    """A point of the open positive quadrant with its (η, μ) context."""
+    """A point of the quadrant box with its (η, μ) context."""
 
     X: float
     Y: float
@@ -73,7 +92,7 @@ class QuadrantPoint:
     mu: float
 
     def __post_init__(self):
-        _check_quadrant(**vars(self))
+        _check_box(**vars(self))
 
     def ratios(self) -> np.ndarray:
         return spectral.ek_ratios_dimensionless(self.eta, self.X, self.Y, self.mu)
@@ -91,25 +110,14 @@ def _conic_values(X, Y, eta, mu):
     return c1, c2, c3, c4
 
 
-def _conic_signs(X, Y, eta: float, mu: float, field: str) -> np.ndarray:
-    """Signs of the four conics as (n, 4) flags; :class:`ParamError` on
-    ``field`` where one overflows, as the sign of inf or NaN decides nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.stack(_conic_values(X, Y, eta, mu), axis=-1)
-    if not np.isfinite(vals).all():
-        raise ParamError(field, f"conic values overflow on this {field} at eta = {eta:.6g}")
-    return vals > 0
-
-
-def _verdicts(X: np.ndarray, Y: np.ndarray, eta: float, mu: float, field: str) -> dict:
-    """Every verdict at the points of the (n,) columns X and Y for one (η, μ).
+def _verdicts(X: np.ndarray, Y: np.ndarray, eta: float, mu: float) -> dict:
+    """Every verdict at the points of the (n,) columns X and Y for one checked (η, μ).
 
     The one copy of each formula: grids and single points both come here.
     Returns the columns ``zone``, ``conics``, ``branch``, ``rho_m`` and
     ``rho_M`` described under :class:`RegionMap`.
     """
-    _check_quadrant(eta=eta, mu=mu)
-    conics = _conic_signs(X, Y, eta, mu, field)
+    conics = np.stack(_conic_values(X, Y, eta, mu), axis=-1) > 0
     r = spectral.ek_ratios_dimensionless(eta, X, Y, mu)  # (n, 4)
     zone, rm_first = _zone_index(r)
     branch = None
@@ -124,10 +132,9 @@ def _verdicts(X: np.ndarray, Y: np.ndarray, eta: float, mu: float, field: str) -
 
 
 def _at(q: QuadrantPoint, refuse: Optional[str] = None) -> dict:
-    """The kernel's one-row call at ``q``; with ``refuse``, the name of a
-    verdict analyzed for η ≤ 1 only, η > 1 raises
-    :class:`BranchUnsupportedError`."""
-    v = _verdicts(np.array([q.X]), np.array([q.Y]), q.eta, q.mu, "point")
+    """The kernel's one-row call at ``q``; η > 1 raises :class:`BranchUnsupportedError`
+    for ``refuse``, the name of a verdict analyzed for η ≤ 1 only."""
+    v = _verdicts(np.array([q.X]), np.array([q.Y]), q.eta, q.mu)
     if refuse and v["branch"] is None:
         raise BranchUnsupportedError(f"{refuse} analyzed for eta <= 1 only")
     return v
@@ -142,8 +149,7 @@ def conic_conditions(q: QuadrantPoint) -> tuple[bool, bool, bool, bool]:
     """Signs of the four ratio-comparison conics.
 
     Positive values mean, in order: a0/a1 < a1/a2, a0/a1 < a3/a4,
-    a1/a2 < a2/a3, a2/a3 < a3/a4.  A point whose conics overflow raises
-    :class:`ParamError`, as a grid does.
+    a1/a2 < a2/a3, a2/a3 < a3/a4.
     """
     return tuple(_at(q)["conics"][0].tolist())
 
@@ -164,28 +170,6 @@ def antiphase_conditions(q: QuadrantPoint) -> AntiphaseVerdict:
     return AntiphaseVerdict(*_at(q, "antiphase conditions")["branch"][0, :3].tolist())
 
 
-def mu_threshold(eta: float) -> float:
-    """Mass-ratio threshold (2−η²)/(2(4−η²)) separating the map cases."""
-    if not 0.0 < eta <= 1.0:
-        raise BranchUnsupportedError("threshold defined for 0 < eta <= 1")
-    return (2.0 - eta**2) / (2.0 * (4.0 - eta**2))
-
-
-class InphaseCheck(NamedTuple):
-    ok: bool
-    margin: float  # 2 ρM/ω − η, non-negative whenever ok
-
-
-def no_inphase_check(q: QuadrantPoint) -> InphaseCheck:
-    """Verify ηω/2 ≤ ρM: the δ pair cannot out-decay the x/σ annulus.
-
-    For η ≤ 1 this holds at every quadrant point, which is why in-phase
-    synchronization is never facilitated.
-    """
-    margin = 2.0 * _at(q, "in-phase check")["rho_M"][0] - q.eta
-    return InphaseCheck(ok=bool(margin >= 0.0), margin=float(margin))
-
-
 def semicircle_condition(q: QuadrantPoint) -> bool:
     """Whether the δ eigenvalue pair (|z| = ω) lies within |z| ≤ ρM,
     proven true at every quadrant point with η ≤ 1.
@@ -193,7 +177,7 @@ def semicircle_condition(q: QuadrantPoint) -> bool:
     ρM > 1 fails only if a2/a3 ≤ 1 and a3/a4 ≤ 1.  With a4 = 1 − 2μ in
     (0, 1), the second reads X ≤ (1−2μ)(1−η), and the first then gives
     Y + 1 ≤ X(1−η) + (1−2μ)η ≤ (1−2μ)(1 − η + η²) ≤ 1 − 2μ < 1, impossible
-    for Y > 0.  The one-row call still validates q and refuses η > 1.
+    for Y > 0.  The one-row call still refuses η > 1.
     """
     return bool(_at(q, "semicircle condition")["branch"][0, 3])
 
@@ -230,8 +214,7 @@ MAX_GRID_NODES = 4_000_000
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular grid strictly inside the open quadrant, with at most
-    :data:`MAX_GRID_NODES` nodes."""
+    """Rectangular grid inside the quadrant box, of at most :data:`MAX_GRID_NODES` nodes."""
 
     x_min: float
     x_max: float
@@ -242,15 +225,11 @@ class GridSpec:
     spacing: str = "log"
 
     def __post_init__(self):
-        for name in ("x_min", "x_max", "y_min", "y_max"):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or not math.isfinite(v)):
-                raise ParamError(name, "grid bounds must be finite numbers")
-        if not 0.0 < self.x_min <= self.x_max:
-            raise ParamError("x_min", "grid must satisfy 0 < x_min <= x_max")
-        if not 0.0 < self.y_min <= self.y_max:
-            raise ParamError("y_min", "grid must satisfy 0 < y_min <= y_max")
+        _check_box(x_min=self.x_min, x_max=self.x_max, y_min=self.y_min, y_max=self.y_max)
+        if not self.x_min <= self.x_max:
+            raise ParamError("x_min", "grid must satisfy x_min <= x_max")
+        if not self.y_min <= self.y_max:
+            raise ParamError("y_min", "grid must satisfy y_min <= y_max")
         for name in ("nx", "ny"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -339,17 +318,18 @@ class RegionMap:
 
 
 def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:
-    """Evaluate every verdict on the grid; refuse it if a conic overflows.
+    """Evaluate every verdict on the grid, after checking η and μ once.
 
     The kernel runs on blocks of :data:`BLOCK_ROWS` nodes, whose results
     fill preallocated columns, so its temporaries never span the grid.
     """
+    _check_box(eta=eta, mu=mu)
     xs, ys = grid.axis("x"), grid.axis("y")
     n, cols = xs.size * ys.size, None
     for lo in range(0, n, BLOCK_ROWS):
         rows = slice(lo, min(lo + BLOCK_ROWS, n))
         node = np.arange(rows.start, rows.stop)
-        block = _verdicts(xs[node % grid.nx], ys[node // grid.nx], eta, mu, "grid")
+        block = _verdicts(xs[node % grid.nx], ys[node // grid.nx], eta, mu)
         if cols is None:  # zone 0-3 fits uint8; the rest keep the kernel's dtypes
             cols = {k: None if v is None else
                     np.empty((n,) + v.shape[1:], np.uint8 if k == "zone" else v.dtype)

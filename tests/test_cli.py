@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import coupled_pendula
 from coupled_pendula import spectral, verification
 from coupled_pendula.cli import MAX_SAMPLES, canonical_json, load_config, main
-from coupled_pendula.regions import MAX_GRID_NODES
+from coupled_pendula.regions import MAX_GRID_NODES, MAX_XY
 from coupled_pendula.verification import check_decay_panel, run_verification
 
 BASE = {
@@ -586,10 +586,13 @@ def test_run_size_limits_admit_pinned_configs(tmp_path):
 
 
 @pytest.mark.parametrize("grid, code", [
-    ({"x_max": 1e155}, 2),  # X**2 overflows in the conics of the first sweep block
-    ({"x_min": 1e-200, "x_max": 1e100, "y_min": 1e-200, "y_max": 1e100}, 0),
-    # Y**2 overflows on the top row only, in the last of two sweep blocks
+    ({"x_max": 1e155}, 2),  # X**2 would overflow in the conics of the first sweep block
+    # up to the box's edge, with 3-digit exponents in the CSV
+    ({"x_min": 1e-200, "x_max": 1e30, "y_min": 1e-200, "y_max": 1e30}, 0),
+    # Y**2 would overflow on the top row only, in the last of two sweep blocks
     ({"y_min": 0.01, "y_max": 1e155, "nx": 100, "ny": 100}, 2),
+    # past the box, though no conic would overflow
+    ({"x_min": 1e-200, "x_max": 1e100, "y_min": 1e-200, "y_max": 1e100}, 2),
 ])
 def test_regions_conic_overflow_rejected(tmp_path, capsys, grid, code):
     grid = dict({"nx": 20, "ny": 20}, **grid)
@@ -602,7 +605,8 @@ def test_regions_conic_overflow_rejected(tmp_path, capsys, grid, code):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "Traceback" not in err and "RuntimeWarning" not in err
     if code:
-        assert err.startswith("error: grid:") and not out_csv.exists()
+        field = next(k for k in ("x_max", "y_max") if grid.get(k, 0.0) > MAX_XY)
+        assert err.startswith(f"error: {field}:") and not out_csv.exists()
     else:
         assert len(out_csv.read_text().splitlines()) == grid["nx"] * grid["ny"] + 1
 

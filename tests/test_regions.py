@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ from coupled_pendula import (
     DampingModel,
     GridSpec,
     ParamError,
+    PhysicalParams,
     QuadrantPoint,
     SystemState,
     antiphase_conditions,
@@ -19,15 +21,15 @@ from coupled_pendula import (
     conic_conditions,
     empirical_decay_rates,
     integrate,
-    mu_threshold,
-    no_inphase_check,
     params_from_dimensionless,
     poly_roots,
+    reduce_params,
     region_map,
     semicircle_condition,
 )
 from coupled_pendula._csvio import BLOCK_ROWS, _EXP_WORDS, _LEAD_WORDS, _MID_WORDS, e9_cells
-from coupled_pendula.regions import MAX_GRID_NODES, _strict_peaks, _verdicts
+from coupled_pendula.regions import (MAX_ETA, MAX_GRID_NODES, MAX_XY, MIN_ETA, _strict_peaks,
+                                     _verdicts)
 from coupled_pendula.spectral import ek_ratios_dimensionless, quartic_from_dimensionless
 from coupled_pendula.verification import DECAY_PANEL
 from oracles import quadrant_oracle, reference_region_csv
@@ -55,7 +57,7 @@ def kernel_draws(rng, n_ctx, n_pts, eta=(0.05, 1.0), mu=(0.01, 0.49), x=(-2, 2),
     etas, mus = rng.uniform(*eta, n_ctx), rng.uniform(*mu, n_ctx)
     X = 10 ** rng.uniform(*x, (n_ctx, n_pts))
     Y = 10 ** rng.uniform(*y, (n_ctx, n_pts))
-    parts = [_verdicts(*row, "point") for row in zip(X, Y, etas.tolist(), mus.tolist())]
+    parts = [_verdicts(*row) for row in zip(X, Y, etas.tolist(), mus.tolist())]
     got = {k: None if any(v[k] is None for v in parts) else np.concatenate([v[k] for v in parts])
            for k in parts[0]}
     return got, (X.ravel(), Y.ravel(), np.repeat(etas, n_pts), np.repeat(mus, n_pts))
@@ -101,6 +103,10 @@ def test_quadrant_point_validation():
 @pytest.mark.parametrize("field, value", [
     ("X", math.inf), ("X", math.nan), ("Y", math.inf), ("Y", -1.0),
     ("eta", math.inf), ("eta", math.nan), ("eta", 0.0), ("mu", math.nan), ("mu", 0.5),
+    # outside the box, and not a real number
+    ("X", 2e30), ("Y", 2e30), ("eta", 1e-122), ("eta", 2e121),
+    ("X", "1"), ("X", None), ("X", True), ("Y", "1"), ("Y", None), ("Y", False),
+    ("eta", "0.6"), ("eta", None), ("eta", True), ("mu", "0.25"), ("mu", None), ("mu", False),
 ])
 def test_non_finite_quadrant_input_names_the_field(field, value):
     # refused where it enters, before any verdict divides by it
@@ -114,6 +120,45 @@ def test_non_finite_quadrant_input_names_the_field(field, value):
         assert exc.value.field == field
 
 
+def test_subnormal_eta_refused_without_warning():
+    # below the box's η range the ratio a0/a1 ≤ 1/η would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamError) as exc:
+            region_map(GridSpec(5e-324, 1.0, 1.0, 1e30, 3, 3), 5e-324, 0.25)
+        assert exc.value.field == "eta"
+        with pytest.raises(ParamError) as exc:
+            QuadrantPoint(X=5e-324, Y=1e30, eta=5e-324, mu=0.25)
+        assert exc.value.field == "eta"
+
+
+def test_quadrant_corners_stay_finite():
+    # each conic and quartic coefficient peaks at a corner of the box: at
+    # every one the verdicts and the ratio cells neither overflow, nor
+    # divide by zero, nor go NaN
+    corners = itertools.product((5e-324, MAX_XY), (5e-324, MAX_XY), (MIN_ETA, 1.0, MAX_ETA),
+                                (5e-324, 0.25, 0.5 - 2.0**-54))
+    with np.errstate(all="raise", under="ignore"):
+        for X, Y, eta, mu in corners:
+            QuadrantPoint(X=X, Y=Y, eta=eta, mu=mu)
+            got = _verdicts(np.array([X]), np.array([Y]), eta, mu)
+            e9_cells(np.concatenate([got["rho_m"], got["rho_M"]]))
+    # the η range holds every η of an in-domain parameter set: at the
+    # identical-pendula corners of the PhysicalParams box, the beam's
+    # damping also 0
+    lo, hi = 1e-40, 1e40
+    etas = []
+    for m0, mp, length, beta0, bp, k, g in itertools.product(
+            (lo, hi), (lo, hi), (lo, hi), (0.0, lo, hi), (lo, hi), (lo, hi), (lo, hi)):
+        try:
+            p = PhysicalParams(m0, mp, mp, length, length, beta0, bp, bp, k, g)
+        except ParamError:  # a beam negligible against the pendula
+            continue
+        etas.append(reduce_params(p).eta)
+    assert min(etas) < 1e-119 and max(etas) > 1e119
+    assert all(MIN_ETA <= eta <= MAX_ETA for eta in etas)
+
+
 # ---------------------------------------------------------------------------
 # conics
 # ---------------------------------------------------------------------------
@@ -124,14 +169,11 @@ def test_conic_one_near_origin():
 
 
 def test_conic_overflow_raises_param_error():
-    # the point path refuses what the grid path refuses, with no warning,
-    # in every one-row call of the kernel
-    for X, Y in ((1e155, 1.0), (1e300, 1.0), (1.0, 1e155)):
-        q = QuadrantPoint(X=X, Y=Y, eta=0.6, mu=0.25)
-        for verdict in (conic_conditions, classify_zone, antiphase_conditions,
-                        no_inphase_check, semicircle_condition):
-            with np.errstate(all="raise"), pytest.raises(ParamError, match="^point: conic"):
-                verdict(q)
+    # a point whose conics would overflow lies past the box: it is refused
+    # when built, naming the field, with no warning
+    for field, X, Y in (("X", 1e155, 1.0), ("X", 1e300, 1.0), ("Y", 1.0, 1e155)):
+        with np.errstate(all="raise"), pytest.raises(ParamError, match=f"^{field}: must lie in"):
+            QuadrantPoint(X=X, Y=Y, eta=0.6, mu=0.25)
 
 
 def test_conics_equal_ratio_comparisons(rng):
@@ -186,8 +228,7 @@ def test_antiphase_rejects_large_eta():
         antiphase_conditions(QuadrantPoint(X=1.0, Y=1.0, eta=1.5, mu=0.2))
 
 
-@pytest.mark.parametrize("verdict", [antiphase_conditions, no_inphase_check,
-                                     semicircle_condition])
+@pytest.mark.parametrize("verdict", [antiphase_conditions, semicircle_condition])
 def test_branch_verdicts_refuse_eta_above_one(verdict):
     q = QuadrantPoint(X=1.0, Y=1.0, eta=1.0 + 1e-12, mu=0.2)
     with pytest.raises(BranchUnsupportedError, match="eta <= 1 only"):
@@ -200,16 +241,6 @@ def test_scalar_verdicts_example_point():
     assert conic_conditions(q) == (True, True, True, True)
     assert antiphase_conditions(q) == (False, True, False)
     assert semicircle_condition(q) is True
-    assert no_inphase_check(q) == (True, 5.0)
-
-
-def test_mu_threshold_values():
-    assert mu_threshold(1.0) == pytest.approx(1 / 6, rel=1e-14)
-    assert mu_threshold(1e-9) == pytest.approx(0.25, rel=1e-6)
-    etas = np.linspace(0.01, 1.0, 100)
-    vals = np.array([mu_threshold(e) for e in etas])
-    assert np.all(vals < 0.25)
-    assert np.all(np.diff(vals) < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +252,20 @@ def test_no_inphase_always_true(rng):
                                         x=(-3, 3), y=(-3, 3))
     want, _ = quadrant_oracle(X, Y, eta, mu)
     assert np.allclose(got["rho_M"], want["rho_M"], rtol=1e-14, atol=0)
-    assert np.all(2.0 * got["rho_M"] - eta >= 0)  # no_inphase_check's margin
+    assert np.all(2.0 * got["rho_M"] - eta >= 0)  # the in-phase theorem's margin
 
 
-def test_no_inphase_margin_example():
-    chk = no_inphase_check(QuadrantPoint(X=1.0, Y=1.0, eta=1.0, mu=0.25))
-    assert chk.margin == pytest.approx(2 * 3.0 - 1.0, rel=1e-12)
+def test_inphase_theorem_holds_exactly(rng):
+    # the module docstring's in-phase proof, in rational arithmetic, for η
+    # up to 3: a3/a4 = η + X/(1−2μ), so 2ρM ≥ 2·max(a2/a3, a3/a4) > η
+    for _ in range(5000):
+        eta = Fraction(int(rng.integers(1, 3001)), 1000)
+        mu = Fraction(int(rng.integers(1, 1000)), 2000)
+        X, Y = (Fraction(int(rng.integers(1, 10**6)), 10 ** int(rng.integers(0, 19)))
+                for _ in range(2))
+        a2, a3, a4 = eta * X + Y + 1, X + (1 - 2 * mu) * eta, 1 - 2 * mu
+        assert a3 / a4 == eta + X / (1 - 2 * mu)
+        assert 2 * max(a2 / a3, a3 / a4) > eta, (X, Y, eta, mu)
 
 
 def test_no_inphase_root_comparison(rng):
@@ -287,11 +326,11 @@ def test_refined_bound_premise_never_holds_for_stable_quartics(rng):
 
 
 def test_root_bound_never_applies():
-    # the premise fails everywhere, so no point needs a root or an
-    # overflow check, not even the far ones whose conics overflow
+    # the premise fails everywhere, so no point needs a root, not even
+    # the far edges of the box
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for X, Y in ((1e155, 1.0), (1e100, 1.0), (1.0, 1e300), (0.3, 0.7)):
+        for X, Y in ((MAX_XY, 1.0), (MAX_XY, MAX_XY), (1.0, MAX_XY), (0.3, 0.7)):
             assert complex_root_bound(QuadrantPoint(X=X, Y=Y, eta=0.6, mu=0.25)) \
                 == (False, None)
 
@@ -330,7 +369,7 @@ def test_blockwise_map_equals_one_kernel_call(grid, eta, mu):
     # 22,663 nodes: two full sweep blocks and a partial third
     assert 2 * BLOCK_ROWS < grid.nx * grid.ny < 3 * BLOCK_ROWS
     rmap = region_map(grid, eta, mu)
-    want = _verdicts(np.tile(rmap.xs, grid.ny), np.repeat(rmap.ys, grid.nx), eta, mu, "grid")
+    want = _verdicts(np.tile(rmap.xs, grid.ny), np.repeat(rmap.ys, grid.nx), eta, mu)
     assert rmap.zone.dtype == np.uint8
     for name, col in want.items():
         got = getattr(rmap, name)
@@ -338,16 +377,17 @@ def test_blockwise_map_equals_one_kernel_call(grid, eta, mu):
 
 
 def test_conic_overflow_in_last_block_refuses_the_grid():
-    # only the top row, y = 1e155, squares past the float range, and every
-    # node of it lies in the last sweep block
-    grid = GridSpec(0.01, 10.0, 0.01, 1e155, 100, 100, "log")
-    ys = grid.axis("y")
-    with np.errstate(over="ignore"):
-        assert np.isfinite(ys[-2] ** 2) and np.isinf(ys[-1] ** 2)
-    assert grid.nx * (grid.ny - 1) >= BLOCK_ROWS
+    # a grid whose top row, y = 1e155, would square past the float range in
+    # the last sweep block is refused when built, naming y_max; at the
+    # box's edge the same grid sweeps every block with finite values
     with pytest.raises(ParamError) as exc:
-        region_map(grid, 0.6, 0.25)
-    assert exc.value.field == "grid"
+        GridSpec(0.01, 10.0, 0.01, 1e155, 100, 100, "log")
+    assert exc.value.field == "y_max"
+    grid = GridSpec(0.01, 10.0, 0.01, MAX_XY, 100, 100, "log")
+    assert grid.nx * (grid.ny - 1) >= BLOCK_ROWS
+    with np.errstate(all="raise", under="ignore"):
+        rmap = region_map(grid, 0.6, 0.25)
+    assert np.isfinite(rmap.rho_m).all() and np.isfinite(rmap.rho_M).all()
 
 
 def test_sweep_and_csv_memory_peak_bounded(tmp_path):
@@ -485,9 +525,8 @@ def test_e9_cells_exact_on_adversarial_values():
     (GridSpec(0.3, 0.3, 0.7, 0.7, 1, 1, "log"), 0.6, 0.25),
     # two full blocks and a partial one; X, Y and rho mix 15-byte fast cells
     # with 16-byte format cells (3-digit exponents) within and across
-    # blocks, so a byte left over from the previous block would show;
-    # region_map refuses non-finite conics, so they are all finite here
-    (GridSpec(1e-200, 1e100, 1e-200, 1e100, 130, 130, "log"), 0.6, 0.25),
+    # blocks, so a byte left over from the previous block would show
+    (GridSpec(1e-200, MAX_XY, 1e-200, MAX_XY, 130, 130, "log"), 0.6, 0.25),
 ])
 def test_map_csv_matches_reference_writer(tmp_path, grid, eta, mu):
     rmap = region_map(grid, eta=eta, mu=mu)

@@ -79,6 +79,15 @@ def test_one_module_decides_the_parameter_range():
     assert holders == ["params.py"], f"modules raising out-of-range ParamErrors: {holders}"
 
 
+def test_regions_kernel_has_no_overflow_guard():
+    # the quadrant box is checked where X, Y, η and μ enter, and inside it
+    # the kernel cannot overflow; an np.errstate in regions would be an
+    # after-the-fact guard growing back
+    found = [node.lineno for node in ast.walk(ast.parse((PACKAGE_DIR / "regions.py").read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "errstate"]
+    assert not found, f"np.errstate in regions.py at lines {found}"
+
+
 def _int_literals(path):
     return [node.value for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, ast.Constant) and type(node.value) is int]
