@@ -44,7 +44,6 @@ from .spectral import (
     RouthHurwitzReport,
     char_poly_general,
     char_poly_identical,
-    ek_ratios,
     enestrom_kakeya,
     gershgorin,
     linear_system,

@@ -163,8 +163,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"unknown grid key: {unknown[0]}")
     grid_kv = dict(_GRID_DEFAULTS)
     grid_kv.update(grid_raw)
-    for key in ("x_min", "x_max", "y_min", "y_max"):
-        grid_kv[key] = _number(grid_kv, key)
     grid = GridSpec(**grid_kv)
 
     samples = doc.get("samples", 2001)

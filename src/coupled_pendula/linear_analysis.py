@@ -23,7 +23,11 @@ ordered ω1 < ω < ω2.  The x/σ modal amplitudes share the coupling length
       = (l²/2g) (ω1²−ω²)(ω2²−ω²) / (ω1²−ω2²) > 0,
 
 which vanishes as Y → ∞ and has its maximum at Y = 1−4μ when μ < 1/4
-(value (l/2)√(μ/(2(1−2μ)))) and at Y → 0 (value μl) otherwise.
+(value (l/2)√(μ/(2(1−2μ)))) and at Y → 0 (value μl) otherwise.  The
+code takes the pair, B and the modal ratios ζk = ωk²/(ωk²−ω²) from the
+first form, with the root written as √((1−Y)² + 8μY), so all three keep
+their digits down to light pendula (μ → 0); the second form's
+differences cancel there, so it is a test identity, not a runtime check.
 """
 
 from __future__ import annotations
@@ -70,17 +74,34 @@ def frequency_cubic(rp: ReducedParams) -> np.ndarray:
     ])
 
 
+def _disc_root(Y, mu):
+    """r = √((1+Y)² − 4Y(1−2μ)), computed as √((1−Y)² + 8μY): a sum of
+    non-negative terms, so it keeps its digits as μ → 0 at Y ≈ 1, and
+    ``hypot`` keeps it from overflowing; on floats or arrays."""
+    return np.hypot(1.0 - Y, np.sqrt(8.0 * mu * Y))
+
+
 def _pair_squared(omega_sq, Y, mu):
     """(ω1², ω2²) of the equal-length closed form; on floats or arrays."""
-    s = np.sqrt(1.0 - 4.0 * Y * (1.0 - 2.0 * mu) / (1.0 + Y) ** 2)
-    base = omega_sq * (1.0 + Y) / (2.0 * (1.0 - 2.0 * mu))
-    # lower root via the product relation: stable when s is close to 1
-    return 2.0 * Y * omega_sq / ((1.0 + Y) * (1.0 + s)), base * (1.0 + s)
+    big = 1.0 + Y + _disc_root(Y, mu)
+    # lower root via the product relation ω1²ω2² = Yω⁴/(1−2μ): no cancellation
+    return 2.0 * Y * omega_sq / big, omega_sq * big / (2.0 * (1.0 - 2.0 * mu))
 
 
 def _coupling_length(mu, Y, length):
-    """B = μ l / √((1+Y)² − 4Y(1−2μ)); on floats or arrays."""
-    return mu * length / np.sqrt((1.0 + Y) ** 2 - 4.0 * Y * (1.0 - 2.0 * mu))
+    """B = μ l / r; on floats or arrays."""
+    return mu * length / _disc_root(Y, mu)
+
+
+def _zetas(Y, mu):
+    """(ζ1, ζ2) = (ω1²/(ω1²−ω²), ω2²/(ω2²−ω²)) = (−2Y/(r+d), 2Y/(r−d)) with
+    d = 1 − Y; on floats (as 0-d arrays) or arrays.  As (r+d)(r−d) = 8μY,
+    ζ1 = −(r−d)/(4μ) and ζ2 = (r+d)/(4μ) too; taking the forms that add
+    keeps ζ exact as ω1 or ω2 approaches ω (μ → 0), where ωk² − ω² cancels."""
+    d = 1.0 - Y
+    t = _disc_root(Y, mu) + abs(d)
+    small, large = 2.0 * Y / t, t / (4.0 * mu)
+    return np.where(d >= 0, -small, -large), np.where(d >= 0, large, small)
 
 
 @dataclass(frozen=True)
@@ -88,7 +109,6 @@ class FundamentalFrequencies:
     """Squared mode frequencies, ascending; closed forms when l1 = l2."""
 
     lambdas: np.ndarray  # three positive values [1/s^2], ascending
-    equal_length: bool
     omega1_sq: Optional[float] = None
     omega2_sq: Optional[float] = None
     omega_sq: Optional[float] = None
@@ -106,8 +126,7 @@ def fundamental_frequencies(p: PhysicalParams) -> FundamentalFrequencies:
         omega_sq = p.g / (0.5 * (p.l1 + p.l2))
         w1s, w2s = _pair_squared(omega_sq, rp.Y, rp.mu)
         lams = np.sort(np.array([w1s, omega_sq, w2s]))
-        return FundamentalFrequencies(lambdas=lams, equal_length=True,
-                                      omega1_sq=w1s, omega2_sq=w2s,
+        return FundamentalFrequencies(lambdas=lams, omega1_sq=w1s, omega2_sq=w2s,
                                       omega_sq=omega_sq)
     asc = frequency_cubic(rp)
     roots = np.roots(asc[::-1])
@@ -117,31 +136,20 @@ def fundamental_frequencies(p: PhysicalParams) -> FundamentalFrequencies:
     lams = np.sort(roots.real)
     if not lams[0] > 0:
         raise CrossCheckError("non-positive mode frequency")
-    return FundamentalFrequencies(lambdas=lams, equal_length=False)
+    return FundamentalFrequencies(lambdas=lams)
 
 
 def coupling_b(p: PhysicalParams) -> float:
-    """Modal coupling length B (m) for equal rod lengths.
+    """Modal coupling length B = μl/√((1+Y)² − 4Y(1−2μ)) (m) for equal rod lengths.
 
-    Cross-checks the closed form against the frequency-product identity
-    to 1e-10 relative before returning; a violation raises
-    :class:`CrossCheckError`.
+    The closed form keeps its digits down to μ → 0 (``_disc_root``); the
+    tests check it against the frequency-product identity of the module
+    docstring where that identity's differences do not cancel.
     """
     if not _rel_close(p.l1, p.l2):
         raise ParamError("l2", "coupling length requires l1 = l2")
     rp = reduce_params(p)
-    length = 0.5 * (p.l1 + p.l2)
-    b = float(_coupling_length(rp.mu, rp.Y, length))
-    ff = fundamental_frequencies(p)
-    w1s, w2s, ws = ff.omega1_sq, ff.omega2_sq, ff.omega_sq
-    lhs = length**2 / (2.0 * p.g) * (w1s - ws) * (w2s - ws) / (w1s - w2s)
-    # the differences cancel catastrophically for extreme Y; allow the
-    # corresponding floating-point floor on top of the 1e-10 tolerance
-    floor = (length**2 / (2.0 * p.g) * (w2s - ws) / (w2s - w1s)
-             * 64.0 * np.finfo(float).eps * max(w1s, ws))
-    if not abs(lhs - b) <= 1e-10 * b + floor:
-        raise CrossCheckError("coupling-length identity violated")
-    return b
+    return float(_coupling_length(rp.mu, rp.Y, 0.5 * (p.l1 + p.l2)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,47 +163,25 @@ def _amp_phase(a: float, b_over_w: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
-    """Three-mode solution x, σ, δ = Σ_k amp_k cos(w_k t − phase_k).
+    """Three-mode solution: coordinate i of (x, σ, δ) is
+    Σ_k amps[i, k] cos(mode_freqs[k] t − phases[i, k]).
 
     Modes are ordered (ω1, ω2, ω).  Amplitudes are signed; phases come
     from the two-argument arctangent, which fixes the quadrant that a
     tan-based convention would leave ambiguous.
     """
 
-    omega1: float
-    omega2: float
-    omega: float
-    B: float
-    zeta1: float
-    zeta2: float
-    C0: float
-    C0_dot: float
-    alpha: float  # δ-mode phase
-    alpha1: float  # σ mode-1 phase
-    alpha2: float  # σ mode-2 phase
-    phi1: float  # x mode-2 phase (built from ζ1 data)
-    phi2: float  # x mode-1 phase (built from ζ2 data)
-    x_amps: tuple[float, float, float]
-    sigma_amps: tuple[float, float, float]
-    delta_amps: tuple[float, float, float]
-
-    @property
-    def mode_freqs(self) -> np.ndarray:
-        return np.array([self.omega1, self.omega2, self.omega])
+    mode_freqs: np.ndarray  # (3,): ω1, ω2, ω [1/s]
+    amps: np.ndarray  # (3, 3): rows x, σ, δ; columns the modes
+    phases: np.ndarray  # (3, 3), laid out as amps
 
     def evaluate(self, t):
         """Coordinates and velocities at time(s) t; shape (..., 6)."""
         t = np.asarray(t, dtype=float)
         w = self.mode_freqs
-        phases = np.array([
-            [self.phi2, self.phi1, 0.0],
-            [self.alpha1, self.alpha2, self.alpha],
-            [0.0, 0.0, self.alpha],
-        ])
-        amps = np.array([self.x_amps, self.sigma_amps, self.delta_amps])
-        arg = t[..., None, None] * w - phases  # (..., 3 coords, 3 modes)
-        pos = np.sum(amps * np.cos(arg), axis=-1)
-        vel = np.sum(-amps * w * np.sin(arg), axis=-1)
+        arg = t[..., None, None] * w - self.phases  # (..., 3 coords, 3 modes)
+        pos = np.sum(self.amps * np.cos(arg), axis=-1)
+        vel = np.sum(-self.amps * w * np.sin(arg), axis=-1)
         return np.concatenate([pos, vel], axis=-1)
 
 
@@ -209,35 +195,29 @@ def closed_form(p: PhysicalParams, y0: SystemState) -> ClosedFormSolution:
     length = 0.5 * (p.l1 + p.l2)
     rp = reduce_params(p)
     ff = fundamental_frequencies(p)
-    w1s, w2s, ws = ff.omega1_sq, ff.omega2_sq, ff.omega_sq
-    w1, w2, om = math.sqrt(w1s), math.sqrt(w2s), math.sqrt(ws)
-    z1 = w1s / (w1s - ws)
-    z2 = w2s / (w2s - ws)
-    b = coupling_b(p)
+    w1, w2, om = (math.sqrt(v) for v in (ff.omega1_sq, ff.omega2_sq, ff.omega_sq))
+    z1, z2 = (float(z) for z in _zetas(rp.Y, rp.mu))
+    b = float(_coupling_length(rp.mu, rp.Y, length))
     r = (p.m1 - p.m2) / (p.m1 + p.m2)
 
-    yv = y0.to_y().as_vector()
-    x0, s0, d0, xd0, sd0, dd0 = (float(v) for v in yv)
+    x0, s0, d0, xd0, sd0, dd0 = (float(v) for v in y0.to_y().as_vector())
     c0 = s0 + r * d0
     c0d = sd0 + r * dd0
 
     # x(t): mode 1 carries the ζ2-loaded data, mode 2 the ζ1-loaded data.
     r2x, phi2 = _amp_phase(2 * z2 * x0 / length + c0, (2 * z2 * xd0 / length + c0d) / w1)
     r1x, phi1 = _amp_phase(2 * z1 * x0 / length + c0, (2 * z1 * xd0 / length + c0d) / w2)
-    x_amps = (b * r2x, -b * r1x, 0.0)
-
     yml = rp.Y / (rp.mu * length)
     s1a, alpha1 = _amp_phase(yml * x0 - z1 * c0, (yml * xd0 - z1 * c0d) / w1)
     s2a, alpha2 = _amp_phase(yml * x0 - z2 * c0, (yml * xd0 - z2 * c0d) / w2)
     ad, alpha = _amp_phase(d0, dd0 / om)
-    sigma_amps = (2 * b / length * s1a, -2 * b / length * s2a, -r * ad)
-    delta_amps = (0.0, 0.0, ad)
 
     return ClosedFormSolution(
-        omega1=w1, omega2=w2, omega=om, B=b, zeta1=z1, zeta2=z2,
-        C0=c0, C0_dot=c0d, alpha=alpha, alpha1=alpha1, alpha2=alpha2,
-        phi1=phi1, phi2=phi2,
-        x_amps=x_amps, sigma_amps=sigma_amps, delta_amps=delta_amps,
+        mode_freqs=np.array([w1, w2, om]),
+        amps=np.array([[b * r2x, -b * r1x, 0.0],
+                       [2 * b / length * s1a, -2 * b / length * s2a, -r * ad],
+                       [0.0, 0.0, ad]]),
+        phases=np.array([[phi2, phi1, 0.0], [alpha1, alpha2, alpha], [0.0, 0.0, alpha]]),
     )
 
 
@@ -286,9 +266,7 @@ def amplitude_profiles(mu: float, Y, length: float):
     if np.any(Y < 0):
         raise ParamError("Y", "must be non-negative")
     b = _coupling_length(mu, Y, length)
-    w1s, w2s = _pair_squared(1.0, Y, mu)  # in units of omega^2
-    z1 = w1s / (w1s - 1.0)
-    z2 = w2s / (w2s - 1.0)
+    z1, z2 = _zetas(Y, mu)
     phi = 2.0 * b * Y / (mu * length**2)
     psi1_prof = -2.0 / length * b * z1
     psi2_prof = 2.0 / length * b * z2

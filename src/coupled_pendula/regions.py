@@ -39,6 +39,7 @@ writer of ``_csvio``.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -66,12 +67,19 @@ class BranchUnsupportedError(ValueError):
     """Requested verdict is only analyzed for η ≤ 1."""
 
 
-def _check_box(**fields) -> None:
-    """Refuse a bool, a non-real or an out-of-box value, naming the field;
-    each field but η and μ is an X or a Y, grid bounds included."""
+def _check_box(**fields) -> dict:
+    """The fields as Python floats, so that the kernel runs in float64 (a
+    numpy float32 would keep it in float32); refuse a bool, a non-real or
+    an out-of-box value, naming the field.  Each field but η and μ is an
+    X or a Y, grid bounds included."""
+    checked = {}
     for name, v in fields.items():
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise ParamError(name, "must be a real number")
+        try:
+            v = float(v)
+        except OverflowError:  # a number beyond the float range: refused below
+            v = math.nan
         if name == "mu":
             inside, span = 0.0 < v < 0.5, "(0, 1/2)"
         elif name == "eta":
@@ -80,6 +88,8 @@ def _check_box(**fields) -> None:
             inside, span = 0.0 < v <= MAX_XY, f"(0, {MAX_XY:g}]"
         if not inside:
             raise ParamError(name, f"must lie in {span}")
+        checked[name] = v
+    return checked
 
 
 @dataclass(frozen=True)
@@ -92,7 +102,8 @@ class QuadrantPoint:
     mu: float
 
     def __post_init__(self):
-        _check_box(**vars(self))
+        for name, v in _check_box(**vars(self)).items():
+            object.__setattr__(self, name, v)
 
     def ratios(self) -> np.ndarray:
         return spectral.ek_ratios_dimensionless(self.eta, self.X, self.Y, self.mu)
@@ -225,7 +236,10 @@ class GridSpec:
     spacing: str = "log"
 
     def __post_init__(self):
-        _check_box(x_min=self.x_min, x_max=self.x_max, y_min=self.y_min, y_max=self.y_max)
+        bounds = _check_box(x_min=self.x_min, x_max=self.x_max,
+                            y_min=self.y_min, y_max=self.y_max)
+        for name, v in bounds.items():
+            object.__setattr__(self, name, v)
         if not self.x_min <= self.x_max:
             raise ParamError("x_min", "grid must satisfy x_min <= x_max")
         if not self.y_min <= self.y_max:
@@ -245,8 +259,6 @@ class GridSpec:
     def axis(self, which: str) -> np.ndarray:
         lo, hi, n = ((self.x_min, self.x_max, self.nx) if which == "x"
                      else (self.y_min, self.y_max, self.ny))
-        if n == 1:
-            return np.array([lo])
         if self.spacing == "log":
             return np.geomspace(lo, hi, n)
         return np.linspace(lo, hi, n)
@@ -323,7 +335,7 @@ def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:
     The kernel runs on blocks of :data:`BLOCK_ROWS` nodes, whose results
     fill preallocated columns, so its temporaries never span the grid.
     """
-    _check_box(eta=eta, mu=mu)
+    eta, mu = _check_box(eta=eta, mu=mu).values()
     xs, ys = grid.axis("x"), grid.axis("y")
     n, cols = xs.size * ys.size, None
     for lo in range(0, n, BLOCK_ROWS):

@@ -41,7 +41,6 @@ from .dynamics import CrossCheckError, DampingModel
 from .params import (
     ParamError,
     PhysicalParams,
-    ReducedParams,
     _reduced_groups,
     _rel_close,
     identical_pendula,
@@ -58,7 +57,6 @@ __all__ = [
     "poly_roots",
     "routh_hurwitz",
     "enestrom_kakeya",
-    "ek_ratios",
     "ek_ratios_dimensionless",
     "zone_from_ratios",
     "gershgorin",
@@ -386,17 +384,6 @@ def ek_ratios_dimensionless(eta, X, Y, mu, omega=1.0):
     return r
 
 
-def ek_ratios(rp: ReducedParams) -> np.ndarray:
-    """Closed-form annulus ratios (a0/a1, a1/a2, a2/a3, a3/a4) in 1/s.
-
-    Defined for the identical-pendula regime; nominal reductions are
-    rejected.
-    """
-    if rp.nominal:
-        raise ParamError("l2", "annulus ratios require identical pendula")
-    return ek_ratios_dimensionless(rp.eta, rp.X, rp.Y, rp.mu, rp.omega)
-
-
 _ZONES = ("Z1", "Z2", "Z3", "Z4")
 
 
@@ -503,7 +490,7 @@ def spectrum_report(p: PhysicalParams,
         doc["omega"] = omega = rp.omega
         doc["factors"] = {"quadratic": quad[0].tolist(), "quartic": quart[0].tolist()}
         if np.all(quart > 0):  # ratios undefined for undamped factors
-            ratios = ek_ratios(rp).tolist()
+            ratios = ek_ratios_dimensionless(rp.eta, rp.X, rp.Y, rp.mu, rp.omega).tolist()
             doc["ratios"] = ratios
             doc["zone"] = zone_from_ratios(ratios)
             doc["ratios_over_omega"] = [v / omega for v in ratios]

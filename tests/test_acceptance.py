@@ -111,7 +111,7 @@ def test_acceptance_06_closed_form_vs_numerical():
     amp = 1e-2  # rad
     y0 = SystemState.from_y(0.0, amp, 0.6 * amp, 0.0, 0.0, 0.0)
     sol = closed_form(p, y0)
-    tb = 2 * np.pi / sol.omega1  # beam period (slowest mode)
+    tb = 2 * np.pi / sol.mode_freqs[0]  # beam period (slowest mode)
     times = np.linspace(0.0, 20 * tb, 1500)
     ref = np.stack([sol.evaluate(t) for t in times])
 

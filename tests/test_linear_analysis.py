@@ -1,12 +1,16 @@
+import collections
 import dataclasses
+import decimal
 import math
 
 import numpy as np
 import pytest
 
 from coupled_pendula import (
+    ClosedFormSolution,
     CrossCheckError,
     DampingModel,
+    FundamentalFrequencies,
     ParamError,
     PhysicalParams,
     SystemState,
@@ -22,12 +26,17 @@ from coupled_pendula import (
     perturbation_p,
     reduce_params,
 )
+from coupled_pendula import linear_analysis
 from coupled_pendula.linear_analysis import frequency_cubic
 from coupled_pendula.verification import random_params
 
 from oracles import congruence, linearize_frictionless, propagate_linear
 
 FULL = DampingModel.FULL_VELOCITY
+
+# 1 g bobs on a 1,000 kg beam, k = 500 N/m, l = 1 m: μ ≈ 1e-6, Y ≈ 0.051
+LIGHT_BOBS = PhysicalParams(m0=1000.0, m1=1e-3, m2=1e-3, l1=1.0, l2=1.0,
+                            beta0=0.0, beta1=0.0, beta2=0.0, k=500.0)
 
 
 def frictionless(p: PhysicalParams) -> PhysicalParams:
@@ -169,6 +178,40 @@ def test_coupling_maximum_location():
     assert bs[0] == pytest.approx(mu * length, rel=1e-4)
 
 
+def exact_b(p: PhysicalParams) -> float:
+    """μl/√((1+Y)² − 4Y(1−2μ)) in 50-digit decimal on p's binary μ, Y and l."""
+    rp = reduce_params(p)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        mu, Y, length = (decimal.Decimal(v) for v in (rp.mu, rp.Y, p.l1))
+        return float(mu * length / ((1 + Y) ** 2 - 4 * Y * (1 - 2 * mu)).sqrt())
+
+
+def test_coupling_keeps_its_digits_as_mu_vanishes():
+    # (1+Y)² − 4Y(1−2μ) cancels at Y ≈ 1 as μ → 0 (4e-8 relative at
+    # μ = 1e-10, Y = 1); the sum of squares (1−Y)² + 8μY does not
+    for mu in (1e-3, 1e-6, 1e-8, 1e-10, 1e-12):
+        for Y in (1e-3, 0.5, 0.999999, 1.0, 1.000001, 2.0, 1e3):
+            p = params_from_dimensionless(0.0, 0.0, Y, mu, omega=1.0)
+            assert coupling_b(p) == pytest.approx(exact_b(p), rel=1e-12, abs=0)
+
+
+def test_coupling_matches_frequency_product_identity():
+    # B = (l²/2g)(ω1²−ω²)(ω2²−ω²)/(ω1²−ω2²), to 1e-10 plus the floor of the
+    # differences' cancellation, wherever μ ≥ 1e-5; as μ → 0 one of ω1², ω2²
+    # meets ω² and the differences lose every digit
+    eps = np.finfo(float).eps
+    for mu in (1e-5, 1e-3, 0.1, 0.25, 0.4, 0.49):
+        for omega in (0.5, 1.0, 3.0, 10.0):
+            for Y in np.geomspace(1e-3, 1e3, 41):
+                p = params_from_dimensionless(0.0, 0.0, Y, mu, omega=omega)
+                ff, b, c = fundamental_frequencies(p), coupling_b(p), p.l1**2 / (2.0 * p.g)
+                w1s, w2s, ws = ff.omega1_sq, ff.omega2_sq, ff.omega_sq
+                product = c * (w1s - ws) * (w2s - ws) / (w1s - w2s)
+                floor = c * (w2s - ws) / (w2s - w1s) * 64.0 * eps * max(w1s, ws)
+                assert abs(product - b) <= 1e-10 * b + floor, (mu, omega, Y)
+
+
 def test_coupling_rejects_unequal_lengths(asymmetric_params):
     with pytest.raises(ParamError):
         coupling_b(frictionless(asymmetric_params))
@@ -180,12 +223,8 @@ def test_coupling_rejects_unequal_lengths(asymmetric_params):
 
 def closed_form_accel(sol, t):
     w = sol.mode_freqs
-    phases = np.array([[sol.phi2, sol.phi1, 0.0],
-                       [sol.alpha1, sol.alpha2, sol.alpha],
-                       [0.0, 0.0, sol.alpha]])
-    amps = np.array([sol.x_amps, sol.sigma_amps, sol.delta_amps])
-    arg = np.asarray(t)[..., None, None] * w - phases
-    return np.sum(-amps * w**2 * np.cos(arg), axis=-1)
+    arg = np.asarray(t)[..., None, None] * w - sol.phases
+    return np.sum(-sol.amps * w**2 * np.cos(arg), axis=-1)
 
 
 def test_zero_delta_data_stays_in_phase(identical_params):
@@ -198,11 +237,11 @@ def test_zero_delta_data_stays_in_phase(identical_params):
 def test_delta_mode_leaks_into_sigma_iff_masses_differ():
     p_eq = frictionless(params_from_dimensionless(0.0, 0.0, 2.0, 0.3, omega=2.0))
     sol = closed_form(p_eq, SystemState.from_y(0, 0, 0.3, 0, 0, 0.1))
-    assert sol.sigma_amps[2] == 0.0
+    assert sol.amps[1, 2] == 0.0
     p_neq = PhysicalParams(m0=1.0, m1=0.5, m2=1.0, l1=1.0, l2=1.0,
                            beta0=0, beta1=0, beta2=0, k=4.0)
     sol = closed_form(p_neq, SystemState.from_y(0, 0, 0.3, 0, 0, 0.1))
-    assert sol.sigma_amps[2] != 0.0
+    assert sol.amps[1, 2] != 0.0
 
 
 def test_antiphase_initial_data_keeps_sigma_zero():
@@ -237,6 +276,57 @@ def test_closed_form_satisfies_linear_ode(rng):
         resid = acc @ a1.T + pos @ v1.T
         scale = np.max(np.abs(pos @ v1.T))
         assert np.max(np.abs(resid)) <= 1e-9 * max(scale, 1e-12)
+
+
+def linear_deviation(p, y0):
+    """Acceptance 06's measure: largest per-coordinate relative deviation of
+    the closed form from ``propagate_linear`` over 20 periods of the slowest
+    mode, at 1,500 samples."""
+    sol = closed_form(p, SystemState.from_y(*y0))
+    times = np.linspace(0.0, 20 * 2 * np.pi / sol.mode_freqs[0], 1500)
+    ref = sol.evaluate(times)
+    lin = propagate_linear(linear_system(p, FULL), np.array(y0, dtype=float), times)
+    return np.max(np.abs(lin - ref) / np.max(np.abs(ref), axis=0))
+
+
+def test_light_bobs_on_heavy_beam():
+    # a valid config the removed runtime identity check refused with
+    # CrossCheckError: its frequency differences cancel at μ ≈ 1e-6
+    assert coupling_b(LIGHT_BOBS) == pytest.approx(exact_b(LIGHT_BOBS), rel=1e-12, abs=0)
+    for y0 in ((0.0, 1e-2, 6e-3, 0.0, 0.0, 0.0), (1e-3, 1e-2, 6e-3, 0.0, 0.0, 0.0)):
+        assert linear_deviation(LIGHT_BOBS, y0) <= 1e-8
+
+
+def test_closed_form_tracks_linear_integration_as_mu_vanishes():
+    y0 = (0.0, 1e-2, 6e-3, 0.0, 0.0, 0.0)  # acceptance 06's initial state
+    for mu in (1e-6, 1e-7):
+        for Y in (0.3, 1.0, 1.3, 3.0):
+            p = params_from_dimensionless(0.0, 0.0, Y, mu, omega=np.pi)
+            assert linear_deviation(p, y0) <= 1e-8, (mu, Y)
+    # lighter still, a beam started at rest moves about μ times as far as
+    # the bobs, so the oracle's absolute error swamps the per-coordinate
+    # measure; a beam started displaced keeps a scale of its own
+    y0 = (1e-3, 1e-2, 6e-3, 0.0, 0.0, 0.0)
+    for mu in (1e-8, 1e-10):
+        for Y in (0.3, 1.0, 20.0):
+            p = params_from_dimensionless(0.0, 0.0, Y, mu, omega=np.pi)
+            assert linear_deviation(p, y0) <= 1e-10, (mu, Y)
+
+
+def test_closed_form_solves_frequencies_once(monkeypatch, identical_params):
+    calls = collections.Counter()
+    for name in ("reduce_params", "fundamental_frequencies"):
+        def spy(*args, _real=getattr(linear_analysis, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(linear_analysis, name, spy)
+    closed_form(frictionless(identical_params), SystemState.from_y(0.01, 0.1, 0.05))
+    # one reduction of its own, one inside fundamental_frequencies; B is not
+    # derived a second time through coupling_b and its own reduction
+    assert calls == {"reduce_params": 2, "fundamental_frequencies": 1}
+    assert [f.name for f in dataclasses.fields(ClosedFormSolution)] == \
+        ["mode_freqs", "amps", "phases"]
+    assert "equal_length" not in {f.name for f in dataclasses.fields(FundamentalFrequencies)}
 
 
 def test_closed_form_rejects_damped(identical_params):

@@ -132,6 +132,48 @@ def test_subnormal_eta_refused_without_warning():
         assert exc.value.field == "eta"
 
 
+def test_float32_inputs_give_the_float64_cells():
+    # each field is compared and stored as a Python float: a float32 η is
+    # not cast against MAX_ETA in float32, nor does it keep the kernel there
+    def f32(*vals):
+        return [np.float32(v) for v in vals]
+
+    def f64(*vals):
+        return [float(np.float32(v)) for v in vals]
+
+    bounds, nodes = (0.01, 10.0, 0.02, 7.0), (7, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eta, spacing in ((0.6, "log"), (2.1, "linear"), (1e30, "log")):
+            got = region_map(GridSpec(*f32(*bounds), *nodes, spacing), *f32(eta, 0.25))
+            want = region_map(GridSpec(*f64(*bounds), *nodes, spacing), *f64(eta, 0.25))
+            assert got.grid == want.grid and (got.eta, got.mu) == (want.eta, want.mu)
+            assert type(got.eta) is float and type(got.grid.x_min) is float
+            for name in ("xs", "ys", "zone", "conics", "rho_m", "rho_M"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert (got.branch is None) == (want.branch is None)
+            assert got.branch is None or np.array_equal(got.branch, want.branch)
+        point = (3.0, 1e29, 0.6, 0.25)
+        q32, q64 = QuadrantPoint(*f32(*point)), QuadrantPoint(*f64(*point))
+        assert q32 == q64 and all(type(v) is float for v in vars(q32).values())
+        assert classify_zone(q32) == classify_zone(q64)
+        assert conic_conditions(q32) == conic_conditions(q64)
+        assert antiphase_conditions(q32) == antiphase_conditions(q64)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: GridSpec(0.1, 10**400, 0.1, 1.0, 3, 3), "x_max"),
+    (lambda: GridSpec(0.1, 1.0, -10**400, 1.0, 3, 3), "y_min"),
+    (lambda: QuadrantPoint(X=1.0, Y=Fraction(10**400), eta=0.6, mu=0.25), "Y"),
+    (lambda: QuadrantPoint(X=1.0, Y=1.0, eta=10**400, mu=0.25), "eta"),
+])
+def test_value_beyond_float_range_names_the_field(build, field):
+    # float() cannot convert it; it is refused like any out-of-box value
+    with pytest.raises(ParamError, match=f"^{field}: must lie in") as exc:
+        build()
+    assert exc.value.field == field
+
+
 def test_quadrant_corners_stay_finite():
     # each conic and quartic coefficient peaks at a corner of the box: at
     # every one the verdicts and the ratio cells neither overflow, nor

@@ -11,7 +11,6 @@ from coupled_pendula import (
     PhysicalParams,
     char_poly_general,
     char_poly_identical,
-    ek_ratios,
     enestrom_kakeya,
     fundamental_frequencies,
     gershgorin,
@@ -340,7 +339,7 @@ def test_batched_ek_rejects_non_positive_row(rng):
 def test_quartic_annulus_from_couples():
     p = params_from_dimensionless(eta=1.0, X=1.0, Y=1.0, mu=0.25, omega=2.0)
     rp = reduce_params(p)
-    r = ek_ratios(rp)
+    r = ek_ratios_dimensionless(rp.eta, rp.X, rp.Y, rp.mu, rp.omega)
     assert np.allclose(r, np.array([0.4, 5 / 6, 2.0, 3.0]) * 2.0, rtol=1e-12)
     _, quart = char_poly_identical(param_rows(p))
     [rho_m], [rho_M] = enestrom_kakeya(quart)
@@ -364,7 +363,8 @@ def test_ratios_match_quartic_coefficients(rng):
     rows = random_params_batch(rng, 200, identical=True)
     _, quarts = char_poly_identical(rows)
     for row, quart in zip(rows, quarts):
-        r = ek_ratios(reduce_params(PhysicalParams(*row)))
+        rp = reduce_params(PhysicalParams(*row))
+        r = ek_ratios_dimensionless(rp.eta, rp.X, rp.Y, rp.mu, rp.omega)
         ref = quart[:-1] / quart[1:]
         assert np.max(np.abs(r - ref) / ref) <= 1e-14
 
