@@ -1,13 +1,16 @@
 """The ``.9e`` CSV writer of ``simulate`` and ``regions``.
 
-:func:`write_csv` fills one reused buffer of :data:`BLOCK_ROWS` (8,192)
-rows per block, without a Python string per row: separators are set once,
-each block overwrites every cell column in full, so no byte of the previous
-block survives, and pad bytes are dropped with ``bytearray.translate`` on the
-buffer itself, whose cost, unlike a ``buf != 0`` mask's, does not grow with
-the number of pad runs.  Float cells are five uint32 words from the word
-tables of :func:`e9_cells`.  ``regions`` sweeps its grid in blocks of the
-same size.
+:func:`write_csv` fills one reused buffer of at most :data:`BLOCK_ROWS`
+(4,096) rows per block, without a Python string per row: separators are set
+once, each block overwrites every cell column in full, so no byte of the
+previous block survives, and pad bytes are dropped with ``bytearray.translate``
+on the buffer itself, whose cost, unlike a ``buf != 0`` mask's, does not grow
+with the number of pad runs.  A cell column is a 1-D array of whole cells,
+numpy ``V<w>`` items, stored into a ``V<w>`` view of the buffer, so a table
+of cells is gathered one cell, not one byte, at a time.  Float cells are five
+uint32 words from the word tables of :func:`e9_cells`.  ``regions`` streams
+its sweep into the writer a block at a time, so the block size alone sets the
+memory of either.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ import numpy as np
 
 
 def byte_cells(strings: list[str]) -> np.ndarray:
-    """ASCII strings as rows of a uint8 array, zero-padded to the longest."""
+    """ASCII strings as a column of whole cells, zero-padded to the longest."""
     a = np.array(strings, dtype=bytes)
-    return a.view(np.uint8).reshape(a.size, a.itemsize)
+    return a.view(f"V{a.itemsize}")
 
 
 # 10**k for k = 0..22, all exact in binary64 (5**22 < 2**53).
@@ -54,6 +57,12 @@ def e9_cells(v: np.ndarray) -> np.ndarray:
     up to 10^10, s outside [1e9, 1e10), and values out of range, non-finite
     or zero.  This is Loitsch's split (Grisu, PLDI 2010): a fast path that
     is exact whenever it answers, and an exact printer for the rest.
+
+    The digits of d are split in binary64: d < 1e10 is an integer, so d/1e4
+    is an integer or lies at least 1e-4 from one, while its rounding error
+    is below 1e-10; ⌊d/1e4⌋ is therefore exact, and so is the same step on
+    that quotient.  Each row holds the five uint32 words of a cell, which
+    :func:`e9_column` views as one whole cell.
     """
     v = np.asarray(v, dtype=float)
     a = np.abs(v)
@@ -63,44 +72,55 @@ def e9_cells(v: np.ndarray) -> np.ndarray:
     s = x * _POW10[k]
     d = np.rint(s)
     fast &= (s >= 1e9) & (d < 1e10) & (np.abs(s - np.floor(s) - 0.5) > 1e-5)
-    d = np.where(fast, d, 1e9).astype(np.int64)  # keeps the table indices in range
-    high, low = np.divmod(d, 10**4)
-    lead, mid = np.divmod(high, 10**4)
+    d = np.where(fast, d, 1e9)  # keeps the table indices in range
+    high = np.floor(d / 1e4)
+    lead = np.floor(high / 1e4)
     # five words: the widest string, "-d.ddddddddde-ddd", has 17 bytes
-    out = np.column_stack([_LEAD_WORDS[lead + 100 * np.signbit(v)], _MID_WORDS[mid],
-                           _MID_WORDS[low], _EXP_WORDS[k],
-                           np.zeros(v.size, np.uint32)]).view(np.uint8)
+    words = np.zeros((v.size, 5), np.uint32)
+    words[:, 0] = _LEAD_WORDS[lead.astype(np.intp) + 100 * np.signbit(v)]
+    words[:, 1] = _MID_WORDS[(high - 1e4 * lead).astype(np.intp)]
+    words[:, 2] = _MID_WORDS[(d - 1e4 * high).astype(np.intp)]
+    words[:, 3] = _EXP_WORDS[k]
 
     slow = np.flatnonzero(~fast)
     if slow.size:
-        cells = byte_cells([format(u, ".9e") for u in v[slow].tolist()])
-        out[slow] = 0
-        out[slow, :cells.shape[1]] = cells
-    return out
+        words.view("V20")[slow, 0] = np.array([format(u, ".9e") for u in v[slow].tolist()],
+                                              dtype="S20").view("V20")
+    return words.view(np.uint8)
+
+
+def e9_column(v: np.ndarray) -> np.ndarray:
+    """The cells of :func:`e9_cells` as a 1-D column of whole 20-byte cells."""
+    return e9_cells(v).view("V20").ravel()
 
 
 #: Rows per block of the CSV writer and nodes per block of the ``regions``
-#: sweep; bounds their temporaries to a few MB.  From 4,096 to 16,384 rows
-#: the writer takes the same time; at 32,768 it is slower.
-BLOCK_ROWS = 8_192
+#: sweep.  The sweep streams its blocks into the writer, so this alone sets
+#: the memory either one holds, about 2 MB.  From 4,096 to 16,384 rows the
+#: writer takes the same time; at 32,768 it is slower.
+BLOCK_ROWS = 4_096
 
 
-def write_csv(path, header: str, n: int, cells) -> None:
-    """Write ``header`` and ``n`` rows; ``cells(rows)`` gives the rows of slice
-    ``rows`` as zero-padded uint8 cell columns, each of one width in every block."""
+def write_csv(path, header: str, blocks) -> None:
+    """Write ``header`` and the rows of ``blocks``, each a sequence of cell
+    columns: 1-D arrays of whole zero-padded cells (numpy ``V<w>`` items), each
+    column of one width in every block, and no block longer than the first."""
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode())
-        raw = buf = starts = None
-        for lo in range(0, n, BLOCK_ROWS):
-            columns = cells(slice(lo, min(lo + BLOCK_ROWS, n)))
-            if buf is None:
-                starts = np.cumsum([0] + [c.shape[1] + 1 for c in columns])
-                raw = bytearray(b",") * (min(n, BLOCK_ROWS) * int(starts[-1]))
-                buf = np.frombuffer(raw, np.uint8).reshape(-1, starts[-1])
-                buf[:, -1] = ord("\n")  # the cells overwrite every comma but the separators
+        raw = views = None
+        for columns in blocks:
             filled = len(columns[0])
-            for start, c in zip(starts, columns):
-                buf[:filled, start:start + c.shape[1]] = c  # pad bytes included
+            if raw is None:
+                widths = [c.dtype.itemsize for c in columns]
+                starts = np.cumsum([0] + [w + 1 for w in widths]).tolist()
+                row = starts.pop()
+                raw = bytearray(b",") * (filled * row)
+                # the cells overwrite every comma but the separators
+                raw[row - 1::row] = b"\n" * filled
+                views = [np.ndarray(filled, f"V{w}", raw, start, (row,))
+                         for w, start in zip(widths, starts)]
+            for view, c in zip(views, columns):
+                view[:filled] = c  # pad bytes included
             # a full block is translated straight from the buffer, not from a copy
-            fh.write((raw if filled == len(buf) else raw[:filled * buf.shape[1]])
+            fh.write((raw if filled == len(views[0]) else raw[:filled * row])
                      .translate(None, b"\0"))

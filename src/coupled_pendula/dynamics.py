@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import e9_cells, write_csv
+from ._csvio import BLOCK_ROWS, e9_column, write_csv
 from ._dop853 import solve_ivp
 from .params import PhysicalParams, SystemState
 
@@ -285,11 +285,12 @@ class Trajectory:
         """Write the trajectory as CSV, every cell ``.9e``, ten significant digits."""
         values = np.column_stack([self.times, self.states, self.energies])
 
-        def cells(rows):
-            block = values[rows]
-            return e9_cells(block.ravel()).reshape(*block.shape, -1).swapaxes(0, 1)
+        def blocks():
+            for lo in range(0, len(values), BLOCK_ROWS):
+                block = values[lo:lo + BLOCK_ROWS]
+                yield e9_column(block.ravel()).reshape(block.shape).T
 
-        write_csv(path, CSV_HEADER, len(values), cells)
+        write_csv(path, CSV_HEADER, blocks())
 
 
 def integrate(state0: SystemState, p: PhysicalParams,

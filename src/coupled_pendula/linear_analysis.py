@@ -256,15 +256,15 @@ def amplitude_profiles(mu: float, Y, length: float):
 
     Φ(Y) = 2 B Y/(μ l²) rises from 0 to 2/l; Ψ⁽¹⁾ = −(2/l) B ζ1 grows
     from 0 through 1/2 at Y = 1 toward 1; Ψ⁽²⁾ = (2/l) B ζ2 falls from 1
-    through 1/2 at Y = 1 toward 0.  Vectorized over Y ≥ 0.
+    through 1/2 at Y = 1 toward 0.  Vectorized over finite Y ≥ 0.
     """
     if not 0.0 < mu < 0.5:
         raise ParamError("mu", "must lie in (0, 1/2)")
-    if length <= 0:
-        raise ParamError("l1", "length must be positive")
+    if not 0.0 < length < math.inf:  # NaN fails the comparison too
+        raise ParamError("l1", "length must be positive and finite")
     Y = np.asarray(Y, dtype=float)
-    if np.any(Y < 0):
-        raise ParamError("Y", "must be non-negative")
+    if not np.all((Y >= 0) & (Y < math.inf)):
+        raise ParamError("Y", "must be finite and non-negative")
     b = _coupling_length(mu, Y, length)
     z1, z2 = _zetas(Y, mu)
     phi = 2.0 * b * Y / (mu * length**2)

@@ -33,22 +33,23 @@ All verdicts here are dimensionless (ω ≡ 1) and come from one columnar
 kernel, ``_verdicts``, which holds the one copy of each formula: a grid
 sweep calls it on blocks of ``BLOCK_ROWS`` nodes, and each scalar verdict
 is a one-row call.  Analyses specific to the η ≤ 1 branch refuse η > 1
-rather than guess.  The map's CSV goes through the shared ``.9e`` block
-writer of ``_csvio``.
+rather than guess.  The sweep is a stream: each block goes straight into
+the shared ``.9e`` block writer of ``_csvio`` and is then dropped, so the
+block size alone, not the grid, sets the sweep's memory.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import spectral
 from .spectral import _ZONES, _zone_index
-from ._csvio import BLOCK_ROWS, byte_cells, e9_cells, write_csv
+from ._csvio import BLOCK_ROWS, byte_cells, e9_column, write_csv
 from .dynamics import DampingModel, _integrate_rows
 from .params import ParamError, identical_pendula
 
@@ -217,9 +218,9 @@ def complex_root_bound(q: QuadrantPoint) -> RootBound:
 # ---------------------------------------------------------------------------
 
 
-#: Most grid nodes (nx·ny) a sweep accepts: 2000×2000.  A sweep keeps
-#: about 25 bytes per node in memory (its per-node columns; block
-#: temporaries add a few MB) and writes about 112 per CSV row.
+#: Most grid nodes (nx·ny) a sweep accepts: 2000×2000.  The sweep streams
+#: its blocks into the CSV, so its memory is set by the block size alone,
+#: not by the grid; it writes about 112 bytes per CSV row.
 MAX_GRID_NODES = 4_000_000
 
 
@@ -284,11 +285,12 @@ def _flag_codes(flags: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegionMap:
-    """Verdicts over a grid as per-node columns, row-major in Y then X.
+    """Verdicts over a grid, row-major in Y then X, as a stream of blocks.
 
-    ``zone`` indexes Z1-Z4 as uint8; ``conics`` holds the four conic signs
-    and ``branch`` the condA, condB, inA and semicircle flags, both (n, 4),
-    with ``branch`` None when η > 1.
+    No per-node column is kept: :meth:`blocks` runs the kernel on each
+    block as it is read and counts zones and inA nodes, and
+    :meth:`write_csv` writes each block as it comes, so the summary of a
+    written map needs no second sweep.
     """
 
     grid: GridSpec
@@ -296,60 +298,69 @@ class RegionMap:
     mu: float
     xs: np.ndarray
     ys: np.ndarray
-    zone: np.ndarray
-    conics: np.ndarray
-    branch: Optional[np.ndarray]
-    rho_m: np.ndarray
-    rho_M: np.ndarray
+    # zone and inA fractions of the last full sweep (inA None when η > 1)
+    _summary: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def blocks(self):
+        """Yield ``(ix, iy, verdicts)`` for each block of :data:`BLOCK_ROWS`
+        nodes: their X and Y indices and the columns of :func:`_verdicts`.
+
+        ``zone`` indexes Z1-Z4; ``conics`` holds the four conic signs and
+        ``branch`` the condA, condB, inA and semicircle flags, both (n, 4),
+        with ``branch`` None when η > 1.
+        """
+        n, zones, in_a = self.xs.size * self.ys.size, np.zeros(4, np.intp), 0
+        for lo in range(0, n, BLOCK_ROWS):
+            iy, ix = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, n)), self.grid.nx)
+            v = _verdicts(self.xs[ix], self.ys[iy], self.eta, self.mu)
+            zones += np.bincount(v["zone"], minlength=4)
+            if v["branch"] is not None:
+                in_a += int(np.count_nonzero(v["branch"][:, 2]))
+            yield ix, iy, v
+        object.__setattr__(self, "_summary", (
+            {z: count / n for z, count in zip(_ZONES, zones.tolist())},
+            None if v["branch"] is None else in_a / n))
+
+    def _swept_summary(self) -> tuple:
+        if self._summary is None:  # never written: sweep without formatting
+            for _ in self.blocks():
+                pass
+        return self._summary
 
     def zone_fractions(self) -> dict[str, float]:
-        # four passes over the uint8 column beat bincount, which widens it to intp
-        return {z: int(np.count_nonzero(self.zone == k)) / self.zone.size
-                for k, z in enumerate(_ZONES)}
+        return dict(self._swept_summary()[0])
 
     def in_a_fraction(self) -> Optional[float]:
-        if self.branch is None:
-            return None
-        return int(np.count_nonzero(self.branch[:, 2])) / len(self.branch)
+        return self._swept_summary()[1]
 
     def write_csv(self, path) -> None:
         """One header line, then one row per node, row-major in Y then X."""
-        x_cells, y_cells = e9_cells(self.xs), e9_cells(self.ys)
-        middle = _MIDDLE_NA if self.branch is None else _MIDDLE_BRANCH
+        x_cells, y_cells = e9_column(self.xs), e9_column(self.ys)
 
-        def cells(rows):
-            node = np.arange(rows.start, rows.stop)
-            # in intp: zone and the flag codes are uint8, and codes reach 1,023
-            code = self.zone[rows].astype(np.intp) * 16 + _flag_codes(self.conics[rows])
-            if self.branch is not None:
-                code = code * 16 + _flag_codes(self.branch[rows])
-            return (x_cells[node % self.grid.nx], y_cells[node // self.grid.nx], middle[code],
-                    e9_cells(self.rho_m[rows]), e9_cells(self.rho_M[rows]))
+        def rows():
+            for ix, iy, v in self.blocks():
+                # zone is an intp column, so the codes, up to 1,023, do not wrap
+                code = v["zone"] * 16 + _flag_codes(v["conics"])
+                if v["branch"] is None:
+                    middle = _MIDDLE_NA[code]
+                else:
+                    middle = _MIDDLE_BRANCH[code * 16 + _flag_codes(v["branch"])]
+                # both ratio columns in one call, which halves its per-block overhead
+                rho = e9_column(np.concatenate([v["rho_m"], v["rho_M"]]))
+                yield x_cells[ix], y_cells[iy], middle, rho[:len(ix)], rho[len(ix):]
 
-        write_csv(path, _CSV_HEADER, self.zone.size, cells)
+        write_csv(path, _CSV_HEADER, rows())
 
 
 def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:
-    """Evaluate every verdict on the grid, after checking η and μ once.
+    """The verdicts over the grid, after checking η and μ once.
 
-    The kernel runs on blocks of :data:`BLOCK_ROWS` nodes, whose results
-    fill preallocated columns, so its temporaries never span the grid.
+    Nothing is evaluated here: the map's blocks run the kernel on
+    :data:`BLOCK_ROWS` nodes at a time as they are read, so no column
+    spans the grid.
     """
     eta, mu = _check_box(eta=eta, mu=mu).values()
-    xs, ys = grid.axis("x"), grid.axis("y")
-    n, cols = xs.size * ys.size, None
-    for lo in range(0, n, BLOCK_ROWS):
-        rows = slice(lo, min(lo + BLOCK_ROWS, n))
-        node = np.arange(rows.start, rows.stop)
-        block = _verdicts(xs[node % grid.nx], ys[node // grid.nx], eta, mu)
-        if cols is None:  # zone 0-3 fits uint8; the rest keep the kernel's dtypes
-            cols = {k: None if v is None else
-                    np.empty((n,) + v.shape[1:], np.uint8 if k == "zone" else v.dtype)
-                    for k, v in block.items()}
-        for k, v in block.items():
-            if v is not None:
-                cols[k][rows] = v
-    return RegionMap(grid, eta, mu, xs, ys, **cols)
+    return RegionMap(grid, eta, mu, grid.axis("x"), grid.axis("y"))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ Routh table, the degree-6 chain one polynomial at a time with an early
 return at the first zero pivot, congruence products by plain matrix multiplication,
 eigendecomposition propagation of the linear system, a tight
 mass-matrix trajectory for the nonlinear integrator, a per-row
-f-string region CSV writer that the block writer must match byte for
-byte, every quadrant verdict from its definition on a quartic written
+f-string region CSV writer, on one unblocked kernel call, that the
+streamed writer must match byte for byte, the verdict columns of a region
+map's blocks, every quadrant verdict from its definition on a quartic written
 out by hand, the one-draw-at-a-time polynomial loops whose generator
 stream and coefficient rows the batched annulus and factorization
 checks must reproduce, the generalized damping force Φ behind the energy-rate
@@ -32,6 +33,7 @@ from coupled_pendula import (
     char_poly_identical,
     derived_constants,
 )
+from coupled_pendula.regions import _verdicts
 
 
 def param_rows(*params: PhysicalParams) -> np.ndarray:
@@ -165,19 +167,29 @@ def central_difference_jacobian(fn, x0: np.ndarray, step: float = 1e-6) -> np.nd
     return jac
 
 
+def map_columns(rmap) -> dict:
+    """The verdict columns of a ``RegionMap``: its blocks' kernel columns,
+    concatenated (``branch`` None when η > 1)."""
+    parts = [v for _, _, v in rmap.blocks()]
+    return {k: None if parts[0][k] is None else np.concatenate([v[k] for v in parts])
+            for k in parts[0]}
+
+
 def reference_region_csv(rmap) -> bytes:
-    """The region CSV of a ``RegionMap``'s columns, one f-string per row."""
+    """The region CSV of a ``RegionMap``'s grid from one kernel call on every
+    node, one f-string per row."""
     def flags(row):
         return ",".join("true" if f else "false" for f in row)
 
     lines = ["X,Y,zone,conic1,conic2,conic3,conic4,condA,condB,inA,"
              "semicircle,refined,rho_m_over_omega,rho_M_over_omega"]
-    nx = len(rmap.xs)
-    for i in range(len(rmap.zone)):
+    nx, ny = len(rmap.xs), len(rmap.ys)
+    v = _verdicts(np.tile(rmap.xs, ny), np.repeat(rmap.ys, nx), rmap.eta, rmap.mu)
+    for i in range(nx * ny):
         X, Y = float(rmap.xs[i % nx]), float(rmap.ys[i // nx])
-        branch = "na,na,na,na" if rmap.branch is None else flags(rmap.branch[i])
-        lines.append(f"{X:.9e},{Y:.9e},Z{int(rmap.zone[i]) + 1},{flags(rmap.conics[i])},"
-                     f"{branch},na,{float(rmap.rho_m[i]):.9e},{float(rmap.rho_M[i]):.9e}")
+        branch = "na,na,na,na" if v["branch"] is None else flags(v["branch"][i])
+        lines.append(f"{X:.9e},{Y:.9e},Z{int(v['zone'][i]) + 1},{flags(v['conics'][i])},"
+                     f"{branch},na,{float(v['rho_m'][i]):.9e},{float(v['rho_M'][i]):.9e}")
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -484,6 +484,25 @@ def test_regions_all_zones_present(tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 50 * 50 + 1
 
 
+def test_regions_runs_the_kernel_once_per_node(tmp_path, capsys, monkeypatch):
+    # the CSV and the summary come from one streamed sweep: the summary
+    # reads the counts the writer kept, it does not sweep again
+    from coupled_pendula import regions
+    rows, kernel = [], regions._verdicts
+
+    def counted(X, *rest):
+        rows.append(len(X))
+        return kernel(X, *rest)
+
+    monkeypatch.setattr(regions, "_verdicts", counted)
+    grid = {"x_min": 0.01, "x_max": 10.0, "y_min": 0.01, "y_max": 10.0,
+            "nx": 97, "ny": 89, "spacing": "log"}
+    code, out, _ = run(capsys, "regions", "--config", write_config(tmp_path, grid=grid),
+                       "--out", str(tmp_path / "map.csv"))
+    assert code == 0 and json.loads(out)["in_a_fraction"] is not None
+    assert sum(rows) == 97 * 89 and len(rows) > 1
+
+
 # Pinned bytes: (overrides, stdout without its newline, sha256 of the CSV)
 # for η = 0.5 on a log grid, η = 1 exactly (ω = 2 at g = 4) on a linear
 # grid, and η = 1.7 on a linear grid, whose branch cells are all "na".
@@ -589,7 +608,7 @@ def test_run_size_limits_admit_pinned_configs(tmp_path):
     ({"x_max": 1e155}, 2),  # X**2 would overflow in the conics of the first sweep block
     # up to the box's edge, with 3-digit exponents in the CSV
     ({"x_min": 1e-200, "x_max": 1e30, "y_min": 1e-200, "y_max": 1e30}, 0),
-    # Y**2 would overflow on the top row only, in the last of two sweep blocks
+    # Y**2 would overflow on the top row only, in the last sweep block
     ({"y_min": 0.01, "y_max": 1e155, "nx": 100, "ny": 100}, 2),
     # past the box, though no conic would overflow
     ({"x_min": 1e-200, "x_max": 1e100, "y_min": 1e-200, "y_max": 1e100}, 2),

@@ -251,7 +251,7 @@ def _reference_trajectory_csv(traj):
 
 
 def test_trajectory_csv_bytes_match_format(tmp_path):
-    # signed cells over two full 8,192-row blocks and a partial one: zeros
+    # signed cells over four full 4,096-row blocks and a partial one: zeros
     # of both signs (the rest state and zero velocities), magnitudes below
     # 1e-13, three-digit exponents, and decimal near-ties
     rng = np.random.default_rng(7)

@@ -400,6 +400,21 @@ def test_profile_psi1_small_y_keeps_its_digits():
         assert p1 == pytest.approx(2 * 0.2 * Y, rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, Y, length", [
+    ("Y", math.inf, 1.0), ("Y", math.nan, 1.0), ("l1", 1.0, math.inf), ("l1", 1.0, math.nan),
+])
+def test_profiles_refuse_non_finite_input(field, Y, length):
+    # refused before any division: an infinite Y or length would warn, a NaN
+    # would come back as NaN profiles
+    with pytest.raises(ParamError) as exc:
+        amplitude_profiles(0.2, Y, length)
+    assert exc.value.field == field
+    with pytest.raises(ParamError) as exc:
+        amplitude_profiles(0.2, np.array([0.5, Y]), length)
+    assert exc.value.field == field
+
+
 def test_profile_monotonicity():
     ys = np.linspace(1e-4, 50, 1000)
     for mu in (0.1, 0.3):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -32,7 +33,7 @@ from coupled_pendula.regions import (MAX_ETA, MAX_GRID_NODES, MAX_XY, MIN_ETA, _
                                      _verdicts)
 from coupled_pendula.spectral import ek_ratios_dimensionless, quartic_from_dimensionless
 from coupled_pendula.verification import DECAY_PANEL
-from oracles import quadrant_oracle, reference_region_csv
+from oracles import map_columns, quadrant_oracle, reference_region_csv
 
 # Relative gap to a verdict's boundary below which a draw is set aside:
 # there the kernel's formula and the oracle's definition may round apart.
@@ -149,10 +150,13 @@ def test_float32_inputs_give_the_float64_cells():
             want = region_map(GridSpec(*f64(*bounds), *nodes, spacing), *f64(eta, 0.25))
             assert got.grid == want.grid and (got.eta, got.mu) == (want.eta, want.mu)
             assert type(got.eta) is float and type(got.grid.x_min) is float
-            for name in ("xs", "ys", "zone", "conics", "rho_m", "rho_M"):
+            for name in ("xs", "ys"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            assert (got.branch is None) == (want.branch is None)
-            assert got.branch is None or np.array_equal(got.branch, want.branch)
+            got, want = map_columns(got), map_columns(want)
+            for name in ("zone", "conics", "rho_m", "rho_M"):
+                assert np.array_equal(got[name], want[name]), name
+            assert (got["branch"] is None) == (want["branch"] is None)
+            assert got["branch"] is None or np.array_equal(got["branch"], want["branch"])
         point = (3.0, 1e29, 0.6, 0.25)
         q32, q64 = QuadrantPoint(*f32(*point)), QuadrantPoint(*f64(*point))
         assert q32 == q64 and all(type(v) is float for v in vars(q32).values())
@@ -392,30 +396,32 @@ def test_region_map_matches_quadrant_oracle(grid, eta, mu):
     rmap = region_map(grid, eta, mu)
     want, gap = quadrant_oracle(np.tile(rmap.xs, rmap.ys.size), np.repeat(rmap.ys, rmap.xs.size),
                                 eta, mu)
-    assert_agree(rmap.zone, want["zone"], gap["zone"])
-    assert_agree(rmap.conics, want["conics"], gap["conics"])
+    got = map_columns(rmap)
+    assert_agree(got["zone"], want["zone"], gap["zone"])
+    assert_agree(got["conics"], want["conics"], gap["conics"])
     for name in ("rho_m", "rho_M"):
-        assert np.allclose(getattr(rmap, name), want[name], rtol=1e-14, atol=0)
+        assert np.allclose(got[name], want[name], rtol=1e-14, atol=0)
     if eta > 1.0:
-        assert rmap.branch is None
+        assert got["branch"] is None
         return
     for k, name in enumerate(("cond_a", "cond_b", "in_a", "semicircle")):
-        assert_agree(rmap.branch[:, k], want[name], gap[name])
+        assert_agree(got["branch"][:, k], want[name], gap[name])
 
 
 @pytest.mark.parametrize("grid, eta, mu", [
-    (GridSpec(0.01, 10.0, 0.01, 10.0, 173, 131, "log"), 0.6, 0.25),
-    (GridSpec(0.01, 10.0, 0.01, 10.0, 173, 131, "linear"), 2.1, 0.2),
+    (GridSpec(0.01, 10.0, 0.01, 10.0, 101, 103, "log"), 0.6, 0.25),
+    (GridSpec(0.01, 10.0, 0.01, 10.0, 101, 103, "linear"), 2.1, 0.2),
 ])
 def test_blockwise_map_equals_one_kernel_call(grid, eta, mu):
-    # 22,663 nodes: two full sweep blocks and a partial third
+    # 10,403 nodes: two full sweep blocks and a partial third
     assert 2 * BLOCK_ROWS < grid.nx * grid.ny < 3 * BLOCK_ROWS
     rmap = region_map(grid, eta, mu)
     want = _verdicts(np.tile(rmap.xs, grid.ny), np.repeat(rmap.ys, grid.nx), eta, mu)
-    assert rmap.zone.dtype == np.uint8
+    # the map holds no per-node column: the blocks stream from the kernel
+    assert all(np.size(a) < grid.nx * grid.ny for a in vars(rmap).values())
+    got = map_columns(rmap)
     for name, col in want.items():
-        got = getattr(rmap, name)
-        assert got is None if col is None else np.array_equal(got, col), name
+        assert got[name] is None if col is None else np.array_equal(got[name], col), name
 
 
 def test_conic_overflow_in_last_block_refuses_the_grid():
@@ -428,31 +434,44 @@ def test_conic_overflow_in_last_block_refuses_the_grid():
     grid = GridSpec(0.01, 10.0, 0.01, MAX_XY, 100, 100, "log")
     assert grid.nx * (grid.ny - 1) >= BLOCK_ROWS
     with np.errstate(all="raise", under="ignore"):
-        rmap = region_map(grid, 0.6, 0.25)
-    assert np.isfinite(rmap.rho_m).all() and np.isfinite(rmap.rho_M).all()
+        got = map_columns(region_map(grid, 0.6, 0.25))
+    assert np.isfinite(got["rho_m"]).all() and np.isfinite(got["rho_M"]).all()
+
+
+def _sweep_peak(grid, path):
+    """Peak traced memory of one sweep streamed into its CSV."""
+    tracemalloc.start()
+    try:
+        region_map(grid, 0.6, 0.25).write_csv(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_sweep_and_csv_memory_peak_bounded(tmp_path):
-    # the benchmark's 500x500 sweep with its CSV, in blocks: 6.25 MB of
-    # per-node columns, and numpy memory peaking at 10.5 MB, where one
-    # kernel call on every node peaked at 25 MB
-    grid = GridSpec(0.01, 10.0, 0.01, 10.0, 500, 500, "log")
-    tracemalloc.start()
-    try:
-        region_map(grid, 0.6, 0.25).write_csv(tmp_path / "map.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 14e6, f"peak {peak / 1e6:.1f} MB"
+    # the benchmark's 500x500 sweep with its CSV, streamed in blocks: numpy
+    # memory peaks near 2.2 MB, where per-node columns peaked at 10.5 MB and
+    # one kernel call on every node at 25 MB
+    peak = _sweep_peak(GridSpec(0.01, 10.0, 0.01, 10.0, 500, 500, "log"), tmp_path / "map.csv")
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_sweep_memory_does_not_grow_with_the_grid():
+    # a hundredfold grid streams through the same blocks: per-node columns
+    # raised the peak from 3.5 MB at 100x100 to 27.9 MB at 1000x1000
+    small, large = (_sweep_peak(GridSpec(0.01, 10.0, 0.01, 10.0, n, n, "log"), os.devnull)
+                    for n in (100, 1000))
+    assert large - small < 0.5e6, f"peaks {small / 1e6:.2f} and {large / 1e6:.2f} MB"
 
 
 def test_map_zone_boundaries_match_conics():
     grid = GridSpec(0.05, 5.0, 0.05, 5.0, 100, 100, "linear")
     rmap = region_map(grid, eta=1.0, mu=0.25)
+    zone = map_columns(rmap)["zone"]
     from coupled_pendula.regions import _conic_values
     for iy in range(0, 100, 7):
         for ix in range(0, 99, 1):
-            if rmap.zone[iy * 100 + ix] != rmap.zone[iy * 100 + ix + 1]:
+            if zone[iy * 100 + ix] != zone[iy * 100 + ix + 1]:
                 # some conic must change sign within this cell pair
                 va = np.array(_conic_values(rmap.xs[ix], rmap.ys[iy], 1.0, 0.25))
                 vb = np.array(_conic_values(rmap.xs[ix + 1], rmap.ys[iy], 1.0, 0.25))
@@ -460,17 +479,17 @@ def test_map_zone_boundaries_match_conics():
 
 
 def test_map_refinement_stability():
-    coarse = region_map(GridSpec(0.1, 4.0, 0.1, 4.0, 20, 20, "linear"), 0.5, 0.2)
-    fine = region_map(GridSpec(0.1, 4.0, 0.1, 4.0, 39, 39, "linear"), 0.5, 0.2)
+    coarse, fine = (map_columns(region_map(GridSpec(0.1, 4.0, 0.1, 4.0, n, n, "linear"),
+                                           0.5, 0.2))["zone"] for n in (20, 39))
     # every coarse node also appears in the fine grid (odd indices)
     for iy in range(20):
         for ix in range(20):
-            assert coarse.zone[iy * 20 + ix] == fine.zone[2 * iy * 39 + 2 * ix]
+            assert coarse[iy * 20 + ix] == fine[2 * iy * 39 + 2 * ix]
 
 
 def test_map_low_mu_excludes_origin_region():
     rmap = region_map(GridSpec(0.02, 2.0, 0.02, 2.0, 40, 40, "linear"), eta=1.0, mu=0.1)
-    in_a = rmap.branch[:, 2].reshape(40, 40)  # (iy, ix)
+    in_a = map_columns(rmap)["branch"][:, 2].reshape(40, 40)  # (iy, ix)
     assert not in_a[:4, :4].any()
 
 
@@ -565,7 +584,7 @@ def test_e9_cells_exact_on_adversarial_values():
     (GridSpec(0.01, 10.0, 0.01, 10.0, 130, 130, "log"), 0.6, 0.25),  # 16,900 rows
     (GridSpec(0.05, 5.0, 0.02, 8.0, 130, 130, "linear"), 2.1, 0.2),
     (GridSpec(0.3, 0.3, 0.7, 0.7, 1, 1, "log"), 0.6, 0.25),
-    # two full blocks and a partial one; X, Y and rho mix 15-byte fast cells
+    # four full blocks and a partial one; X, Y and rho mix 15-byte fast cells
     # with 16-byte format cells (3-digit exponents) within and across
     # blocks, so a byte left over from the previous block would show
     (GridSpec(1e-200, MAX_XY, 1e-200, MAX_XY, 130, 130, "log"), 0.6, 0.25),
@@ -575,6 +594,23 @@ def test_map_csv_matches_reference_writer(tmp_path, grid, eta, mu):
     path = tmp_path / "map.csv"
     rmap.write_csv(path)
     assert path.read_bytes() == reference_region_csv(rmap)
+
+
+@pytest.mark.parametrize("eta", [0.6, 2.1])
+def test_summary_same_whether_or_not_written(tmp_path, eta):
+    # the writer keeps the counts of its sweep; a map never written sweeps
+    # for them alone; both match the kernel's columns
+    grid = GridSpec(0.01, 10.0, 0.01, 10.0, 101, 103, "log")
+    written, unwritten = region_map(grid, eta, 0.25), region_map(grid, eta, 0.25)
+    written.write_csv(tmp_path / "map.csv")
+    cols = map_columns(region_map(grid, eta, 0.25))
+    want = {z: int(np.count_nonzero(cols["zone"] == k)) / cols["zone"].size
+            for k, z in enumerate(("Z1", "Z2", "Z3", "Z4"))}
+    want_in_a = None if cols["branch"] is None else \
+        int(np.count_nonzero(cols["branch"][:, 2])) / cols["zone"].size
+    for rmap in (written, unwritten):
+        assert rmap.zone_fractions() == want
+        assert rmap.in_a_fraction() == want_in_a
 
 
 def test_grid_touching_axes_rejected():
@@ -605,8 +641,9 @@ def test_grid_node_limit():
 
 def test_map_eta_above_one_refuses_branch_verdicts():
     rmap = region_map(GridSpec(0.1, 1.0, 0.1, 1.0, 4, 4, "linear"), eta=1.5, mu=0.2)
-    assert rmap.branch is None
-    assert rmap.zone[0] in range(4)
+    got = map_columns(rmap)
+    assert got["branch"] is None
+    assert got["zone"][0] in range(4)
     assert rmap.in_a_fraction() is None
 
 
