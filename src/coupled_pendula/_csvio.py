@@ -11,9 +11,22 @@ of cells is gathered one cell, not one byte, at a time.  Float cells are five
 uint32 words from the word tables of :func:`e9_cells`.  ``regions`` streams
 its sweep into the writer a block at a time, so the block size alone sets the
 memory of either.
+
+An existing output is overwritten in place: the path is opened without
+``O_TRUNC`` and a regular file is then cut at the last byte written, also
+when a block raises, so the bytes, inode and mode are those a truncating open
+leaves.  On ext4 (default ``auto_da_alloc``) truncating a file frees its
+blocks and starts writeback of the new one at close: rewriting a 25 MB file
+took a median 33 ms back to back and 26 ms after a 0.5 s pause, against 6-7 ms
+in place (ext4 mounted ``discard``, 2-vCPU host).  The price: a run killed
+mid-write (SIGKILL, power loss) leaves the new rows followed by the old file's
+tail, where a truncating open left only the new rows.
 """
 
 from __future__ import annotations
+
+import os
+import stat
 
 import numpy as np
 
@@ -94,33 +107,53 @@ def e9_column(v: np.ndarray) -> np.ndarray:
     return e9_cells(v).view("V20").ravel()
 
 
-#: Rows per block of the CSV writer and nodes per block of the ``regions``
-#: sweep.  The sweep streams its blocks into the writer, so this alone sets
-#: the memory either one holds, about 2 MB.  From 4,096 to 16,384 rows the
-#: writer takes the same time; at 32,768 it is slower.
+#: Rows per block of the CSV writer and most nodes in one row band of the
+#: ``regions`` sweep.  The sweep streams its bands into the writer, so this
+#: alone sets the memory either one holds, about 2 MB.  From 4,096 to 16,384
+#: rows the writer takes the same time; at 32,768 it is slower.
 BLOCK_ROWS = 4_096
+
+
+def _open_in_place(path, flags):
+    """``os.open`` as ``open`` calls it, but without ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def write_csv(path, header: str, blocks) -> None:
     """Write ``header`` and the rows of ``blocks``, each a sequence of cell
-    columns: 1-D arrays of whole zero-padded cells (numpy ``V<w>`` items), each
-    column of one width in every block, and no block longer than the first."""
-    with open(path, "wb") as fh:
-        fh.write((header + "\n").encode())
-        raw = views = None
-        for columns in blocks:
-            filled = len(columns[0])
-            if raw is None:
-                widths = [c.dtype.itemsize for c in columns]
-                starts = np.cumsum([0] + [w + 1 for w in widths]).tolist()
-                row = starts.pop()
-                raw = bytearray(b",") * (filled * row)
-                # the cells overwrite every comma but the separators
-                raw[row - 1::row] = b"\n" * filled
-                views = [np.ndarray(filled, f"V{w}", raw, start, (row,))
-                         for w, start in zip(widths, starts)]
-            for view, c in zip(views, columns):
-                view[:filled] = c  # pad bytes included
-            # a full block is translated straight from the buffer, not from a copy
-            fh.write((raw if filled == len(views[0]) else raw[:filled * row])
-                     .translate(None, b"\0"))
+    columns: arrays of whole zero-padded cells (numpy ``V<w>`` items) whose
+    C-order cells are the block's rows, each column of one width in every
+    block, and no block longer than the first.  A column's shape is kept, so
+    a 2-D broadcast of one row or column of cells is filled in without a copy.
+
+    A regular file at ``path`` is overwritten in place and then cut at the
+    last byte written, also when a block raises (see the module docstring).
+    """
+    with open(path, "wb", opener=_open_in_place) as fh:
+        try:
+            _write_rows(fh, header, blocks)
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
+def _write_rows(fh, header: str, blocks) -> None:
+    fh.write((header + "\n").encode())
+    raw = views = None
+    for columns in blocks:
+        filled = columns[0].size
+        if raw is None:
+            widths = [c.dtype.itemsize for c in columns]
+            starts = np.cumsum([0] + [w + 1 for w in widths]).tolist()
+            row = starts.pop()
+            raw = bytearray(b",") * (filled * row)
+            # the cells overwrite every comma but the separators
+            raw[row - 1::row] = b"\n" * filled
+            views = [np.ndarray(filled, f"V{w}", raw, start, (row,))
+                     for w, start in zip(widths, starts)]
+        for view, c in zip(views, columns):
+            # splitting the one axis of a strided view never copies
+            view[:filled].reshape(c.shape)[...] = c  # pad bytes included
+        # a full block is translated straight from the buffer, not from a copy
+        fh.write((raw if filled == len(views[0]) else raw[:filled * row])
+                 .translate(None, b"\0"))

@@ -31,11 +31,13 @@ a3/a4 = η + X/(1−2μ), 1 − 2μ ≥ 2⁻⁵³ and a1, a3 ≥ X > 0, a2 ≥ 1
 
 All verdicts here are dimensionless (ω ≡ 1) and come from one columnar
 kernel, ``_verdicts``, which holds the one copy of each formula: a grid
-sweep calls it on blocks of ``BLOCK_ROWS`` nodes, and each scalar verdict
-is a one-row call.  Analyses specific to the η ≤ 1 branch refuse η > 1
-rather than guess.  The sweep is a stream: each block goes straight into
-the shared ``.9e`` block writer of ``_csvio`` and is then dropped, so the
-block size alone, not the grid, sets the sweep's memory.
+sweep calls it once per row band of at most ``BLOCK_ROWS`` nodes, on a row
+of X and a column of Y, so that each term of one axis is computed once per
+axis value, and each scalar verdict is a one-row call.  Analyses specific
+to the η ≤ 1 branch refuse η > 1 rather than guess.  The sweep is a
+stream: each band goes straight into the shared ``.9e`` block writer of
+``_csvio`` and is then dropped, so the block size alone, not the grid,
+sets the sweep's memory.
 """
 
 from __future__ import annotations
@@ -113,24 +115,28 @@ class QuadrantPoint:
 def _conic_values(X, Y, eta, mu):
     e2 = eta * eta
     one = 1.0 - 2.0 * mu
-    c1 = X**2 + (e2 - 1.0) * Y**2 + eta * X * Y + 4.0 * mu * eta * X \
+    exy = eta * X * Y
+    c1 = X**2 + (e2 - 1.0) * Y**2 + exy + 4.0 * mu * eta * X \
         + (4.0 * mu * e2 - 1.0) * Y + 4.0 * mu**2 * e2
-    c2 = X**2 + eta * X * Y + eta * X + one * (e2 - 1.0) * Y + 2.0 * mu * one * e2
-    c3 = (e2 - 1.0) * X**2 + Y**2 + eta * X * Y + eta * X \
+    c2 = X**2 + exy + eta * X + one * (e2 - 1.0) * Y + 2.0 * mu * one * e2
+    c3 = (e2 - 1.0) * X**2 + Y**2 + exy + eta * X \
         + (2.0 - one * e2) * Y + 1.0 - 2.0 * mu * one * e2
     c4 = X**2 + one * eta * X - one * Y + one * (one * e2 - 1.0)
     return c1, c2, c3, c4
 
 
 def _verdicts(X: np.ndarray, Y: np.ndarray, eta: float, mu: float) -> dict:
-    """Every verdict at the points of the (n,) columns X and Y for one checked (η, μ).
+    """Every verdict at the points of X and Y for one checked (η, μ).
 
     The one copy of each formula: grids and single points both come here.
-    Returns the columns ``zone``, ``conics``, ``branch``, ``rho_m`` and
-    ``rho_M`` described under :class:`RegionMap`.
+    X and Y are (n,) columns, or a (1, c) row of X and an (r, 1) column of
+    Y, so that each term of one axis is computed once per axis value.
+    Returns the flat (n,) or (n, 4) columns ``zone``, ``conics``,
+    ``branch``, ``rho_m`` and ``rho_M`` described under :class:`RegionMap`,
+    row-major in Y then X.
     """
-    conics = np.stack(_conic_values(X, Y, eta, mu), axis=-1) > 0
-    r = spectral.ek_ratios_dimensionless(eta, X, Y, mu)  # (n, 4)
+    conics = np.stack(_conic_values(X, Y, eta, mu), axis=-1).reshape(-1, 4) > 0
+    r = spectral.ek_ratios_dimensionless(eta, X, Y, mu).reshape(-1, 4)
     zone, rm_first = _zone_index(r)
     branch = None
     if eta <= 1.0:
@@ -219,7 +225,7 @@ def complex_root_bound(q: QuadrantPoint) -> RootBound:
 
 
 #: Most grid nodes (nx·ny) a sweep accepts: 2000×2000.  The sweep streams
-#: its blocks into the CSV, so its memory is set by the block size alone,
+#: its row bands into the CSV, so its memory is set by the block size alone,
 #: not by the grid; it writes about 112 bytes per CSV row.
 MAX_GRID_NODES = 4_000_000
 
@@ -288,8 +294,8 @@ class RegionMap:
     """Verdicts over a grid, row-major in Y then X, as a stream of blocks.
 
     No per-node column is kept: :meth:`blocks` runs the kernel on each
-    block as it is read and counts zones and inA nodes, and
-    :meth:`write_csv` writes each block as it comes, so the summary of a
+    row band as it is read and counts zones and inA nodes, and
+    :meth:`write_csv` writes each band as it comes, so the summary of a
     written map needs no second sweep.
     """
 
@@ -302,21 +308,29 @@ class RegionMap:
     _summary: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def blocks(self):
-        """Yield ``(ix, iy, verdicts)`` for each block of :data:`BLOCK_ROWS`
-        nodes: their X and Y indices and the columns of :func:`_verdicts`.
+        """Yield ``(cols, rows, verdicts)`` for each row band of the grid:
+        the slices of ``xs`` and ``ys`` it covers and the columns of
+        :func:`_verdicts` over its nodes, row-major in Y then X.
 
-        ``zone`` indexes Z1-Z4; ``conics`` holds the four conic signs and
-        ``branch`` the condA, condB, inA and semicircle flags, both (n, 4),
-        with ``branch`` None when η > 1.
+        A band holds ⌊:data:`BLOCK_ROWS`/nx⌋ whole rows, or, when one row
+        is longer, a :data:`BLOCK_ROWS`-wide piece of one row.  ``zone``
+        indexes Z1-Z4; ``conics`` holds the four conic signs and ``branch``
+        the condA, condB, inA and semicircle flags, both (n, 4), with
+        ``branch`` None when η > 1.
         """
-        n, zones, in_a = self.xs.size * self.ys.size, np.zeros(4, np.intp), 0
-        for lo in range(0, n, BLOCK_ROWS):
-            iy, ix = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, n)), self.grid.nx)
-            v = _verdicts(self.xs[ix], self.ys[iy], self.eta, self.mu)
-            zones += np.bincount(v["zone"], minlength=4)
-            if v["branch"] is not None:
-                in_a += int(np.count_nonzero(v["branch"][:, 2]))
-            yield ix, iy, v
+        nx, ny = self.xs.size, self.ys.size
+        band, width = max(1, BLOCK_ROWS // nx), min(nx, BLOCK_ROWS)
+        zones, in_a = np.zeros(4, np.intp), 0
+        for y0 in range(0, ny, band):
+            rows = slice(y0, min(y0 + band, ny))
+            for x0 in range(0, nx, width):
+                cols = slice(x0, min(x0 + width, nx))
+                v = _verdicts(self.xs[None, cols], self.ys[rows, None], self.eta, self.mu)
+                zones += np.bincount(v["zone"], minlength=4)
+                if v["branch"] is not None:
+                    in_a += int(np.count_nonzero(v["branch"][:, 2]))
+                yield cols, rows, v
+        n = nx * ny
         object.__setattr__(self, "_summary", (
             {z: count / n for z, count in zip(_ZONES, zones.tolist())},
             None if v["branch"] is None else in_a / n))
@@ -337,8 +351,9 @@ class RegionMap:
         """One header line, then one row per node, row-major in Y then X."""
         x_cells, y_cells = e9_column(self.xs), e9_column(self.ys)
 
-        def rows():
-            for ix, iy, v in self.blocks():
+        def cells():
+            for cols, rows, v in self.blocks():
+                shape = (rows.stop - rows.start, cols.stop - cols.start)
                 # zone is an intp column, so the codes, up to 1,023, do not wrap
                 code = v["zone"] * 16 + _flag_codes(v["conics"])
                 if v["branch"] is None:
@@ -347,17 +362,19 @@ class RegionMap:
                     middle = _MIDDLE_BRANCH[code * 16 + _flag_codes(v["branch"])]
                 # both ratio columns in one call, which halves its per-block overhead
                 rho = e9_column(np.concatenate([v["rho_m"], v["rho_M"]]))
-                yield x_cells[ix], y_cells[iy], middle, rho[:len(ix)], rho[len(ix):]
+                yield (np.broadcast_to(x_cells[cols], shape),
+                       np.broadcast_to(y_cells[rows, None], shape),
+                       middle, rho[:code.size], rho[code.size:])
 
-        write_csv(path, _CSV_HEADER, rows())
+        write_csv(path, _CSV_HEADER, cells())
 
 
 def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:
     """The verdicts over the grid, after checking η and μ once.
 
-    Nothing is evaluated here: the map's blocks run the kernel on
-    :data:`BLOCK_ROWS` nodes at a time as they are read, so no column
-    spans the grid.
+    Nothing is evaluated here: the map's blocks run the kernel on one row
+    band of at most :data:`BLOCK_ROWS` nodes at a time as they are read,
+    so no column spans the grid.
     """
     eta, mu = _check_box(eta=eta, mu=mu).values()
     return RegionMap(grid, eta, mu, grid.axis("x"), grid.axis("y"))

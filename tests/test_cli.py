@@ -486,13 +486,14 @@ def test_regions_all_zones_present(tmp_path, capsys):
 
 def test_regions_runs_the_kernel_once_per_node(tmp_path, capsys, monkeypatch):
     # the CSV and the summary come from one streamed sweep: the summary
-    # reads the counts the writer kept, it does not sweep again
+    # reads the counts the writer kept, it does not sweep again; a band's
+    # kernel call takes a (1, c) row of X and an (r, 1) column of Y
     from coupled_pendula import regions
     rows, kernel = [], regions._verdicts
 
-    def counted(X, *rest):
-        rows.append(len(X))
-        return kernel(X, *rest)
+    def counted(X, Y, *rest):
+        rows.append(np.broadcast(X, Y).size)
+        return kernel(X, Y, *rest)
 
     monkeypatch.setattr(regions, "_verdicts", counted)
     grid = {"x_min": 0.01, "x_max": 10.0, "y_min": 0.01, "y_max": 10.0,
@@ -563,6 +564,24 @@ def test_regions_rejects_rotational_damping(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: damping:") and "Traceback" not in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"damping": "rotational"}, "damping"),
+    ({"l2": 1.3}, "m2"),
+    ({"grid": {"x_min": 0.0}}, "x_min"),
+    ({"grid": {"x_max": 1e155}}, "x_max"),
+    ({"grid": {"nx": 2001, "ny": 2000}}, "nx*ny"),
+])
+def test_regions_refusal_leaves_an_existing_csv_alone(tmp_path, capsys, overrides, field):
+    # a refused config exits 2 before the CSV is opened, so a file already
+    # at --out keeps every byte
+    out_csv = tmp_path / "map.csv"
+    out_csv.write_bytes(b"an earlier map\n" * 1000)
+    code, out, err = run(capsys, "regions", "--config", write_config(tmp_path, **overrides),
+                         "--out", str(out_csv))
+    assert code == 2 and out == "" and err.startswith(f"error: {field}:")
+    assert out_csv.read_bytes() == b"an earlier map\n" * 1000
 
 
 @pytest.mark.parametrize("grid, field", [

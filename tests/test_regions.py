@@ -588,12 +588,19 @@ def test_e9_cells_exact_on_adversarial_values():
     # with 16-byte format cells (3-digit exponents) within and across
     # blocks, so a byte left over from the previous block would show
     (GridSpec(1e-200, MAX_XY, 1e-200, MAX_XY, 130, 130, "log"), 0.6, 0.25),
+    # rows wider than a block: each splits into a 4,096-node piece and a 404-node one
+    (GridSpec(0.01, 10.0, 0.01, 10.0, 4_500, 3, "log"), 0.6, 0.25),
+    # one column: bands of 4,096 one-node rows
+    (GridSpec(0.5, 0.5, 0.01, 10.0, 1, 9_000, "linear"), 2.1, 0.2),
 ])
 def test_map_csv_matches_reference_writer(tmp_path, grid, eta, mu):
+    # written over a stale, longer file, so a byte of its tail left behind would show
     rmap = region_map(grid, eta=eta, mu=mu)
+    want = reference_region_csv(rmap)
     path = tmp_path / "map.csv"
+    path.write_bytes(b"#" * (len(want) + BLOCK_ROWS))
     rmap.write_csv(path)
-    assert path.read_bytes() == reference_region_csv(rmap)
+    assert path.read_bytes() == want
 
 
 @pytest.mark.parametrize("eta", [0.6, 2.1])
