@@ -1,40 +1,41 @@
 """The ``.9e`` CSV writer of ``simulate`` and ``regions``.
 
-:func:`write_csv` fills one reused buffer of at most :data:`BLOCK_ROWS`
-(4,096) rows per block, without a Python string per row: separators are set
-once, each block overwrites every cell column in full, so no byte of the
-previous block survives, and pad bytes are dropped with ``bytearray.translate``
-on the buffer itself, whose cost, unlike a ``buf != 0`` mask's, does not grow
-with the number of pad runs.  A cell column is a 1-D array of whole cells,
-numpy ``V<w>`` items, stored into a ``V<w>`` view of the buffer, so a table
-of cells is gathered one cell, not one byte, at a time.  Float cells are five
-uint32 words from the word tables of :func:`e9_cells`.  ``regions`` streams
-its sweep into the writer a block at a time, so the block size alone sets the
-memory of either.
+:func:`write_csv` fills a reused buffer of at most :data:`BLOCK_ROWS`
+(4,096) fixed-width rows per block, without a Python string per row:
+separators are set once, and each block overwrites every cell column in
+full, so no byte of the previous block survives.  A cell column is a 1-D
+array of whole cells, numpy ``V<w>`` items, stored into a ``V<w>`` view of
+the buffer, so a table of cells is gathered one cell, not one byte, at a
+time.  Zero bytes in a cell are pad bytes, and two steps drop them:
 
-An existing output is overwritten in place: the path is opened without
-``O_TRUNC`` and a regular file is then cut at the last byte written, also
-when a block raises, so the bytes, inode and mode are those a truncating open
-leaves.  On ext4 (default ``auto_da_alloc``) truncating a file frees its
-blocks and starts writeback of the new one at close: rewriting a 25 MB file
-took a median 33 ms back to back and 26 ms after a 0.5 s pause, against 6-7 ms
-in place (ext4 mounted ``discard``, 2-vCPU host).  The price: a run killed
-mid-write (SIGKILL, power loss) leaves the new rows followed by the old file's
-tail, where a truncating open left only the new rows.
+* A column given with the text length of each cell (pads after the text, as
+  :func:`byte_cells` leaves them) is squeezed out by copying each row in
+  segments, one numpy copy per segment for the whole block: each segment
+  ends with such a cell, and the next segment is copied over its pads.
+* Any pad byte left is dropped with ``bytearray.translate``, whose cost,
+  unlike a ``buf != 0`` mask's, does not grow with the number of pad runs,
+  but which reads every byte of the block.
+
+Float cells are five uint32 words from the word tables of :func:`e9_cells`;
+:func:`e9_column` passes a column whose every cell is 15 bytes of text as
+15-byte cells without a pad.  On a ``regions`` map every float cell is such
+a cell and the middle cell comes with its length, so no byte goes through
+``translate``, which had taken 32 of the 113 ms of a 500×500 η ≤ 1 sweep
+(138 buffer bytes per row; 2-vCPU VM).  ``regions`` streams its sweep into
+the writer a block at a time, so the block size alone sets the memory of
+either.
 """
 
 from __future__ import annotations
 
-import os
-import stat
-
 import numpy as np
 
 
-def byte_cells(strings: list[str]) -> np.ndarray:
-    """ASCII strings as a column of whole cells, zero-padded to the longest."""
+def byte_cells(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII strings as a column of whole cells, zero-padded to the longest,
+    and the length of each string."""
     a = np.array(strings, dtype=bytes)
-    return a.view(f"V{a.itemsize}")
+    return a.view(f"V{a.itemsize}"), np.array([len(t) for t in strings], np.intp)
 
 
 # 10**k for k = 0..22, all exact in binary64 (5**22 < 2**53).
@@ -77,83 +78,137 @@ def e9_cells(v: np.ndarray) -> np.ndarray:
     that quotient.  Each row holds the five uint32 words of a cell, which
     :func:`e9_column` views as one whole cell.
     """
+    return _e9_words(v)[0].view(np.uint8)
+
+
+def _e9_words(v):
+    """The (n, 5) uint32 words of :func:`e9_cells`, and whether every
+    cell's text is its bytes 1-15: no sign and a two-digit exponent."""
     v = np.asarray(v, dtype=float)
     a = np.abs(v)
     fast = (a >= 1e-13) & (a < 1e10)
     x = np.where(fast, a, 1.0)
-    k = np.clip(9 - np.floor(np.log10(x)).astype(np.int64), 0, 22)
+    # np.minimum/np.maximum, not np.clip, whose call costs more at 4,096 values
+    k = np.minimum(np.maximum(9 - np.floor(np.log10(x)).astype(np.int64), 0), 22)
     s = x * _POW10[k]
     d = np.rint(s)
-    fast &= (s >= 1e9) & (d < 1e10) & (np.abs(s - np.floor(s) - 0.5) > 1e-5)
-    d = np.where(fast, d, 1e9)  # keeps the table indices in range
+    # s - d is exact (Sterbenz): d = rint(s) lies within a factor 2 of s ≥ 1e9
+    fast &= (s >= 1e9) & (d < 1e10) & (np.abs(s - d) < 0.5 - 1e-5)
+    d[~fast] = 1e9  # keeps the table indices in range
     high = np.floor(d / 1e4)
     lead = np.floor(high / 1e4)
+    negative = np.signbit(v)
     # five words: the widest string, "-d.ddddddddde-ddd", has 17 bytes
-    words = np.zeros((v.size, 5), np.uint32)
-    words[:, 0] = _LEAD_WORDS[lead.astype(np.intp) + 100 * np.signbit(v)]
+    words = np.empty((v.size, 5), np.uint32)
+    words[:, 0] = _LEAD_WORDS[lead.astype(np.intp) + 100 * negative]
     words[:, 1] = _MID_WORDS[(high - 1e4 * lead).astype(np.intp)]
     words[:, 2] = _MID_WORDS[(d - 1e4 * high).astype(np.intp)]
     words[:, 3] = _EXP_WORDS[k]
+    words[:, 4] = 0
 
+    tight = not negative.any()
     slow = np.flatnonzero(~fast)
     if slow.size:
-        words.view("V20")[slow, 0] = np.array([format(u, ".9e") for u in v[slow].tolist()],
+        text = [format(u, ".9e") for u in v[slow].tolist()]
+        tight = tight and all(len(t) == 15 for t in text)
+        # a cell without a sign starts at byte 1, as a fast one does
+        words.view("V20")[slow, 0] = np.array([t if t[0] == "-" else "\0" + t for t in text],
                                               dtype="S20").view("V20")
-    return words.view(np.uint8)
+    return words, tight
 
 
 def e9_column(v: np.ndarray) -> np.ndarray:
-    """The cells of :func:`e9_cells` as a 1-D column of whole 20-byte cells."""
-    return e9_cells(v).view("V20").ravel()
+    """The cells of :func:`e9_cells` as a 1-D column of whole cells.
+
+    When no value has a sign and every one has a two-digit exponent, every
+    cell's text is its bytes 1-15, and the column is those 15-byte cells, a
+    view with no pad byte; otherwise it is the 20-byte cells.
+    """
+    words, tight = _e9_words(v)
+    if tight and len(words):
+        return np.ndarray(len(words), "V15", words, 1, (20,))
+    return words.view("V20").ravel()
 
 
-#: Rows per block of the CSV writer and most nodes in one row band of the
-#: ``regions`` sweep.  The sweep streams its bands into the writer, so this
-#: alone sets the memory either one holds, about 2 MB.  From 4,096 to 16,384
-#: rows the writer takes the same time; at 32,768 it is slower.
+#: Rows per block of the CSV writer and nodes per block of the ``regions``
+#: sweep.  The sweep streams its blocks into the writer, so this alone sets
+#: the memory either one holds, about 2 MB.  From 4,096 to 16,384 rows the
+#: writer takes the same time; at 32,768 it is slower.
 BLOCK_ROWS = 4_096
 
 
-def _open_in_place(path, flags):
-    """``os.open`` as ``open`` calls it, but without ``O_TRUNC``."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def write_csv(path, header: str, blocks) -> None:
-    """Write ``header`` and the rows of ``blocks``, each a sequence of cell
-    columns: arrays of whole zero-padded cells (numpy ``V<w>`` items) whose
-    C-order cells are the block's rows, each column of one width in every
-    block, and no block longer than the first.  A column's shape is kept, so
-    a 2-D broadcast of one row or column of cells is filled in without a copy.
+    """Write ``header`` and the rows of ``blocks``, no block longer than the first.
 
-    A regular file at ``path`` is overwritten in place and then cut at the
-    last byte written, also when a block raises (see the module docstring).
+    A block is a sequence of columns, one per CSV column.  A column is a 1-D
+    array of whole cells (numpy ``V<w>`` items) whose zero bytes are pad
+    bytes, or a pair of such an array and the text length of each cell, for
+    cells whose pad bytes all follow their text.
     """
-    with open(path, "wb", opener=_open_in_place) as fh:
-        try:
-            _write_rows(fh, header, blocks)
-        finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
+        rows = None
+        for block in blocks:
+            cells = [c[0] if isinstance(c, tuple) else c for c in block]
+            widths = [c.dtype.itemsize for c in cells]
+            if rows is None or rows.widths != widths:
+                rows = _Rows(widths, len(cells[0]) if rows is None else rows.capacity)
+            fh.write(rows.text(block, cells))
 
 
-def _write_rows(fh, header: str, blocks) -> None:
-    fh.write((header + "\n").encode())
-    raw = views = None
-    for columns in blocks:
-        filled = columns[0].size
-        if raw is None:
-            widths = [c.dtype.itemsize for c in columns]
-            starts = np.cumsum([0] + [w + 1 for w in widths]).tolist()
-            row = starts.pop()
-            raw = bytearray(b",") * (filled * row)
-            # the cells overwrite every comma but the separators
-            raw[row - 1::row] = b"\n" * filled
-            views = [np.ndarray(filled, f"V{w}", raw, start, (row,))
-                     for w, start in zip(widths, starts)]
-        for view, c in zip(views, columns):
-            # splitting the one axis of a strided view never copies
-            view[:filled].reshape(c.shape)[...] = c  # pad bytes included
+class _Rows:
+    """The reused buffers of one block: ``raw`` holds fixed-width rows of
+    cells and separators, ``out`` the rows squeezed of known pads."""
+
+    def __init__(self, widths: list[int], capacity: int):
+        starts = np.cumsum([0] + [w + 1 for w in widths]).tolist()
+        self.widths, self.capacity, self.row = widths, capacity, starts.pop()
+        self.ends = [s + w for s, w in zip(starts, widths)]
+        self.raw = bytearray(b",") * (capacity * self.row)
+        # the cells overwrite every comma but the separators
+        self.raw[self.row - 1::self.row] = b"\n" * capacity
+        self.out = None  # made by the first block that is squeezed
+        self.views = [np.ndarray(capacity, f"V{w}", self.raw, start, (self.row,))
+                      for w, start in zip(widths, starts)]
+
+    def text(self, block, cells):
+        """The bytes of the block's rows, without pad bytes."""
+        filled = len(cells[0])
+        for view, c in zip(self.views, cells):
+            view[:filled] = c  # pad bytes included
+        buf, size = self.raw, filled * self.row
+        padded = [(self.ends[i], self.widths[i] - c[1]) for i, c in enumerate(block)
+                  if isinstance(c, tuple)]
+        if padded:
+            buf, size = self._squeeze(filled, padded)
+        if buf.find(b"\0", 0, size) < 0:
+            return memoryview(buf)[:size]
         # a full block is translated straight from the buffer, not from a copy
-        fh.write((raw if filled == len(views[0]) else raw[:filled * row])
-                 .translate(None, b"\0"))
+        return (buf if size == len(buf) else buf[:size]).translate(None, b"\0")
+
+    def _squeeze(self, filled: int, padded: list):
+        """Copy the rows from ``raw`` to ``out`` without the pads of the
+        columns in ``padded``, pairs of a cell's end in the row and each
+        cell's pad count.  A row is cut after each such cell into segments,
+        and segment k of every row is copied in one call, to where the row's
+        text before it ends, so its pads land where the next segment, copied
+        by a later call, overwrites them.  If a row's pads would reach the
+        next row, the block is left in ``raw``, for ``translate``."""
+        size = np.full(filled, self.row, np.intp)
+        for _, pads in padded:
+            size -= pads
+        to = np.cumsum(size) - size
+        row_end = to + size
+        begin, parts = 0, []
+        for end, pads in padded + [(self.row, 0)]:
+            parts.append((begin, end - begin, to))
+            to = to + (end - begin) - pads
+            if np.any(to + pads > row_end):
+                return self.raw, filled * self.row
+            begin = end
+        if self.out is None:
+            self.out = bytearray(len(self.raw))
+        for begin, width, at in parts:
+            np.ndarray(len(self.out) - width + 1, f"V{width}", self.out, 0, (1,))[at] = \
+                np.ndarray(filled, f"V{width}", self.raw, begin, (self.row,))
+        return self.out, int(row_end[-1])

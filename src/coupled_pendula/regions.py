@@ -31,13 +31,11 @@ a3/a4 = η + X/(1−2μ), 1 − 2μ ≥ 2⁻⁵³ and a1, a3 ≥ X > 0, a2 ≥ 1
 
 All verdicts here are dimensionless (ω ≡ 1) and come from one columnar
 kernel, ``_verdicts``, which holds the one copy of each formula: a grid
-sweep calls it once per row band of at most ``BLOCK_ROWS`` nodes, on a row
-of X and a column of Y, so that each term of one axis is computed once per
-axis value, and each scalar verdict is a one-row call.  Analyses specific
-to the η ≤ 1 branch refuse η > 1 rather than guess.  The sweep is a
-stream: each band goes straight into the shared ``.9e`` block writer of
-``_csvio`` and is then dropped, so the block size alone, not the grid,
-sets the sweep's memory.
+sweep calls it on blocks of ``BLOCK_ROWS`` nodes, and each scalar verdict
+is a one-row call.  Analyses specific to the η ≤ 1 branch refuse η > 1
+rather than guess.  The sweep is a stream: each block goes straight into
+the shared ``.9e`` block writer of ``_csvio`` and is then dropped, so the
+block size alone, not the grid, sets the sweep's memory.
 """
 
 from __future__ import annotations
@@ -115,36 +113,38 @@ class QuadrantPoint:
 def _conic_values(X, Y, eta, mu):
     e2 = eta * eta
     one = 1.0 - 2.0 * mu
-    exy = eta * X * Y
-    c1 = X**2 + (e2 - 1.0) * Y**2 + exy + 4.0 * mu * eta * X \
+    # X², Y², ηX and ηXY once for the conics that share them
+    x2, y2, ex = X**2, Y**2, eta * X
+    exy = ex * Y
+    c1 = x2 + (e2 - 1.0) * y2 + exy + 4.0 * mu * eta * X \
         + (4.0 * mu * e2 - 1.0) * Y + 4.0 * mu**2 * e2
-    c2 = X**2 + exy + eta * X + one * (e2 - 1.0) * Y + 2.0 * mu * one * e2
-    c3 = (e2 - 1.0) * X**2 + Y**2 + exy + eta * X \
+    c2 = x2 + exy + ex + one * (e2 - 1.0) * Y + 2.0 * mu * one * e2
+    c3 = (e2 - 1.0) * x2 + y2 + exy + ex \
         + (2.0 - one * e2) * Y + 1.0 - 2.0 * mu * one * e2
-    c4 = X**2 + one * eta * X - one * Y + one * (one * e2 - 1.0)
+    c4 = x2 + one * eta * X - one * Y + one * (one * e2 - 1.0)
     return c1, c2, c3, c4
 
 
 def _verdicts(X: np.ndarray, Y: np.ndarray, eta: float, mu: float) -> dict:
-    """Every verdict at the points of X and Y for one checked (η, μ).
+    """Every verdict at the points of the (n,) columns X and Y for one checked (η, μ).
 
     The one copy of each formula: grids and single points both come here.
-    X and Y are (n,) columns, or a (1, c) row of X and an (r, 1) column of
-    Y, so that each term of one axis is computed once per axis value.
-    Returns the flat (n,) or (n, 4) columns ``zone``, ``conics``,
-    ``branch``, ``rho_m`` and ``rho_M`` described under :class:`RegionMap`,
-    row-major in Y then X.
+    Returns the columns ``zone``, ``conics``, ``branch``, ``rho_m`` and
+    ``rho_M`` described under :class:`RegionMap`.
     """
-    conics = np.stack(_conic_values(X, Y, eta, mu), axis=-1).reshape(-1, 4) > 0
-    r = spectral.ek_ratios_dimensionless(eta, X, Y, mu).reshape(-1, 4)
+    conics = np.empty(np.shape(X) + (4,), bool)
+    for j, c in enumerate(_conic_values(X, Y, eta, mu)):
+        np.greater(c, 0, out=conics[..., j])
+    r = spectral.ek_ratios_dimensionless(eta, X, Y, mu)  # (n, 4)
     zone, rm_first = _zone_index(r)
     branch = None
     if eta <= 1.0:
-        cond_a = eta < 2.0 * r[:, 0]
-        cond_b = eta < 2.0 * r[:, 1]
-        semi = np.ones_like(cond_a)  # proven true for η ≤ 1 (``semicircle_condition``)
-        branch = np.stack([cond_a, cond_b, np.where(rm_first, cond_a, cond_b), semi],
-                          axis=-1)
+        branch = np.empty(conics.shape, bool)
+        cond_a, cond_b = branch[:, 0], branch[:, 1]
+        np.less(eta, 2.0 * r[:, 0], out=cond_a)
+        np.less(eta, 2.0 * r[:, 1], out=cond_b)
+        branch[:, 2] = np.where(rm_first, cond_a, cond_b)
+        branch[:, 3] = True  # semicircle: proven true for η ≤ 1 (``semicircle_condition``)
     return dict(zone=zone, conics=conics, branch=branch,
                 rho_m=np.minimum(r[:, 0], r[:, 1]), rho_M=np.maximum(r[:, 2], r[:, 3]))
 
@@ -225,7 +225,7 @@ def complex_root_bound(q: QuadrantPoint) -> RootBound:
 
 
 #: Most grid nodes (nx·ny) a sweep accepts: 2000×2000.  The sweep streams
-#: its row bands into the CSV, so its memory is set by the block size alone,
+#: its blocks into the CSV, so its memory is set by the block size alone,
 #: not by the grid; it writes about 112 bytes per CSV row.
 MAX_GRID_NODES = 4_000_000
 
@@ -275,8 +275,8 @@ _CSV_HEADER = ("X,Y,zone,conic1,conic2,conic3,conic4,condA,condB,inA,"
                "semicircle,refined,rho_m_over_omega,rho_M_over_omega")
 
 
-# The middle cells of a row, zone through refined, indexed by
-# zone·16 + conic bits (·16 + branch bits when η ≤ 1); flag k is bit k.
+# The middle cells of a row, zone through refined, and their lengths, indexed
+# by zone·16 + conic bits (·16 + branch bits when η ≤ 1); flag k is bit k.
 _FLAGS = [",".join("true" if code >> k & 1 else "false" for k in range(4))
           for code in range(16)]
 _MIDDLE_NA = byte_cells([f"{z},{c},na,na,na,na,na" for z in _ZONES for c in _FLAGS])
@@ -285,8 +285,15 @@ _MIDDLE_BRANCH = byte_cells([f"{z},{c},{b},na" for z in _ZONES for c in _FLAGS
 
 
 def _flag_codes(flags: np.ndarray) -> np.ndarray:
-    """Rows of four flags packed as bits 0-3."""
-    return flags @ np.array([1, 2, 4, 8], dtype=np.uint8)
+    """Rows of four flags packed as bits 0-3.
+
+    A C-ordered row of four bools read as a little-endian uint32 u is
+    f0 + f1·2⁸ + f2·2¹⁶ + f3·2²⁴; u·(2³ + 2¹⁰ + 2¹⁷ + 2²⁴) mod 2³² puts fk
+    at bit 24 + k, and every other product term below bit 24 or at 32 or
+    above, so bits 24-27 are the code.
+    """
+    u = np.ascontiguousarray(flags).view("<u4").ravel()
+    return u * np.uint32(0x01020408) >> 24
 
 
 @dataclass(frozen=True)
@@ -294,8 +301,8 @@ class RegionMap:
     """Verdicts over a grid, row-major in Y then X, as a stream of blocks.
 
     No per-node column is kept: :meth:`blocks` runs the kernel on each
-    row band as it is read and counts zones and inA nodes, and
-    :meth:`write_csv` writes each band as it comes, so the summary of a
+    block as it is read and counts zones and inA nodes, and
+    :meth:`write_csv` writes each block as it comes, so the summary of a
     written map needs no second sweep.
     """
 
@@ -308,29 +315,21 @@ class RegionMap:
     _summary: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def blocks(self):
-        """Yield ``(cols, rows, verdicts)`` for each row band of the grid:
-        the slices of ``xs`` and ``ys`` it covers and the columns of
-        :func:`_verdicts` over its nodes, row-major in Y then X.
+        """Yield ``(ix, iy, verdicts)`` for each block of :data:`BLOCK_ROWS`
+        nodes: their X and Y indices and the columns of :func:`_verdicts`.
 
-        A band holds ⌊:data:`BLOCK_ROWS`/nx⌋ whole rows, or, when one row
-        is longer, a :data:`BLOCK_ROWS`-wide piece of one row.  ``zone``
-        indexes Z1-Z4; ``conics`` holds the four conic signs and ``branch``
-        the condA, condB, inA and semicircle flags, both (n, 4), with
-        ``branch`` None when η > 1.
+        ``zone`` indexes Z1-Z4; ``conics`` holds the four conic signs and
+        ``branch`` the condA, condB, inA and semicircle flags, both (n, 4),
+        with ``branch`` None when η > 1.
         """
-        nx, ny = self.xs.size, self.ys.size
-        band, width = max(1, BLOCK_ROWS // nx), min(nx, BLOCK_ROWS)
-        zones, in_a = np.zeros(4, np.intp), 0
-        for y0 in range(0, ny, band):
-            rows = slice(y0, min(y0 + band, ny))
-            for x0 in range(0, nx, width):
-                cols = slice(x0, min(x0 + width, nx))
-                v = _verdicts(self.xs[None, cols], self.ys[rows, None], self.eta, self.mu)
-                zones += np.bincount(v["zone"], minlength=4)
-                if v["branch"] is not None:
-                    in_a += int(np.count_nonzero(v["branch"][:, 2]))
-                yield cols, rows, v
-        n = nx * ny
+        n, zones, in_a = self.xs.size * self.ys.size, np.zeros(4, np.intp), 0
+        for lo in range(0, n, BLOCK_ROWS):
+            iy, ix = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, n)), self.grid.nx)
+            v = _verdicts(self.xs[ix], self.ys[iy], self.eta, self.mu)
+            zones += np.bincount(v["zone"], minlength=4)
+            if v["branch"] is not None:
+                in_a += int(np.count_nonzero(v["branch"][:, 2]))
+            yield ix, iy, v
         object.__setattr__(self, "_summary", (
             {z: count / n for z, count in zip(_ZONES, zones.tolist())},
             None if v["branch"] is None else in_a / n))
@@ -351,30 +350,27 @@ class RegionMap:
         """One header line, then one row per node, row-major in Y then X."""
         x_cells, y_cells = e9_column(self.xs), e9_column(self.ys)
 
-        def cells():
-            for cols, rows, v in self.blocks():
-                shape = (rows.stop - rows.start, cols.stop - cols.start)
+        def rows():
+            for ix, iy, v in self.blocks():
                 # zone is an intp column, so the codes, up to 1,023, do not wrap
                 code = v["zone"] * 16 + _flag_codes(v["conics"])
                 if v["branch"] is None:
-                    middle = _MIDDLE_NA[code]
+                    cells, lengths = _MIDDLE_NA
                 else:
-                    middle = _MIDDLE_BRANCH[code * 16 + _flag_codes(v["branch"])]
-                # both ratio columns in one call, which halves its per-block overhead
-                rho = e9_column(np.concatenate([v["rho_m"], v["rho_M"]]))
-                yield (np.broadcast_to(x_cells[cols], shape),
-                       np.broadcast_to(y_cells[rows, None], shape),
-                       middle, rho[:code.size], rho[code.size:])
+                    cells, lengths = _MIDDLE_BRANCH
+                    code = code * 16 + _flag_codes(v["branch"])
+                yield (x_cells[ix], y_cells[iy], (cells[code], lengths[code]),
+                       e9_column(v["rho_m"]), e9_column(v["rho_M"]))
 
-        write_csv(path, _CSV_HEADER, cells())
+        write_csv(path, _CSV_HEADER, rows())
 
 
 def region_map(grid: GridSpec, eta: float, mu: float) -> RegionMap:
     """The verdicts over the grid, after checking η and μ once.
 
-    Nothing is evaluated here: the map's blocks run the kernel on one row
-    band of at most :data:`BLOCK_ROWS` nodes at a time as they are read,
-    so no column spans the grid.
+    Nothing is evaluated here: the map's blocks run the kernel on
+    :data:`BLOCK_ROWS` nodes at a time as they are read, so no column
+    spans the grid.
     """
     eta, mu = _check_box(eta=eta, mu=mu).values()
     return RegionMap(grid, eta, mu, grid.axis("x"), grid.axis("y"))

@@ -486,14 +486,13 @@ def test_regions_all_zones_present(tmp_path, capsys):
 
 def test_regions_runs_the_kernel_once_per_node(tmp_path, capsys, monkeypatch):
     # the CSV and the summary come from one streamed sweep: the summary
-    # reads the counts the writer kept, it does not sweep again; a band's
-    # kernel call takes a (1, c) row of X and an (r, 1) column of Y
+    # reads the counts the writer kept, it does not sweep again
     from coupled_pendula import regions
     rows, kernel = [], regions._verdicts
 
-    def counted(X, Y, *rest):
-        rows.append(np.broadcast(X, Y).size)
-        return kernel(X, Y, *rest)
+    def counted(X, *rest):
+        rows.append(len(X))
+        return kernel(X, *rest)
 
     monkeypatch.setattr(regions, "_verdicts", counted)
     grid = {"x_min": 0.01, "x_max": 10.0, "y_min": 0.01, "y_max": 10.0,

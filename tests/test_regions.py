@@ -29,8 +29,8 @@ from coupled_pendula import (
     semicircle_condition,
 )
 from coupled_pendula._csvio import BLOCK_ROWS, _EXP_WORDS, _LEAD_WORDS, _MID_WORDS, e9_cells
-from coupled_pendula.regions import (MAX_ETA, MAX_GRID_NODES, MAX_XY, MIN_ETA, _strict_peaks,
-                                     _verdicts)
+from coupled_pendula.regions import (MAX_ETA, MAX_GRID_NODES, MAX_XY, MIN_ETA, _flag_codes,
+                                     _strict_peaks, _verdicts)
 from coupled_pendula.spectral import ek_ratios_dimensionless, quartic_from_dimensionless
 from coupled_pendula.verification import DECAY_PANEL
 from oracles import map_columns, quadrant_oracle, reference_region_csv
@@ -547,6 +547,12 @@ def _e9_strings(v):
     return lines[lines != 0].tobytes().split(b"\n")[:-1]
 
 
+def test_flag_codes_pack_flag_k_as_bit_k():
+    flags = np.array(list(itertools.product([False, True], repeat=4)))
+    assert _flag_codes(flags).tolist() == [sum(int(f) << k for k, f in enumerate(row))
+                                           for row in flags.tolist()]
+
+
 def test_e9_word_tables_hold_their_f_strings():
     def joined(strings):
         return "".join(strings).encode()
@@ -588,9 +594,9 @@ def test_e9_cells_exact_on_adversarial_values():
     # with 16-byte format cells (3-digit exponents) within and across
     # blocks, so a byte left over from the previous block would show
     (GridSpec(1e-200, MAX_XY, 1e-200, MAX_XY, 130, 130, "log"), 0.6, 0.25),
-    # rows wider than a block: each splits into a 4,096-node piece and a 404-node one
+    # rows wider than a block, so a block starts inside a row
     (GridSpec(0.01, 10.0, 0.01, 10.0, 4_500, 3, "log"), 0.6, 0.25),
-    # one column: bands of 4,096 one-node rows
+    # one column: blocks of 4,096 one-node rows
     (GridSpec(0.5, 0.5, 0.01, 10.0, 1, 9_000, "linear"), 2.1, 0.2),
 ])
 def test_map_csv_matches_reference_writer(tmp_path, grid, eta, mu):
@@ -601,6 +607,23 @@ def test_map_csv_matches_reference_writer(tmp_path, grid, eta, mu):
     path.write_bytes(b"#" * (len(want) + BLOCK_ROWS))
     rmap.write_csv(path)
     assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("eta", [0.6, 2.1])
+def test_map_rows_skip_translate(tmp_path, monkeypatch, eta):
+    # every cell of a map inside [1e-13, 1e10) is pad-free or comes with its
+    # length, so each block is squeezed and written without translate
+    from coupled_pendula import _csvio
+    texts, text = [], _csvio._Rows.text
+
+    def recorded(self, *args):
+        texts.append(text(self, *args))
+        return texts[-1]
+
+    monkeypatch.setattr(_csvio._Rows, "text", recorded)
+    region_map(GridSpec(0.01, 10.0, 0.01, 10.0, 101, 103, "log"), eta, 0.25) \
+        .write_csv(tmp_path / "map.csv")
+    assert len(texts) == 3 and all(isinstance(t, memoryview) for t in texts)
 
 
 @pytest.mark.parametrize("eta", [0.6, 2.1])
