@@ -16,7 +16,7 @@ time.  Zero bytes in a cell are pad bytes, and two steps drop them:
   unlike a ``buf != 0`` mask's, does not grow with the number of pad runs,
   but which reads every byte of the block.
 
-Float cells are five uint32 words from the word tables of :func:`e9_cells`;
+Float cells are five uint32 words from the word tables of :func:`_e9_words`;
 :func:`e9_column` passes a column whose every cell is 15 bytes of text as
 15-byte cells without a pad.  On a ``regions`` map every float cell is such
 a cell and the middle cell comes with its length, so no byte goes through
@@ -57,8 +57,10 @@ _EXP_WORDS = np.insert(np.insert(_DIGITS4[np.abs(np.arange(9, -14, -1)), 2:], 0,
                        0, ord("e"), axis=1).view(np.uint32).ravel()
 
 
-def e9_cells(v: np.ndarray) -> np.ndarray:
-    """``format(x, ".9e")`` of every value as (n, 20) zero-padded uint8 rows.
+def _e9_words(v):
+    """``format(x, ".9e")`` of every value as (n, 5) uint32 rows, the words
+    of a zero-padded 20-byte cell, and whether every cell's text is its
+    bytes 1-15: no sign and a two-digit exponent.
 
     Fast path, for |x| in [1e-13, 1e10): with e = ⌊log10 |x|⌋ and k = 9 − e
     clipped to [0, 22], 10^k is exact, so s = |x|·10^k carries a single
@@ -75,15 +77,8 @@ def e9_cells(v: np.ndarray) -> np.ndarray:
     The digits of d are split in binary64: d < 1e10 is an integer, so d/1e4
     is an integer or lies at least 1e-4 from one, while its rounding error
     is below 1e-10; ⌊d/1e4⌋ is therefore exact, and so is the same step on
-    that quotient.  Each row holds the five uint32 words of a cell, which
-    :func:`e9_column` views as one whole cell.
+    that quotient.
     """
-    return _e9_words(v)[0].view(np.uint8)
-
-
-def _e9_words(v):
-    """The (n, 5) uint32 words of :func:`e9_cells`, and whether every
-    cell's text is its bytes 1-15: no sign and a two-digit exponent."""
     v = np.asarray(v, dtype=float)
     a = np.abs(v)
     fast = (a >= 1e-13) & (a < 1e10)
@@ -118,7 +113,7 @@ def _e9_words(v):
 
 
 def e9_column(v: np.ndarray) -> np.ndarray:
-    """The cells of :func:`e9_cells` as a 1-D column of whole cells.
+    """The cells of :func:`_e9_words` as a 1-D column of whole cells.
 
     When no value has a sign and every one has a two-digit exponent, every
     cell's text is its bytes 1-15, and the column is those 15-byte cells, a

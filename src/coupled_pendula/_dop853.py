@@ -308,8 +308,8 @@ def solve_ivp(funs, y0: np.ndarray, t_end, samples: int, *,
         y, f = y[cols], f[cols]
         t_bound = np.array(t_end)[index]
         h_abs = _initial_step([funs[i] for i in index], y, f, t_bound, dim, rtol, atol)
-        rows = [_Row(i, funs[i], te, h) for i, te, h in zip(index, t_bound.tolist(),
-                                                              h_abs.tolist())]
+        rows = started = [_Row(i, funs[i], te, h)
+                          for i, te, h in zip(index, t_bound.tolist(), h_abs.tolist())]
         dense = _Dense(t_eval, out)
 
         while rows:
@@ -329,9 +329,6 @@ def solve_ivp(funs, y0: np.ndarray, t_end, samples: int, *,
                     continue
                 stopped.append(r)
             if stopped:
-                for r in stopped:
-                    t_reached[r.index] = r.t
-                    nfev += r.nfev
                 rows, y, f = _without(stopped, rows, y, f, dim)
                 continue
 
@@ -392,11 +389,11 @@ def solve_ivp(funs, y0: np.ndarray, t_end, samples: int, *,
                 y, f = y.copy(), f.copy()
                 y[cols], f[cols] = y_new[cols], K[12, cols]
             if done:
-                for r in done:
-                    t_reached[r.index] = r.t
-                    nfev += r.nfev
                 rows, y, f = _without(done, rows, y, f, dim)
         dense.flush()
+    for r in started:  # a row keeps its last t and nfev after it leaves ``rows``
+        t_reached[r.index] = r.t
+        nfev += r.nfev
     status = -1 if any(m is not None for m in message) else 0
     return Solution(t_eval, out, nfev, status, np.array(t_reached), message)
 

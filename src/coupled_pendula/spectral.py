@@ -53,7 +53,6 @@ __all__ = [
     "linear_system",
     "char_poly_general",
     "char_poly_identical",
-    "quartic_from_dimensionless",
     "poly_roots",
     "routh_hurwitz",
     "enestrom_kakeya",
@@ -175,32 +174,10 @@ def _checked_rows(p, where: str) -> np.ndarray:
     return rows
 
 
-def _float_pow(base, exponent: int):
-    """``base ** exponent`` as float ``**`` gives it (libm ``pow``), also
-    per element of an array.  numpy's array power squares exactly and runs
-    its own ``pow`` for higher powers, and each differs from libm in the
-    last bit for some doubles.  This keeps the libm bits that the quartic
-    factor in ``spectrum`` output has always had."""
-    if isinstance(base, np.ndarray):
-        return np.array([b ** exponent for b in base.tolist()])
-    return base ** exponent
-
-
-def _quartic(eta, X, Y, mu, omega):
-    """Ascending x/σ quartic coefficients, on columns."""
+def _quartic(eta, X, Y, mu):
+    """Ascending x/σ quartic coefficients at ω = 1, on columns."""
     one = 1.0 - 2.0 * mu
-    return (Y * _float_pow(omega, 4),
-            (eta * Y + X + 2.0 * mu * eta) * _float_pow(omega, 3),
-            (eta * X + Y + 1.0) * _float_pow(omega, 2),
-            (X + one * eta) * omega,
-            one)
-
-
-def quartic_from_dimensionless(eta, X, Y, mu, omega=1.0) -> np.ndarray:
-    """(n, 5) ascending x/σ quartics for identical pendula from (n,)
-    columns of the dimensionless groups; ``omega`` is a float or a column."""
-    cols = (np.asarray(v, dtype=float) for v in (eta, X, Y, mu))
-    return np.stack(_quartic(*cols, omega), axis=1)
+    return (Y, eta * Y + X + 2.0 * mu * eta, eta * X + Y + 1.0, X + one * eta, one)
 
 
 def char_poly_identical(p) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +185,10 @@ def char_poly_identical(p) -> tuple[np.ndarray, np.ndarray]:
 
     ``p`` is (n, 10) parameter rows as for :func:`char_poly_general`; the
     result is (n, 3) and (n, 5) ascending coefficients.  Rejects rows
-    whose pendula are not identical.
+    whose pendula are not identical.  The quartic is the ω = 1 one with
+    a_j scaled by ω^(4−j), each power a float ``**`` (libm ``pow``): numpy's
+    array power squares exactly and runs its own ``pow`` for higher powers,
+    and each differs from libm in the last bit for some doubles.
     """
     rows = _checked_rows(p, "factorized polynomial")
     _, m1, m2, l1, l2, _, b1, b2, _, g = rows.T
@@ -216,8 +196,9 @@ def char_poly_identical(p) -> tuple[np.ndarray, np.ndarray]:
         raise ParamError("m2", "factorized polynomial requires identical pendula")
     mu, _, Y, _, _, omega, eta, X = _reduced_groups(*rows.T, sqrt=np.sqrt)
     quad = (g / (0.5 * (l1 + l2)), (b1 + b2) / (m1 + m2), 1.0)
+    powers = np.array([[w ** j for j in range(4, -1, -1)] for w in omega.tolist()])
     return (np.stack(np.broadcast_arrays(*quad), axis=1),
-            np.stack(_quartic(eta, X, Y, mu, omega), axis=1))
+            np.stack(_quartic(eta, X, Y, mu), axis=1) * powers)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +357,7 @@ def enestrom_kakeya(c):
 def ek_ratios_dimensionless(eta, X, Y, mu, omega=1.0):
     """The four ratios a_j/a_{j+1} of the ω = 1 quartic, times ``omega``;
     broadcasts over array input."""
-    a = _quartic(*(np.asarray(v, dtype=float) for v in (eta, X, Y, mu)), 1.0)
+    a = _quartic(*(np.asarray(v, dtype=float) for v in (eta, X, Y, mu)))
     r = np.empty(a[1].shape + (4,))  # a1 holds all four inputs: the broadcast shape
     for j in range(4):
         np.divide(a[j], a[j + 1], out=r[..., j])

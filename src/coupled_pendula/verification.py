@@ -11,6 +11,7 @@ The acceptance suite runs these same checks at larger sizes and asserts
 
 from __future__ import annotations
 
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -218,23 +219,27 @@ PANEL_OMEGA = np.pi  # pendulum frequency ω of every panel point (1/s)
 def check_decay_panel(panel=None) -> CheckResult:
     """Nonlinear σ/δ decay ordering vs the spectral prediction.
 
-    The panel's trajectories are integrated as one batch.  A point whose
-    trajectory is too short for the envelope fit counts as failed, with
-    the fit's message in place of the rates.
+    Both predicted rates come from ``spectral.char_poly_identical`` of the
+    parameter rows that are integrated: the σ rate is the least |Re| of
+    the quartic's roots, the δ rate half the quadratic's middle
+    coefficient (β/m).  The panel's trajectories are integrated as one
+    batch.  A point whose trajectory is too short for the envelope fit
+    counts as failed, with the fit's message in place of the rates.
     """
     panel = DECAY_PANEL[:4] if panel is None else panel
     omega = PANEL_OMEGA
     period = 2.0 * np.pi / omega
-    quarts = spectral.quartic_from_dimensionless(*np.array(panel)[:, :4].T, omega)
-    sigma_rates = np.min(np.abs(spectral.poly_roots(quarts).real), axis=1).tolist()
     params = [params_from_dimensionless(eta, X, Y, mu, omega=omega)
               for eta, X, Y, mu, _ in panel]
+    quads, quarts = spectral.char_poly_identical([dataclasses.astuple(p) for p in params])
+    sigma_rates = np.min(np.abs(spectral.poly_roots(quarts).real), axis=1).tolist()
+    delta_rates = (0.5 * quads[:, 1]).tolist()
     fits = empirical_decay_rates(
         params, [SystemState.from_y(0.002 * p.l1, 0.002, 0.002) for p in params],
         [n_periods * period for *_, n_periods in panel])
     bad = []
-    for (eta, X, Y, mu, _), sigma_rate_pred, fit in zip(panel, sigma_rates, fits):
-        delta_rate_pred = 0.5 * eta * omega
+    for (eta, X, Y, mu, _), sigma_rate_pred, delta_rate_pred, fit in zip(
+            panel, sigma_rates, delta_rates, fits):
         predict_sigma_faster = sigma_rate_pred > delta_rate_pred
         if isinstance(fit, ValueError):  # too few envelope peaks to fit
             bad.append((eta, X, Y, mu, str(fit)))

@@ -9,10 +9,10 @@ eigendecomposition propagation of the linear system, a tight
 mass-matrix trajectory for the nonlinear integrator, a per-row
 f-string region CSV writer, on one unblocked kernel call, that the
 streamed writer must match byte for byte, the verdict columns of a region
-map's blocks, every quadrant verdict from its definition on a quartic written
-out by hand, the one-draw-at-a-time polynomial loops whose generator
-stream and coefficient rows the batched annulus and factorization
-checks must reproduce, the generalized damping force Φ behind the energy-rate
+map's blocks, the x/σ quartic written out by hand and every quadrant
+verdict from its definition on it, the one-draw-at-a-time polynomial
+loops whose generator stream and coefficient rows the batched annulus
+and factorization checks must reproduce, the generalized damping force Φ behind the energy-rate
 identity dE/dt = q̇·Φ, and the inertia and stiffness matrices of the
 frictionless linearization.  ``param_rows`` turns parameter sets into
 the (n, 10) rows that the spectral functions take.
@@ -200,12 +200,20 @@ def _less(u, v):
     return d > 0, np.abs(d) / np.maximum(u, v)
 
 
+def quartic(X, Y, eta, mu) -> np.ndarray:
+    """The x/σ quartic at ω = 1 written out by hand, as (n, 5) ascending
+    rows of broadcast columns: a0 = Y, a1 = X + ηY + 2μη, a2 = ηX + Y + 1,
+    a3 = X + (1−2μ)η, a4 = 1 − 2μ."""
+    X, Y, eta, mu = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (X, Y, eta, mu)))
+    return np.stack((Y, X + eta * Y + 2.0 * mu * eta, eta * X + Y + 1.0,
+                     X + (1.0 - 2.0 * mu) * eta, 1.0 - 2.0 * mu), axis=-1)
+
+
 def quadrant_oracle(X, Y, eta, mu) -> tuple[dict, dict]:
     """Every quadrant verdict from its definition, on broadcast columns.
 
-    The x/σ quartic at ω = 1 is written out here: a0 = Y,
-    a1 = X + ηY + 2μη, a2 = ηX + Y + 1, a3 = X + (1−2μ)η, a4 = 1 − 2μ,
-    with ratios r_j = a_j/a_{j+1} (``ratios``, shape (4, n)).  ρm and ρM
+    The coefficients a_j are those of :func:`quartic`, with ratios
+    r_j = a_j/a_{j+1} (``ratios``, shape (4, n)).  ρm and ρM
     are the least and greatest of the four.  The zone is Z1 when r0
     attains ρm and r2 attains ρM, plus 2 when r0 does not and 1 when r2
     does not, so ties go to the lower index.  condA is η < 2r0,
@@ -217,8 +225,7 @@ def quadrant_oracle(X, Y, eta, mu) -> tuple[dict, dict]:
     can set aside the draws within rounding of a boundary.
     """
     X, Y, eta, mu = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (X, Y, eta, mu)))
-    a = (Y, X + eta * Y + 2.0 * mu * eta, eta * X + Y + 1.0, X + (1.0 - 2.0 * mu) * eta,
-         1.0 - 2.0 * mu)
+    a = np.moveaxis(quartic(X, Y, eta, mu), -1, 0)
     r = [a[j] / a[j + 1] for j in range(4)]
     ratios = np.stack(r)
     verdicts = {"ratios": ratios, "rho_m": ratios.min(axis=0), "rho_M": ratios.max(axis=0)}

@@ -743,6 +743,25 @@ def test_fault_injection_caught(monkeypatch, fault):
     assert list(by_name.values()) == [True] * 4
 
 
+@pytest.mark.parametrize("factor, scale", [(1, 2.0), (0, 1.2)],
+                         ids=["quartic_a1_x2", "quadratic_a1_x1.2"])
+def test_decay_panel_predicts_from_the_factorization(monkeypatch, factor, scale):
+    # both predicted rates come from ``char_poly_identical`` of the
+    # integrated rows: a wrong a1 in either factor fails every panel point
+    inner = spectral.char_poly_identical
+
+    def planted(rows):
+        factors = inner(rows)
+        factors[factor][:, 1] *= scale
+        return factors
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "char_poly_identical", planted)
+        res = check_decay_panel()
+    assert not res.ok
+    assert res.detail.startswith("4 of 4 panel points failed")
+
+
 def test_decay_panel_short_trajectory_counts_as_failed():
     # half a period leaves too few envelope peaks to fit; the point must
     # fail the check instead of raising out of ``verify``

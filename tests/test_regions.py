@@ -28,12 +28,12 @@ from coupled_pendula import (
     region_map,
     semicircle_condition,
 )
-from coupled_pendula._csvio import BLOCK_ROWS, _EXP_WORDS, _LEAD_WORDS, _MID_WORDS, e9_cells
+from coupled_pendula._csvio import BLOCK_ROWS, _EXP_WORDS, _LEAD_WORDS, _MID_WORDS, _e9_words
 from coupled_pendula.regions import (MAX_ETA, MAX_GRID_NODES, MAX_XY, MIN_ETA, _flag_codes,
                                      _strict_peaks, _verdicts)
-from coupled_pendula.spectral import ek_ratios_dimensionless, quartic_from_dimensionless
+from coupled_pendula.spectral import ek_ratios_dimensionless
 from coupled_pendula.verification import DECAY_PANEL
-from oracles import map_columns, quadrant_oracle, reference_region_csv
+from oracles import map_columns, quadrant_oracle, quartic, reference_region_csv
 
 # Relative gap to a verdict's boundary below which a draw is set aside:
 # there the kernel's formula and the oracle's definition may round apart.
@@ -188,7 +188,7 @@ def test_quadrant_corners_stay_finite():
         for X, Y, eta, mu in corners:
             QuadrantPoint(X=X, Y=Y, eta=eta, mu=mu)
             got = _verdicts(np.array([X]), np.array([Y]), eta, mu)
-            e9_cells(np.concatenate([got["rho_m"], got["rho_M"]]))
+            _e9_cells(np.concatenate([got["rho_m"], got["rho_M"]]))
     # the η range holds every η of an in-domain parameter set: at the
     # identical-pendula corners of the PhysicalParams box, the beam's
     # damping also 0
@@ -540,9 +540,14 @@ def test_map_csv_rows_match_scalar_verdicts(tmp_path, grid, eta, mu):
     assert rows == expected
 
 
+def _e9_cells(v):
+    """The ``.9e`` cells of the CSV writer as (n, 20) zero-padded uint8 rows."""
+    return _e9_words(v)[0].view(np.uint8)
+
+
 def _e9_strings(v):
     """The cells with their pad bytes dropped, as the CSV writer drops them."""
-    cells = e9_cells(np.asarray(v))
+    cells = _e9_cells(v)
     lines = np.column_stack([cells, np.full(len(cells), ord("\n"), np.uint8)])
     return lines[lines != 0].tobytes().split(b"\n")[:-1]
 
@@ -718,7 +723,7 @@ def test_in_a_with_all_real_roots_implies_faster_sigma(rng):
     in_a = got["branch"][:, 2]
     assert_agree(in_a, want["in_a"], gap["in_a"])
     X, Y, eta, mu = (c[in_a] for c in cols)
-    roots = poly_roots(quartic_from_dimensionless(eta, X, Y, mu))
+    roots = poly_roots(quartic(X, Y, eta, mu))
     real = np.all(np.abs(roots.imag) <= 1e-9 * np.abs(roots), axis=1)
     assert np.count_nonzero(real) >= 200
     assert np.all(np.min(np.abs(roots[real].real), axis=1) > 0.5 * eta[real])

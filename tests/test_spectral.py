@@ -22,11 +22,7 @@ from coupled_pendula import (
     spectrum_report,
 )
 from coupled_pendula.dynamics import _accel_y_arrays, _y_constants
-from coupled_pendula.spectral import (
-    ek_ratios_dimensionless,
-    quartic_from_dimensionless,
-    zone_from_ratios,
-)
+from coupled_pendula.spectral import ek_ratios_dimensionless, zone_from_ratios
 from coupled_pendula.verification import random_params, random_params_batch
 
 from oracles import (
@@ -34,6 +30,7 @@ from oracles import (
     central_difference_jacobian,
     np_roots_polished,
     param_rows,
+    quartic,
     routh_first_column,
     scalar_routh_chain,
 )
@@ -198,7 +195,7 @@ def test_batched_roots_bit_identical_quartics(rng):
     eta = rng.uniform(0.05, 3.0, 500)
     X, Y = 10 ** rng.uniform(-2, 2, (2, 500))
     mu = rng.uniform(0.01, 0.49, 500)
-    _assert_rows_match_np_roots(quartic_from_dimensionless(eta, X, Y, mu))
+    _assert_rows_match_np_roots(quartic(X, Y, eta, mu))
 
 
 def test_batched_roots_bit_identical_real_roots(rng):
