@@ -11,17 +11,18 @@ confines the root moduli to the annulus
 For identical pendula the sextic factors into the δ quadratic
 λ² + (βp/mp) λ + g/l times the x/σ quartic
 
-    (1−2μ) λ⁴ + [X+(1−2μ)η] ω λ³ + (ηX+Y+1) ω² λ²
-             + (ηY+X+2μη) ω³ λ + Y ω⁴,
+    (1−2μ) λ⁴ + [X+(1−2μ)η] ω λ³ + (ηX+Y+1) ω² λ² + a1 ω³ λ + Y ω⁴,
 
-whose consecutive coefficient ratios
+with a1 = ηY+X+2μη under full-velocity damping and a1 = ηY+X under
+rotational-only damping.  Its consecutive coefficient ratios
 
-    a0/a1 = Y ω/(X+ηY+2μη)            a1/a2 = (X+ηY+2μη) ω/(ηX+Y+1)
+    a0/a1 = Y ω/a1                    a1/a2 = a1 ω/(ηX+Y+1)
     a2/a3 = (ηX+Y+1) ω/(X+(1−2μ)η)    a3/a4 = (X+(1−2μ)η) ω/(1−2μ)
 
-satisfy a0/a1 ≤ a2/a3 and a1/a2 ≤ a3/a4, so ρm is attained by one of the
-first two and ρM by one of the last two; which one wins partitions the
-(X, Y) quadrant into the zones Z1-Z4 used by the region classifier.
+satisfy a0/a1 ≤ a2/a3 and a1/a2 ≤ a3/a4 under either damping model, so
+ρm is attained by one of the first two and ρM by one of the last two;
+which one wins partitions the (X, Y) quadrant into the zones Z1-Z4 used
+by the region classifier.
 
 The sextic, its identical-pendula factors, the chain, the annulus and
 the roots take their parameter sets or polynomials as the rows of an
@@ -38,14 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import CrossCheckError, DampingModel
-from .params import (
-    ParamError,
-    PhysicalParams,
-    _reduced_groups,
-    _rel_close,
-    identical_pendula,
-    reduce_params,
-)
+from .params import ParamError, PhysicalParams, _reduced_groups, _rel_close, identical_pendula
 
 __all__ = [
     "EKInapplicableError",
@@ -174,21 +168,28 @@ def _checked_rows(p, where: str) -> np.ndarray:
     return rows
 
 
-def _quartic(eta, X, Y, mu):
+def _quartic(eta, X, Y, mu, model):
     """Ascending x/σ quartic coefficients at ω = 1, on columns."""
     one = 1.0 - 2.0 * mu
-    return (Y, eta * Y + X + 2.0 * mu * eta, eta * X + Y + 1.0, X + one * eta, one)
+    a1 = eta * Y + X
+    if model is DampingModel.FULL_VELOCITY:
+        a1 = a1 + 2.0 * mu * eta
+    return (Y, a1, eta * X + Y + 1.0, X + one * eta, one)
 
 
-def char_poly_identical(p) -> tuple[np.ndarray, np.ndarray]:
-    """(δ quadratics, x/σ quartics) whose row-wise products are the sextics.
+def char_poly_identical(p, model: DampingModel = DampingModel.FULL_VELOCITY
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(δ quadratics, x/σ quartics) whose row-wise products are the sextics
+    of :func:`char_poly_general` under the same damping model.
 
     ``p`` is (n, 10) parameter rows as for :func:`char_poly_general`; the
-    result is (n, 3) and (n, 5) ascending coefficients.  Rejects rows
-    whose pendula are not identical.  The quartic is the ω = 1 one with
-    a_j scaled by ω^(4−j), each power a float ``**`` (libm ``pow``): numpy's
-    array power squares exactly and runs its own ``pow`` for higher powers,
-    and each differs from libm in the last bit for some doubles.
+    result is (n, 3) and (n, 5) ascending coefficients.  The quadratic is
+    the same under both models; only the quartic's a1 differs (module
+    docstring).  Rejects rows whose pendula are not identical.  The
+    quartic is the ω = 1 one with a_j scaled by ω^(4−j), each power a
+    float ``**`` (libm ``pow``): numpy's array power squares exactly and
+    runs its own ``pow`` for higher powers, and each differs from libm in
+    the last bit for some doubles.
     """
     rows = _checked_rows(p, "factorized polynomial")
     _, m1, m2, l1, l2, _, b1, b2, _, g = rows.T
@@ -198,7 +199,7 @@ def char_poly_identical(p) -> tuple[np.ndarray, np.ndarray]:
     quad = (g / (0.5 * (l1 + l2)), (b1 + b2) / (m1 + m2), 1.0)
     powers = np.array([[w ** j for j in range(4, -1, -1)] for w in omega.tolist()])
     return (np.stack(np.broadcast_arrays(*quad), axis=1),
-            np.stack(_quartic(eta, X, Y, mu), axis=1) * powers)
+            np.stack(_quartic(eta, X, Y, mu, model), axis=1) * powers)
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +355,15 @@ def enestrom_kakeya(c):
     return np.min(ratios, axis=1), np.max(ratios, axis=1)
 
 
-def ek_ratios_dimensionless(eta, X, Y, mu, omega=1.0):
-    """The four ratios a_j/a_{j+1} of the ω = 1 quartic, times ``omega``;
-    broadcasts over array input."""
-    a = _quartic(*(np.asarray(v, dtype=float) for v in (eta, X, Y, mu)))
+def ek_ratios_dimensionless(eta, X, Y, mu):
+    """The four ratios a_j/a_{j+1} of the ω = 1 full-velocity quartic, the
+    region layer's; broadcasts over array input.  ``spectrum`` takes its
+    ratios from the quartic factor it prints instead."""
+    a = _quartic(*(np.asarray(v, dtype=float) for v in (eta, X, Y, mu)),
+                 DampingModel.FULL_VELOCITY)
     r = np.empty(a[1].shape + (4,))  # a1 holds all four inputs: the broadcast shape
     for j in range(4):
         np.divide(a[j], a[j + 1], out=r[..., j])
-    r *= omega
     return r
 
 
@@ -422,9 +424,10 @@ def spectrum_report(p: PhysicalParams,
 
     Holds the sextic, its roots sorted by (re, im), the Routh-Hurwitz
     chain, the annulus (``None`` radii when a coefficient is not
-    positive) and the Gershgorin discs; for identical pendula under
-    full-velocity damping also the factors and, when the quartic is
-    damped, its ratios and zone.  The roots must agree with the chain
+    positive) and the Gershgorin discs; for identical pendula, under
+    either damping model, also the factors and ω = √(quadratic a0) and,
+    when the quartic is damped, the quartic's ratios and their zone, each
+    computed from the printed factors.  The roots must agree with the chain
     verdict and lie in the annulus to 1e-9 relative, or
     :class:`CrossCheckError` is raised, or :class:`ParamError` when the
     roots that decide a disagreement are too small, or too close to the
@@ -465,13 +468,12 @@ def spectrum_report(p: PhysicalParams,
                        for c, r in zip(centers.tolist(), radii.tolist())],
         "factors": None,
     }
-    if identical_pendula(p) and model is DampingModel.FULL_VELOCITY:
-        rp = reduce_params(p)
-        quad, quart = char_poly_identical(row)
-        doc["omega"] = omega = rp.omega
-        doc["factors"] = {"quadratic": quad[0].tolist(), "quartic": quart[0].tolist()}
+    if identical_pendula(p):
+        quad, quart = (f[0] for f in char_poly_identical(row, model))
+        doc["omega"] = omega = math.sqrt(quad[0])  # quad[0] = g/l = ω²
+        doc["factors"] = {"quadratic": quad.tolist(), "quartic": quart.tolist()}
         if np.all(quart > 0):  # ratios undefined for undamped factors
-            ratios = ek_ratios_dimensionless(rp.eta, rp.X, rp.Y, rp.mu, rp.omega).tolist()
+            ratios = (quart[:-1] / quart[1:]).tolist()
             doc["ratios"] = ratios
             doc["zone"] = zone_from_ratios(ratios)
             doc["ratios_over_omega"] = [v / omega for v in ratios]

@@ -101,7 +101,8 @@ def check_formulation_equivalence(rng: np.random.Generator, n: int = 10_000) -> 
 
 
 def check_factorization(rng: np.random.Generator, n: int = 200) -> CheckResult:
-    """Quadratic x quartic reproduces the sextic for identical pendula.
+    """Quadratic x quartic reproduces the sextic for identical pendula,
+    under both damping models on the same n draws.
 
     The product is built column-wise, each coefficient summing its terms
     in ascending degree of the quadratic, the order of ``np.polymul``.
@@ -109,12 +110,14 @@ def check_factorization(rng: np.random.Generator, n: int = 200) -> CheckResult:
     multiply-add, so a row can differ from it in the last bit.
     """
     rows = random_params_batch(rng, n, identical=True)
-    quad, quart = spectral.char_poly_identical(rows)
-    prod = np.zeros((n, 7))
-    for j in range(3):
-        prod[:, j:j + 5] += quart * quad[:, j:j + 1]
-    ref = spectral.char_poly_general(rows)
-    worst = float(np.max(np.abs(prod - ref) / np.abs(ref), initial=0.0))
+    worst = 0.0
+    for model in DampingModel:
+        quad, quart = spectral.char_poly_identical(rows, model)
+        prod = np.zeros((n, 7))
+        for j in range(3):
+            prod[:, j:j + 5] += quart * quad[:, j:j + 1]
+        ref = spectral.char_poly_general(rows, model)
+        worst = max(worst, float(np.max(np.abs(prod - ref) / np.abs(ref), initial=0.0)))
     return CheckResult("factorization", worst <= 1e-12,
                        f"max relative coefficient error {worst:.3e} (tol 1e-12)", worst)
 

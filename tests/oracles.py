@@ -266,14 +266,15 @@ def ek_containment_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def factorization_worst(rng: np.random.Generator, n: int) -> float:
     """The worst relative coefficient error of ``check_factorization``,
-    one identical-pendula draw and one ``np.polymul`` at a time."""
+    one identical-pendula draw, damping model and ``np.polymul`` at a time."""
     worst = 0.0
     for _ in range(n):
         row = param_rows(scalar_random_params(rng, identical=True))
-        [quad], [quart] = char_poly_identical(row)
-        prod = np.polymul(quart[::-1], quad[::-1])[::-1]
-        [ref] = char_poly_general(row)
-        worst = max(worst, float(np.max(np.abs(prod - ref) / np.abs(ref))))
+        for model in DampingModel:
+            [quad], [quart] = char_poly_identical(row, model)
+            prod = np.polymul(quart[::-1], quad[::-1])[::-1]
+            [ref] = char_poly_general(row, model)
+            worst = max(worst, float(np.max(np.abs(prod - ref) / np.abs(ref))))
     return worst
 
 

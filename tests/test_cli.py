@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coupled_pendula
-from coupled_pendula import spectral, verification
+from coupled_pendula import DampingModel, spectral, verification
 from coupled_pendula.cli import MAX_SAMPLES, canonical_json, load_config, main
 from coupled_pendula.regions import MAX_GRID_NODES, MAX_XY
 from coupled_pendula.verification import check_decay_panel, run_verification
@@ -307,7 +307,7 @@ SPECTRUM_GOLDEN = {
         'er_im":0,"center_re":-0.14999999999999999,"radius":7.4050000000000002},{"center_im":'
         '0,"center_re":-0.10000000000000001,"radius":24.720000000000002},{"center_im":0,"cent'
         'er_re":-0.10000000000000001,"radius":9.8100000000000005}],"omega":3.1320919526731652'
-        ',"ratios":[9.0749306197964863,0.12209170996159927,88.540000000000006,0.25],"ratios_o'
+        ',"ratios":[9.0749306197964863,0.12209170996159928,88.540000000000006,0.25],"ratios_o'
         'ver_omega":[2.897402361399783,0.038980883002938956,28.268646431160249,0.079818857101'
         '762619],"rh_chain":[0.5,0.17499999999999999,5.4585714285714264,1.1325368031928802,28'
         '.380640835799078,5.8249824255923581,120.29512500000001],"rh_degenerate":false,"rho_M'
@@ -320,19 +320,23 @@ SPECTRUM_GOLDEN = {
     )),
     "rotational": ({"damping": "rotational"}, 0, (
         '{"coeffs":[120.29512500000001,9.6702075000000001,120.92075000000003,3.19375000000000'
-        '05,15.984999999999999,0.17499999999999999,0.5],"factors":null,"gershgorin":[{"center'
-        '_im":0,"center_re":0,"radius":1},{"center_im":0,"center_re":0,"radius":1},{"center_i'
-        'm":0,"center_re":0,"radius":1},{"center_im":0,"center_re":-0.14999999999999999,"radi'
-        'us":7.4050000000000002},{"center_im":0,"center_re":-0.10000000000000001,"radius":24.'
-        '920000000000002},{"center_im":0,"center_re":-0.10000000000000001,"radius":9.81000000'
-        '00000005}],"omega":null,"ratios":null,"rh_chain":[0.5,0.17499999999999999,6.85999999'
-        '99999977,0.81386260932944543,37.6483161306003,4.0009740139785688,120.29512500000001]'
-        ',"rh_degenerate":false,"rho_M":91.342857142857142,"rho_m":0.079971448241927034,"root'
-        's":[{"im":-4.5764292111970173,"re":-0.088883076724084395},{"im":4.5764292111970173,"'
-        're":-0.088883076724084395},{"im":-3.1316928329579206,"re":-0.050000000000000086},{"i'
-        'm":3.1316928329579206,"re":-0.050000000000000086},{"im":-1.0813187820330785,"re":-0.'
-        '036116923275915529},{"im":1.0813187820330785,"re":-0.036116923275915529}],"stable":t'
-        'rue,"zone":null}'
+        '05,15.984999999999999,0.17499999999999999,0.5],"factors":{"quadratic":[9.81000000000'
+        '00005,0.10000000000000001,1],"quartic":[12.262500000000003,0.86075000000000013,11.06'
+        '7500000000001,0.125,0.5]},"gershgorin":[{"center_im":0,"center_re":0,"radius":1},{"c'
+        'enter_im":0,"center_re":0,"radius":1},{"center_im":0,"center_re":0,"radius":1},{"cen'
+        'ter_im":0,"center_re":-0.14999999999999999,"radius":7.4050000000000002},{"center_im"'
+        ':0,"center_re":-0.10000000000000001,"radius":24.920000000000002},{"center_im":0,"cen'
+        'ter_re":-0.10000000000000001,"radius":9.8100000000000005}],"omega":3.132091952673165'
+        '2,"ratios":[14.24629683415626,0.077772758075446133,88.540000000000006,0.25],"ratios_'
+        'over_omega":[4.5484925249392463,0.024830930652935956,28.268646431160249,0.0798188571'
+        '01762619],"rh_chain":[0.5,0.17499999999999999,6.8599999999999977,0.81386260932944543'
+        ',37.6483161306003,4.0009740139785688,120.29512500000001],"rh_degenerate":false,"rho_'
+        'M":91.342857142857142,"rho_M_over_omega":29.163529846209723,"rho_m":0.07997144824192'
+        '7034,"rho_m_over_omega":0.025532918397773514,"roots":[{"im":-4.5764292111970173,"re"'
+        ':-0.088883076724084395},{"im":4.5764292111970173,"re":-0.088883076724084395},{"im":-'
+        '3.1316928329579206,"re":-0.050000000000000086},{"im":3.1316928329579206,"re":-0.0500'
+        '00000000000086},{"im":-1.0813187820330785,"re":-0.036116923275915529},{"im":1.081318'
+        '7820330785,"re":-0.036116923275915529}],"stable":true,"zone":"Z3"}'
     )),
     "asymmetric": ({"m1": 0.8, "m2": 1.1, "l1": 0.7, "l2": 1.2,
                     "beta1": 0.15, "beta2": 0.08}, 0, (
@@ -660,9 +664,9 @@ def test_threads_flag_rejected(tmp_path):
 
 VERIFY_GOLDEN = {
     1: ("PASS formulation_equivalence: max relative disagreement 1.889e-15 (tol 1e-9)\n"
-        "PASS factorization: max relative coefficient error 5.941e-16 (tol 1e-12)\n"),
+        "PASS factorization: max relative coefficient error 6.152e-16 (tol 1e-12)\n"),
     7: ("PASS formulation_equivalence: max relative disagreement 1.831e-15 (tol 1e-9)\n"
-        "PASS factorization: max relative coefficient error 6.129e-16 (tol 1e-12)\n"),
+        "PASS factorization: max relative coefficient error 6.243e-16 (tol 1e-12)\n"),
 }
 
 
@@ -684,9 +688,18 @@ def _scaled_accels(inner):
 
 
 def _scaled_quartic(inner):
-    def planted(rows):
-        quad, quart = inner(rows)
+    def planted(rows, model):
+        quad, quart = inner(rows, model)
         quart[0] *= 1.0 + 1e-6
+        return quad, quart
+    return planted
+
+
+def _scaled_rotational_a1(inner):
+    def planted(rows, model):
+        quad, quart = inner(rows, model)
+        if model is DampingModel.ROTATIONAL_ONLY:
+            quart[:, 1] *= 1.0 + 1e-6
         return quad, quart
     return planted
 
@@ -715,13 +728,16 @@ def _swapped_rates(inner):
     return planted
 
 
-# check -> (module, kernel the check calls, wrapper that plants a fault in it)
+# fault -> (check, module, kernel the check calls, wrapper that plants a fault in it)
 FAULTS = {
-    "formulation_equivalence": (verification, "_accel_y_arrays", _scaled_accels),
-    "factorization": (spectral, "char_poly_identical", _scaled_quartic),
-    "ek_containment": (spectral, "poly_roots", _far_root),
-    "rh_vs_roots": (spectral, "routh_hurwitz", _flipped_verdict),
-    "decay_panel": (verification, "empirical_decay_rates", _swapped_rates),
+    "formulation_equivalence": ("formulation_equivalence", verification, "_accel_y_arrays",
+                                _scaled_accels),
+    "factorization": ("factorization", spectral, "char_poly_identical", _scaled_quartic),
+    "factorization_rotational_a1": ("factorization", spectral, "char_poly_identical",
+                                    _scaled_rotational_a1),
+    "ek_containment": ("ek_containment", spectral, "poly_roots", _far_root),
+    "rh_vs_roots": ("rh_vs_roots", spectral, "routh_hurwitz", _flipped_verdict),
+    "decay_panel": ("decay_panel", verification, "empirical_decay_rates", _swapped_rates),
 }
 
 
@@ -729,17 +745,17 @@ FAULTS = {
 def test_fault_injection_caught(monkeypatch, fault):
     # a broken kernel, planted for the duration of one check, fails that
     # check and no other
-    module, kernel, plant = FAULTS[fault]
-    check = getattr(verification, f"check_{fault}")
+    name, module, kernel, plant = FAULTS[fault]
+    check = getattr(verification, f"check_{name}")
 
     def faulted(*args):
         with monkeypatch.context() as m:
             m.setattr(module, kernel, plant(getattr(module, kernel)))
             return check(*args)
 
-    monkeypatch.setattr(verification, f"check_{fault}", faulted)
+    monkeypatch.setattr(verification, f"check_{name}", faulted)
     by_name = {r.name: r.ok for r in run_verification(seed=7)}
-    assert by_name.pop(fault) is False
+    assert by_name.pop(name) is False
     assert list(by_name.values()) == [True] * 4
 
 
@@ -750,8 +766,8 @@ def test_decay_panel_predicts_from_the_factorization(monkeypatch, factor, scale)
     # integrated rows: a wrong a1 in either factor fails every panel point
     inner = spectral.char_poly_identical
 
-    def planted(rows):
-        factors = inner(rows)
+    def planted(rows, model=DampingModel.FULL_VELOCITY):
+        factors = inner(rows, model)
         factors[factor][:, 1] *= scale
         return factors
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import coupled_pendula
@@ -59,6 +60,17 @@ def test_one_module_holds_the_e9_cell_format():
                      if any(isinstance(node, ast.Constant) and node.value == ".9e"
                             for node in ast.walk(ast.parse(path.read_text(), str(path)))))
     assert holders == ["_csvio.py"], f"modules with the .9e format spec: {holders}"
+
+
+def test_spectrum_reads_its_numbers_off_the_factors():
+    # spectrum_report takes ω, ratios and zone from the factors it prints;
+    # reduce_params or an ω argument in spectral would be a second route
+    path = PACKAGE_DIR / "spectral.py"
+    imported = [alias.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    ratios = coupled_pendula.spectral.ek_ratios_dimensionless
+    assert "reduce_params" not in imported
+    assert "omega" not in inspect.signature(ratios).parameters
 
 
 def _builds_out_of_range_error(node):

@@ -22,7 +22,7 @@ from coupled_pendula import (
     spectrum_report,
 )
 from coupled_pendula.dynamics import _accel_y_arrays, _y_constants
-from coupled_pendula.spectral import ek_ratios_dimensionless, zone_from_ratios
+from coupled_pendula.spectral import _quartic, ek_ratios_dimensionless, zone_from_ratios
 from coupled_pendula.verification import random_params, random_params_batch
 
 from oracles import (
@@ -336,7 +336,7 @@ def test_batched_ek_rejects_non_positive_row(rng):
 def test_quartic_annulus_from_couples():
     p = params_from_dimensionless(eta=1.0, X=1.0, Y=1.0, mu=0.25, omega=2.0)
     rp = reduce_params(p)
-    r = ek_ratios_dimensionless(rp.eta, rp.X, rp.Y, rp.mu, rp.omega)
+    r = ek_ratios_dimensionless(rp.eta, rp.X, rp.Y, rp.mu) * rp.omega
     assert np.allclose(r, np.array([0.4, 5 / 6, 2.0, 3.0]) * 2.0, rtol=1e-12)
     _, quart = char_poly_identical(param_rows(p))
     [rho_m], [rho_M] = enestrom_kakeya(quart)
@@ -347,13 +347,16 @@ def test_quartic_annulus_from_couples():
 
 
 def test_ratio_couple_ordering(rng):
+    # a zone means something, under either damping model, only if
+    # a0/a1 <= a2/a3 and a1/a2 <= a3/a4
     eta = rng.uniform(0.05, 3.0, 100_000)
     X = 10 ** rng.uniform(-2, 2, 100_000)
     Y = 10 ** rng.uniform(-2, 2, 100_000)
     mu = rng.uniform(0.01, 0.49, 100_000)
-    r = ek_ratios_dimensionless(eta, X, Y, mu)
-    assert np.all(r[:, 0] <= r[:, 2] * (1 + 1e-12))
-    assert np.all(r[:, 1] <= r[:, 3] * (1 + 1e-12))
+    rotational = np.stack(_quartic(eta, X, Y, mu, ROT), axis=1)
+    for r in (ek_ratios_dimensionless(eta, X, Y, mu), rotational[:, :-1] / rotational[:, 1:]):
+        assert np.all(r[:, 0] <= r[:, 2] * (1 + 1e-12))
+        assert np.all(r[:, 1] <= r[:, 3] * (1 + 1e-12))
 
 
 def test_ratios_match_quartic_coefficients(rng):
@@ -361,7 +364,7 @@ def test_ratios_match_quartic_coefficients(rng):
     _, quarts = char_poly_identical(rows)
     for row, quart in zip(rows, quarts):
         rp = reduce_params(PhysicalParams(*row))
-        r = ek_ratios_dimensionless(rp.eta, rp.X, rp.Y, rp.mu, rp.omega)
+        r = ek_ratios_dimensionless(rp.eta, rp.X, rp.Y, rp.mu) * rp.omega
         ref = quart[:-1] / quart[1:]
         assert np.max(np.abs(r - ref) / ref) <= 1e-14
 
@@ -415,14 +418,27 @@ def test_diagonal_matrix_gives_point_discs():
 # assembled report
 # ---------------------------------------------------------------------------
 
-def test_report_identical_has_factors_and_zone(identical_params):
-    doc = spectrum_report(identical_params)
+@pytest.mark.parametrize("model", [FULL, ROT])
+def test_report_identical_has_factors_and_zone(identical_params, model):
+    doc = spectrum_report(identical_params, model)
     assert doc["stable"] and doc["rho_m"] is not None
     assert doc["zone"] in ("Z1", "Z2", "Z3", "Z4")
     assert len(doc["factors"]["quadratic"]) == 3 and len(doc["factors"]["quartic"]) == 5
     assert doc["zone"] == zone_from_ratios(doc["ratios"])
     assert len(doc["rh_chain"]) == 7 and len(doc["coeffs"]) == 7
     assert len(doc["gershgorin"]) == 6
+
+
+@pytest.mark.parametrize("model", [FULL, ROT])
+def test_report_reads_omega_ratios_and_zone_off_its_factors(rng, model):
+    # one route: every identical-pendula number is computed from the
+    # factors the document prints, to the bit
+    for row in random_params_batch(rng, 60, identical=True):
+        doc = spectrum_report(PhysicalParams(*row.tolist()), model)
+        quadratic, quartic = doc["factors"]["quadratic"], doc["factors"]["quartic"]
+        assert doc["omega"] == math.sqrt(quadratic[0])
+        assert doc["ratios"] == [quartic[j] / quartic[j + 1] for j in range(4)]
+        assert doc["zone"] == zone_from_ratios(doc["ratios"])
 
 
 @pytest.mark.parametrize("field, value", [("beta0", 1.7e308), ("k", 1e308)])
