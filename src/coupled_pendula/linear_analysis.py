@@ -48,6 +48,7 @@ from .params import (
     identical_pendula,
     reduce_params,
 )
+from .spectral import poly_roots
 
 __all__ = [
     "FundamentalFrequencies",
@@ -118,8 +119,9 @@ def fundamental_frequencies(p: PhysicalParams) -> FundamentalFrequencies:
     """Solve the squared-frequency cubic.
 
     Equal lengths use the exact root ω² = g/l plus the closed-form pair;
-    the general case uses companion-matrix eigenvalues, which stay
-    robust when roots approach each other near μ → 1/2.
+    the general case uses :func:`spectral.poly_roots` (companion-matrix
+    eigenvalues with a Newton polish), which stays robust when roots
+    approach each other near μ → 1/2.
     """
     rp = reduce_params(p)
     if _rel_close(p.l1, p.l2):
@@ -128,8 +130,7 @@ def fundamental_frequencies(p: PhysicalParams) -> FundamentalFrequencies:
         lams = np.sort(np.array([w1s, omega_sq, w2s]))
         return FundamentalFrequencies(lambdas=lams, omega1_sq=w1s, omega2_sq=w2s,
                                       omega_sq=omega_sq)
-    asc = frequency_cubic(rp)
-    roots = np.roots(asc[::-1])
+    roots = poly_roots(frequency_cubic(rp)[None])[0]
     scale = float(np.max(np.abs(roots)))
     if not np.all(np.abs(roots.imag) <= 1e-9 * scale):
         raise CrossCheckError("complex mode frequencies")

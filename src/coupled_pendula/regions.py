@@ -4,7 +4,10 @@ For identical pendula the δ modes sit at distance ηω/2 from the
 imaginary axis while the x/σ spectrum lives in the Eneström-Kakeya
 annulus [ρm, ρM].  Comparing the two yields, per quadrant point:
 
-* zone Z1-Z4: which coefficient ratios attain ρm and ρM;
+* zone Z1-Z4: which coefficient ratios attain ρm and ρM, read off the
+  signs of conic1 = a1² − a0a2 (a0/a1 attains ρm when ≥ 0) and
+  conic4 = a3² − a2a4 (a3/a4 alone attains ρM when > 0), so that a zone
+  never contradicts its row's conic cells;
 * conic conditions: the four pairwise ratio comparisons as explicit
   quadratic inequalities in (X, Y);
 * antiphase facilitation: ηω < 2ρm, split into condition (A) when
@@ -48,7 +51,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import spectral
-from .spectral import _ZONES, _zone_index
+from .spectral import _ZONES
 from ._csvio import BLOCK_ROWS, byte_cells, e9_column, write_csv
 from .dynamics import DampingModel, _integrate_rows
 from .params import ParamError, identical_pendula
@@ -130,13 +133,17 @@ def _verdicts(X: np.ndarray, Y: np.ndarray, eta: float, mu: float) -> dict:
 
     The one copy of each formula: grids and single points both come here.
     Returns the columns ``zone``, ``conics``, ``branch``, ``rho_m`` and
-    ``rho_M`` described under :class:`RegionMap`.
+    ``rho_M`` described under :class:`RegionMap`.  The zone's two bits are
+    conic1 < 0 and the conic4 cell (module docstring), and conic1 ≥ 0
+    picks condA, else condB, for inA.
     """
     conics = np.empty(np.shape(X) + (4,), bool)
-    for j, c in enumerate(_conic_values(X, Y, eta, mu)):
+    values = _conic_values(X, Y, eta, mu)
+    for j, c in enumerate(values):
         np.greater(c, 0, out=conics[..., j])
     r = spectral.ek_ratios_dimensionless(eta, X, Y, mu)  # (n, 4)
-    zone, rm_first = _zone_index(r)
+    rm_first = values[0] >= 0
+    zone = 2 * ~rm_first + conics[:, 3]
     branch = None
     if eta <= 1.0:
         branch = np.empty(conics.shape, bool)
@@ -159,7 +166,7 @@ def _at(q: QuadrantPoint, refuse: Optional[str] = None) -> dict:
 
 
 def classify_zone(q: QuadrantPoint) -> str:
-    """Zone Z1-Z4 from the ratio comparison; ties go to the lower index."""
+    """Zone Z1-Z4 from the signs of conic1 and conic4; ties go to the lower index."""
     return _ZONES[int(_at(q)["zone"][0])]
 
 

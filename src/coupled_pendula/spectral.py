@@ -233,12 +233,13 @@ def poly_roots(c) -> np.ndarray:
 
     ``c`` is an (n, degree+1) array of ascending coefficients with
     nonzero leading terms; the result is (n, degree) complex.  The batch
-    is solved with one stacked eigenvalue call, and each row gets exactly
-    the bits ``np.roots`` and ``np.polyval`` would give it alone: the
-    companion matrices are built the same way, zero constant terms become
-    appended zero roots, and rows whose eigenvalues are all real are
-    polished in real arithmetic.  One Newton step is applied per root and
-    kept only when it reduces the residual |p(r)|.
+    is solved with one stacked eigenvalue call of the companion matrices
+    ``np.roots`` builds, and one Newton step is applied per root and kept
+    only when it reduces the residual |p(r)|.  Each row with a nonzero
+    constant term gets the bits ``np.roots`` and ``np.polyval`` would give
+    it alone; every row a command builds has one (the sextic's
+    a0 = (g/l1)(g/l2)(k/m) > 0, the quartic's a0 = Yω⁴ > 0).  A zero
+    constant term gives a root at exactly 0.
     """
     asc = np.asarray(c, dtype=float)
     if asc.ndim != 2:
@@ -249,25 +250,10 @@ def poly_roots(c) -> np.ndarray:
     if np.any(asc[:, -1] == 0.0):
         raise ValueError("leading coefficient must be nonzero")
     desc = asc[:, ::-1]
-    # zero constant terms: np.roots strips them and appends roots at 0
-    n_zero = np.argmax(asc != 0.0, axis=1)
-    eig = np.zeros((n, size - 1), dtype=complex)
-    real = np.ones(n, dtype=bool)
-    for t in np.unique(n_zero).tolist():
-        rows = np.flatnonzero(n_zero == t)
-        m = size - 1 - t  # companion size after stripping
-        if m == 0:
-            continue
-        comp = np.zeros((rows.size, m, m))
-        comp[:, 1:, :-1] = np.eye(m - 1)
-        comp[:, 0, :] = -desc[rows, 1:m + 1] / desc[rows, :1]
-        w = np.linalg.eigvals(comp)
-        eig[rows, :m] = w
-        real[rows] = np.all(w.imag == 0.0, axis=1)
-    roots = np.empty((n, size - 1), dtype=complex)
-    roots[real] = _polish(desc[real], eig[real].real)
-    roots[~real] = _polish(desc[~real], eig[~real])
-    return roots
+    comp = np.zeros((n, size - 1, size - 1))
+    comp[:, 1:, :-1] = np.eye(size - 2)
+    comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+    return _polish(desc, np.linalg.eigvals(comp).astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +356,12 @@ def ek_ratios_dimensionless(eta, X, Y, mu):
 _ZONES = ("Z1", "Z2", "Z3", "Z4")
 
 
-def _zone_index(r: np.ndarray):
-    """Zone index 0-3 (Z1-Z4) of ratio rows (..., 4) by which ratios attain
-    ρm and ρM, ties to the lower index, with the mask of whether a0/a1
-    attains ρm."""
-    rm_first = r[..., 0] <= r[..., 1]
-    return 2 * ~rm_first + ~(r[..., 2] >= r[..., 3]), rm_first
-
-
-def zone_from_ratios(ratios: np.ndarray) -> str:
-    """Zone label of one row of four ratios (see :func:`_zone_index`)."""
-    return _ZONES[int(_zone_index(np.asarray(ratios, dtype=float))[0])]
+def zone_from_ratios(ratios) -> str:
+    """Zone label Z1-Z4 of one row of four ratios: Z1 when a0/a1 attains ρm
+    and a2/a3 attains ρM, plus 2 when a0/a1 does not and 1 when a2/a3 does
+    not; ties go to the lower index."""
+    r0, r1, r2, r3 = ratios
+    return _ZONES[2 * (not r0 <= r1) + (not r2 >= r3)]
 
 
 # ---------------------------------------------------------------------------

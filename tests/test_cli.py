@@ -295,8 +295,9 @@ def test_spectrum_frictionless_inapplicable(tmp_path, capsys):
 
 # Pinned bytes of the whole document: (overrides, exit code, stdout
 # without its newline) for the README config, rotational damping,
-# asymmetric pendula and the frictionless case, whose annulus is
-# inapplicable (exit 4).
+# asymmetric pendula, the frictionless case, whose annulus is
+# inapplicable (exit 4), and an overdamped config under each damping
+# model, whose six roots are all real (zone Z2).
 SPECTRUM_GOLDEN = {
     "readme": ({}, 0, (
         '{"coeffs":[120.29512500000001,14.482012500000002,120.96980000000002,3.68425000000000'
@@ -368,6 +369,41 @@ SPECTRUM_GOLDEN = {
         'm":3.1320919526731652,"re":2.9582283945787943e-31},{"im":-4.5770424368652165,"re":4.'
         '9303806576313238e-31},{"im":4.5770424368652165,"re":4.9303806576313238e-31}],"stable'
         '":false,"zone":null}'
+    )),
+    "overdamped": ({"beta0": 40.0, "beta1": 12.0, "beta2": 12.0}, 0, (
+        '{"coeffs":[120.29512500000001,1834.0776000000001,3361.4811000000004,1901.6399999999999'
+        ',327.96500000000003,22,0.5],"factors":{"quadratic":[9.8100000000000005,12,1],"quartic"'
+        ':[12.262500000000003,171.96000000000001,131.06,15.999999999999998,0.5]},"gershgorin":['
+        '{"center_im":0,"center_re":0,"radius":1},{"center_im":0,"center_re":0,"radius":1},{"ce'
+        'nter_im":0,"center_re":0,"radius":1},{"center_im":0,"center_re":-20,"radius":7.4050000'
+        '000000011},{"center_im":0,"center_re":-12,"radius":40.620000000000005},{"center_im":0,'
+        '"center_re":-12,"radius":9.8100000000000023}],"omega":3.1320919526731652,"ratios":[0.0'
+        '71310188415910691,1.3120708072638487,8.1912500000000019,31.999999999999996],"ratios_ov'
+        'er_omega":[0.022767590956277371,0.41891196908954981,2.6152648529392528,10.216813709025'
+        '613],"rh_chain":[0.5,22,284.74590909090915,1645.1462521769806,3003.9595796899071,1758.'
+        '9026362812217,120.29512500000001],"rh_degenerate":false,"rho_M":44,"rho_M_over_omega":'
+        '14.048118849910219,"rho_m":0.065588896020539161,"rho_m_over_omega":0.02094092287570312'
+        '9,"roots":[{"im":0,"re":-19.397750973657093},{"im":0,"re":-11.117616632770787},{"im":0'
+        ',"re":-11.007961420414418},{"im":0,"re":-1.5186581983208753},{"im":0,"re":-0.882383367'
+        '23040489},{"im":0,"re":-0.075629407606221347}],"stable":true,"zone":"Z2"}'
+    )),
+    "overdamped_rotational": ({"beta0": 40.0, "beta1": 12.0, "beta2": 12.0,
+                               "damping": "rotational"}, 0, (
+        '{"coeffs":[120.29512500000001,1256.6610000000001,2655.1611000000003,1842.78,327.965000'
+        '00000003,22,0.5],"factors":{"quadratic":[9.8100000000000005,12,1],"quartic":[12.262500'
+        '000000003,113.10000000000001,131.06,15.999999999999998,0.5]},"gershgorin":[{"center_im'
+        '":0,"center_re":0,"radius":1},{"center_im":0,"center_re":0,"radius":1},{"center_im":0,'
+        '"center_re":0,"radius":1},{"center_im":0,"center_re":-20,"radius":7.4050000000000011},'
+        '{"center_im":0,"center_re":-12,"radius":64.620000000000005},{"center_im":0,"center_re"'
+        ':-12,"radius":9.8100000000000023}],"omega":3.1320919526731652,"ratios":[0.108421750663'
+        '12999,0.86296352815504351,8.1912500000000019,31.999999999999996],"ratios_over_omega":['
+        '0.034616400891613233,0.27552305015136125,2.6152648529392528,10.216813709025613],"rh_ch'
+        'ain":[0.5,22,286.08363636363634,1640.7928663264397,2409.1059814899895,1165.47968206587'
+        '03,120.29512500000001],"rh_degenerate":false,"rho_M":44,"rho_M_over_omega":14.04811884'
+        '9910219,"rho_m":0.09572599531615926,"rho_m_over_omega":0.030562958164258053,"roots":[{'
+        '"im":0,"re":-18.461784262397643},{"im":0,"re":-12.578243096522153},{"im":0,"re":-11.11'
+        '7616632769527},{"im":0,"re":-0.88238336723041311},{"im":0,"re":-0.83322046219985657},{'
+        '"im":0,"re":-0.12675217888035958}],"stable":true,"zone":"Z2"}'
     )),
 }
 

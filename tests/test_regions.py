@@ -29,8 +29,8 @@ from coupled_pendula import (
     semicircle_condition,
 )
 from coupled_pendula._csvio import BLOCK_ROWS, _EXP_WORDS, _LEAD_WORDS, _MID_WORDS, _e9_words
-from coupled_pendula.regions import (MAX_ETA, MAX_GRID_NODES, MAX_XY, MIN_ETA, _flag_codes,
-                                     _strict_peaks, _verdicts)
+from coupled_pendula.regions import (MAX_ETA, MAX_GRID_NODES, MAX_XY, MIN_ETA, _conic_values,
+                                     _flag_codes, _strict_peaks, _verdicts)
 from coupled_pendula.spectral import ek_ratios_dimensionless
 from coupled_pendula.verification import DECAY_PANEL
 from oracles import map_columns, quadrant_oracle, quartic, reference_region_csv
@@ -92,6 +92,57 @@ def test_zone_agrees_with_bruteforce(rng):
     assert_agree(got["zone"], want["zone"], gap["zone"])
     for name in ("rho_m", "rho_M"):
         assert np.allclose(got[name], want[name], rtol=1e-14, atol=0)
+
+
+def conic_zero_draws(rng, j, n_ctx=50, n_pts=400, ulps=8):
+    """Draws within ±``ulps`` of conic ``j``'s zero set, for n_ctx uniform
+    (η, μ) draws with η < 1, each with n_pts X draws log-uniform over
+    [1e-2, 10].  Conic j is positive at Y = 0 and negative for large Y
+    (conic1: η² − 1 < 0; conic4 falls linearly in Y), so the zero's Y is
+    found by bisection in long double; X draws whose conic is not
+    positive at Y = 0 are dropped.  Yields (X, Y, η, μ) per (η, μ) draw.
+    """
+    etas, mus = rng.uniform(0.05, 1.0, n_ctx), rng.uniform(0.01, 0.49, n_ctx)
+    X = 10 ** rng.uniform(-2, 1, (n_ctx, n_pts))
+    ld = np.longdouble
+    Xl, el, ml = X.astype(ld), etas[:, None].astype(ld), mus[:, None].astype(ld)
+
+    def conic(Y):
+        return _conic_values(Xl, Y, el, ml)[j]
+
+    lo = np.zeros_like(Xl)
+    keep = conic(lo) > 0
+    hi = keep.astype(ld)  # a dropped draw's bracket is [0, 0]
+    while np.any(up := conic(hi) > 0):
+        hi = np.where(up, 2 * hi, hi)
+    mid = (lo + hi) / 2
+    while np.any((lo < mid) & (mid < hi)):
+        above = conic(mid) > 0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        mid = (lo + hi) / 2
+    Y0 = hi.astype(float)
+    Y = Y0 + rng.integers(-ulps, ulps + 1, Y0.shape) * np.spacing(Y0)
+    for i in range(n_ctx):
+        yield X[i, keep[i]], Y[i, keep[i]], float(etas[i]), float(mus[i])
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_zone_agrees_with_conic_cells_at_their_boundary(j):
+    # the zone's high bit is "a0/a1 does not attain ρm", the conic1 cell
+    # negated except at an exact tie (to Z1/Z2); its low bit is the
+    # conic4 cell; inA is condA where the high bit is 0, condB where 1
+    n = 0
+    for X, Y, eta, mu in conic_zero_draws(np.random.default_rng(28 + j), j):
+        v = _verdicts(X, Y, eta, mu)
+        c1 = _conic_values(X, Y, eta, mu)[0]
+        high, low = v["zone"] >> 1, v["zone"] & 1
+        assert v["zone"].dtype == np.intp
+        assert np.array_equal(high, ~v["conics"][:, 0] & (c1 != 0))
+        assert np.array_equal(low, v["conics"][:, 3])
+        cond_a, cond_b, in_a = v["branch"][:, :3].T
+        assert np.array_equal(in_a, np.where(high == 0, cond_a, cond_b))
+        n += X.size
+    assert n >= 8_000
 
 
 def test_quadrant_point_validation():
@@ -227,7 +278,6 @@ def test_conics_equal_ratio_comparisons(rng):
     r = ek_ratios_dimensionless(eta, X, Y, mu)
     comparisons = np.stack([r[:, 0] < r[:, 1], r[:, 0] < r[:, 3],
                             r[:, 1] < r[:, 2], r[:, 2] < r[:, 3]], axis=-1)
-    from coupled_pendula.regions import _conic_values
     vals = np.stack(_conic_values(X, Y, eta, mu), axis=-1)
     # ignore a tiny band around the conic zero sets
     band = np.abs(vals) <= 1e-12 * (1 + X**2 + Y**2)[:, None]
@@ -468,7 +518,6 @@ def test_map_zone_boundaries_match_conics():
     grid = GridSpec(0.05, 5.0, 0.05, 5.0, 100, 100, "linear")
     rmap = region_map(grid, eta=1.0, mu=0.25)
     zone = map_columns(rmap)["zone"]
-    from coupled_pendula.regions import _conic_values
     for iy in range(0, 100, 7):
         for ix in range(0, 99, 1):
             if zone[iy * 100 + ix] != zone[iy * 100 + ix + 1]:

@@ -73,6 +73,42 @@ def test_spectrum_reads_its_numbers_off_the_factors():
     assert "omega" not in inspect.signature(ratios).parameters
 
 
+def _parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
+def test_no_np_roots_call_in_the_package():
+    # every polynomial is solved by spectral.poly_roots; an np.roots call
+    # would be a second root finder with other bits
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Attribute) and node.attr == "roots"
+             and getattr(node.value, "id", None) in ("np", "numpy")]
+    assert not found, f"np.roots in the package: {found}"
+
+
+def test_poly_roots_is_one_companion_solve():
+    # one stacked eigenvalue call for every row: no per-row or per-dtype
+    # loop, and no second eigvals call for a subset of the rows
+    [fn] = [node for node in ast.walk(_parse(PACKAGE_DIR / "spectral.py"))
+            if isinstance(node, ast.FunctionDef) and node.name == "poly_roots"]
+    nodes = list(ast.walk(fn))
+    assert not [n for n in nodes if isinstance(n, (ast.For, ast.comprehension))]
+    assert sum(isinstance(n, ast.Attribute) and n.attr == "eigvals" for n in nodes) == 1
+
+
+def test_zone_comes_from_the_conics_in_regions():
+    # the region kernel reads the zone off its conic1/conic4 values; a
+    # ratio-comparison zone helper would let the two disagree
+    spectral_defs = [node.name for node in ast.walk(_parse(PACKAGE_DIR / "spectral.py"))
+                     if isinstance(node, ast.FunctionDef)]
+    regions_imports = [alias.name for node in ast.walk(_parse(PACKAGE_DIR / "regions.py"))
+                       if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert "_zone_index" not in spectral_defs
+    assert "_zone_index" not in regions_imports
+
+
 def _builds_out_of_range_error(node):
     return (isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ParamError"

@@ -199,8 +199,8 @@ def test_batched_roots_bit_identical_quartics(rng):
 
 
 def test_batched_roots_bit_identical_real_roots(rng):
-    # all-real spectra: np.roots returns a real array, so these rows take
-    # the real-arithmetic polish
+    # all-real spectra: np.roots returns a real array and np.polyval
+    # polishes it in real arithmetic; the complex polish gives the same bits
     roots = -10 ** rng.uniform(-1, 1, (300, 6))
     _assert_rows_match_np_roots([np.poly(r)[::-1] for r in roots])
 
@@ -208,10 +208,13 @@ def test_batched_roots_bit_identical_real_roots(rng):
 def test_batched_roots_bit_identical_quadratics():
     quads, _ = char_poly_identical(param_rows(*(params_from_dimensionless(
         eta=eta, X=0.3, Y=1.0, mu=0.25, omega=2.0) for eta in (0.5, 3.0))))
-    # double root, plus zero constant terms, which np.roots strips and
-    # returns as roots at the origin
-    _assert_rows_match_np_roots([*quads, [1.0, 2.0, 1.0], [0.0, 1.0, 1.0],
-                                 [0.0, 0.0, 1.0]])
+    _assert_rows_match_np_roots([*quads, [1.0, 2.0, 1.0]])  # double root
+    # zero constant terms: np.roots strips them and appends roots at the
+    # origin; the companion solve finds the same roots, the zeros exactly
+    for asc, n_zero in (([0.0, 1.0, 1.0], 1), ([0.0, 0.0, 1.0], 2)):
+        [got] = poly_roots([asc])
+        assert np.array_equal(np.sort_complex(got), np.sort_complex(np_roots_polished(asc)))
+        assert np.count_nonzero(got == 0.0) == n_zero
 
 
 def test_batched_roots_reject_zero_leading_coefficient():
