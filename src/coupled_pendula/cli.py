@@ -82,9 +82,8 @@ def canonical_json(obj) -> str:
 # Config ingestion
 # ---------------------------------------------------------------------------
 
-_PARAM_KEYS = ("m0", "m1", "m2", "l1", "l2", "beta0", "beta1", "beta2", "k")
-_GRID_DEFAULTS = {"x_min": 0.01, "x_max": 10.0, "y_min": 0.01, "y_max": 10.0,
-                  "nx": 50, "ny": 50, "spacing": "log"}
+# Grid bounds and size when the config omits them; GridSpec defaults the spacing.
+_GRID_DEFAULTS = {"x_min": 0.01, "x_max": 10.0, "y_min": 0.01, "y_max": 10.0, "nx": 50, "ny": 50}
 #: Most trajectory samples ``simulate`` accepts; a sample costs about 130
 #: bytes in memory and as many in the CSV.
 MAX_SAMPLES = 1_000_000
@@ -107,12 +106,10 @@ class RunConfig:
     out: Optional[str] = None
 
 
-def _number(doc: dict, key: str, default=None) -> float:
-    if key not in doc:
-        if default is None:
-            raise ConfigError(f"missing required key: {key}")
-        return default
-    v = doc[key]
+def _number(doc: dict, key: str, default=dataclasses.MISSING) -> float:
+    v = doc.get(key, default)
+    if v is dataclasses.MISSING:
+        raise ConfigError(f"missing required key: {key}")
     if not _is_finite_number(v):
         raise ConfigError(f"{key}: expected a finite number")
     return float(v)
@@ -134,14 +131,13 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
-    known = set(_PARAM_KEYS) | {"g", "damping", "initial_state", "t_end",
-                                "samples", "grid", "seed", "out"}
+    param_fields = dataclasses.fields(PhysicalParams)
+    known = {f.name for f in param_fields + dataclasses.fields(RunConfig)} - {"params"}
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ConfigError(f"unknown key: {unknown[0]}")
 
-    params = PhysicalParams(**{k: _number(doc, k) for k in _PARAM_KEYS},
-                            g=_number(doc, "g", 9.81))
+    params = PhysicalParams(**{f.name: _number(doc, f.name, f.default) for f in param_fields})
 
     try:
         damping = DampingModel(doc.get("damping", "full"))
@@ -158,12 +154,10 @@ def load_config(path: str) -> RunConfig:
     grid_raw = doc.get("grid", {})
     if not isinstance(grid_raw, dict):
         raise ConfigError("grid: expected an object")
-    unknown = sorted(set(grid_raw) - set(_GRID_DEFAULTS))
+    unknown = sorted(set(grid_raw) - {f.name for f in dataclasses.fields(GridSpec)})
     if unknown:
         raise ConfigError(f"unknown grid key: {unknown[0]}")
-    grid_kv = dict(_GRID_DEFAULTS)
-    grid_kv.update(grid_raw)
-    grid = GridSpec(**grid_kv)
+    grid = GridSpec(**{**_GRID_DEFAULTS, **grid_raw})
 
     samples = doc.get("samples", 2001)
     seed = doc.get("seed", 1)
@@ -188,7 +182,7 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
+def cmd_reduce(cfg: RunConfig, out: Optional[str]) -> int:
     rp = reduce_params(cfg.params)
     dc = derived_constants(cfg.params)
     print(canonical_json({"reduced": dataclasses.asdict(rp),
@@ -197,7 +191,7 @@ def cmd_reduce(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
-    path = out or cfg.out or "trajectory.csv"
+    path = out or "trajectory.csv"
     p, y0 = cfg.params, cfg.initial_state.to_y()
     omega, length = reduce_params(p).omega, 0.5 * (p.l1 + p.l2)
     scales = (length, 1.0, 1.0, length * omega, omega, omega)
@@ -225,9 +219,8 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
 def cmd_spectrum(cfg: RunConfig, out: Optional[str]) -> int:
     doc = spectrum_report(cfg.params, cfg.damping)
     text = canonical_json(doc)
-    path = out or cfg.out
-    if path:
-        with open(path, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -243,9 +236,11 @@ def cmd_regions(cfg: RunConfig, out: Optional[str]) -> int:
         raise ParamError("m2", "region analysis requires identical pendula")
     if cfg.damping is not DampingModel.FULL_VELOCITY:
         raise ParamError("damping", "region analysis covers full-velocity damping only")
+    if cfg.params.beta1 == 0:  # then beta2 == 0 too, and eta = 0 lies outside the quadrant box
+        raise ParamError("beta1", "region analysis requires damped pendula")
     rp = reduce_params(cfg.params)
     rmap = region_map(cfg.grid, rp.eta, rp.mu)
-    path = out or cfg.out or "regions.csv"
+    path = out or "regions.csv"
     rmap.write_csv(path)
     print(canonical_json({
         "out": path,
@@ -258,7 +253,7 @@ def cmd_regions(cfg: RunConfig, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, out: Optional[str]) -> int:
     results = run_verification(cfg.seed)
     for res in results:
         print(f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}")
@@ -274,37 +269,35 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="coupled-pendula",
-        description="Beam-and-pendula dynamics, spectrum localization, and "
-                    "synchronization region maps")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, doc in (("reduce", "print dimensionless and derived constants"),
-                      ("simulate", "integrate the nonlinear system to CSV"),
-                      ("spectrum", "characteristic polynomial report (JSON)"),
-                      ("regions", "sweep the (X, Y) quadrant to CSV"),
-                      ("verify", "run the cross-module oracle checks")):
-        sp = sub.add_parser(name, help=doc)
-        sp.add_argument("--config", required=True, help="JSON configuration file")
-        sp.add_argument("--out", default=None, help="output file path")
-    return ap
+#: Each command's function, called as ``fn(cfg, out)`` with ``--out`` or else the
+#: config's ``out``, and its help line.
+_COMMANDS = {
+    "reduce": (cmd_reduce, "print dimensionless and derived constants"),
+    "simulate": (cmd_simulate, "integrate the nonlinear system to CSV"),
+    "spectrum": (cmd_spectrum, "characteristic polynomial report (JSON)"),
+    "regions": (cmd_regions, "sweep the (X, Y) quadrant to CSV"),
+    "verify": (cmd_verify, "run the cross-module oracle checks"),
+}
+
+# Built once, at import: a main call only parses its argv.
+_PARSER = argparse.ArgumentParser(
+    prog="coupled-pendula",
+    description="Beam-and-pendula dynamics, spectrum localization, and "
+                "synchronization region maps")
+_SUBPARSERS = _PARSER.add_subparsers(dest="command", required=True)
+for _name, (_, _doc) in _COMMANDS.items():
+    _sp = _SUBPARSERS.add_parser(_name, help=_doc)
+    _sp.add_argument("--config", required=True, help="JSON configuration file")
+    _sp.add_argument("--out", default=None, help="output file path")
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    command, _ = _COMMANDS[args.command]
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             cfg = load_config(args.config)
-            if args.command == "reduce":
-                return cmd_reduce(cfg)
-            if args.command == "simulate":
-                return cmd_simulate(cfg, args.out)
-            if args.command == "spectrum":
-                return cmd_spectrum(cfg, args.out)
-            if args.command == "regions":
-                return cmd_regions(cfg, args.out)
-            return cmd_verify(cfg)
+            return command(cfg, args.out or cfg.out)
     except (ConfigError, ParamError, OSError, UnicodeDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

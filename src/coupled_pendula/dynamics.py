@@ -264,6 +264,8 @@ CSV_HEADER = "t,x,sigma,delta,xdot,sigmadot,deltadot,energy"
 #: initial state or a very long ``t_end`` needs far more, and would
 #: otherwise run for hours.
 MAX_RHS_EVALS = 1_000_000
+#: Default relative and absolute error tolerances of every integration.
+RTOL, ATOL = 1e-10, 1e-12
 
 
 @dataclass(frozen=True)
@@ -297,8 +299,7 @@ def integrate(state0: SystemState, p: PhysicalParams,
               model: DampingModel = DampingModel.FULL_VELOCITY,
               t_end: float = 10.0, *,
               samples: int = 1001,
-              rtol: float = 1e-10,
-              atol: float = 1e-12) -> Trajectory:
+              rtol: float = RTOL, atol: float = ATOL) -> Trajectory:
     """Integrate the full nonlinear system and sample it uniformly.
 
     Uses the explicit y-form right-hand side and the in-repo DOP853, the
@@ -329,7 +330,7 @@ def _rhs(p: PhysicalParams, model: DampingModel):
 
 
 def _integrate_rows(states, params, model: DampingModel, t_ends, samples: int,
-                    rtol: float = 1e-10, atol: float = 1e-12) -> list[Trajectory]:
+                    rtol: float = RTOL, atol: float = ATOL) -> list[Trajectory]:
     """:func:`integrate` for several trajectories at once, stepped as one
     batch: each takes the steps it would take alone, and its samples agree
     with its lone run to rounding.  The first trajectory that stops early

@@ -42,6 +42,7 @@ from .dynamics import CrossCheckError, DampingModel
 from .params import ParamError, PhysicalParams, _reduced_groups, _rel_close, identical_pendula
 
 __all__ = [
+    "ANNULUS_SLACK",
     "EKInapplicableError",
     "RouthHurwitzReport",
     "linear_system",
@@ -327,6 +328,9 @@ def routh_hurwitz(c) -> RouthHurwitzReport:
 # Eneström-Kakeya annulus and zone selection
 # ---------------------------------------------------------------------------
 
+#: Relative slack of every check that the root moduli lie in the annulus [ρm, ρM].
+ANNULUS_SLACK = 1e-9
+
 
 def enestrom_kakeya(c):
     """Annulus radii (ρm, ρM) from consecutive coefficient ratios.
@@ -409,7 +413,7 @@ def spectrum_report(p: PhysicalParams,
     either damping model, also the factors and ω = √(quadratic a0) and,
     when the quartic is damped, the quartic's ratios and their zone, each
     computed from the printed factors.  The roots must agree with the chain
-    verdict and lie in the annulus to 1e-9 relative, or
+    verdict and lie in the annulus to :data:`ANNULUS_SLACK`, or
     :class:`CrossCheckError` is raised, or :class:`ParamError` when the
     roots that decide a disagreement are too small, or too close to the
     imaginary axis, to resolve (see :func:`_cross_check_error`).
@@ -430,7 +434,7 @@ def spectrum_report(p: PhysicalParams,
         rho_m = rho_M = None
     else:
         mods = np.abs(roots)
-        outside = (mods < rho_m * (1 - 1e-9)) | (mods > rho_M * (1 + 1e-9))
+        outside = (mods < rho_m * (1 - ANNULUS_SLACK)) | (mods > rho_M * (1 + ANNULUS_SLACK))
         if np.any(outside):
             raise _cross_check_error("root outside the annulus", roots, outside)
     centers, radii = gershgorin(linear_system(p, model))

@@ -144,8 +144,8 @@ def check_ek_containment(rng: np.random.Generator, n: int = 2000) -> CheckResult
         coeffs = spectral.char_poly_general(random_params_batch(rng, len(block)))
         rho_m, rho_M = spectral.enestrom_kakeya(coeffs)
         mod = np.abs(spectral.poly_roots(coeffs))
-        below = np.max(rho_m[:, None] * (1 - 1e-9) - mod, axis=1) / rho_m
-        above = np.max(mod - rho_M[:, None] * (1 + 1e-9), axis=1) / rho_M
+        below = np.max(rho_m[:, None] * (1 - spectral.ANNULUS_SLACK) - mod, axis=1) / rho_m
+        above = np.max(mod - rho_M[:, None] * (1 + spectral.ANNULUS_SLACK), axis=1) / rho_M
         worst = max(worst, float(np.max(below)), float(np.max(above)))
     return CheckResult("ek_containment", worst <= 0.0,
                        f"max relative annulus violation {worst:.3e}", worst)

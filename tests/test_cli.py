@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 import coupled_pendula
 from coupled_pendula import DampingModel, spectral, verification
 from coupled_pendula.cli import MAX_SAMPLES, canonical_json, load_config, main
-from coupled_pendula.regions import MAX_GRID_NODES, MAX_XY
+from coupled_pendula.params import PhysicalParams
+from coupled_pendula.regions import MAX_GRID_NODES, MAX_XY, GridSpec
 from coupled_pendula.verification import check_decay_panel, run_verification
 
 BASE = {
@@ -44,27 +46,105 @@ def run(capsys, *argv):
 # config
 # ---------------------------------------------------------------------------
 
+# The config's parameter keys and its "grid" keys, in field order.
+PARAM_KEYS = ("m0", "m1", "m2", "l1", "l2", "beta0", "beta1", "beta2", "k", "g")
+GRID_KEYS = ("x_min", "x_max", "y_min", "y_max", "nx", "ny", "spacing")
+
+
+def test_config_keys_are_the_dataclass_fields():
+    # the parametrizations below cover every field of the two dataclasses
+    assert PARAM_KEYS == tuple(f.name for f in dataclasses.fields(PhysicalParams))
+    assert GRID_KEYS == tuple(f.name for f in dataclasses.fields(GridSpec))
+
+
 def test_defaults_applied(tmp_path):
     cfg = load_config(write_config(tmp_path))
     assert cfg.params.g == 9.81
     assert cfg.damping.value == "full"
     assert cfg.initial_state.as_vector().tolist() == [0.0] * 6
+    assert cfg.grid == GridSpec(x_min=0.01, x_max=10.0, y_min=0.01, y_max=10.0,
+                                nx=50, ny=50, spacing="log")
 
 
-def test_unknown_key_rejected(tmp_path, capsys):
-    path = write_config(tmp_path, bogus=1.0)
-    code, _, err = run(capsys, "reduce", "--config", path)
-    assert code == 2
-    assert "bogus" in err
+@pytest.mark.parametrize("key", ("bogus", "params") + GRID_KEYS)
+def test_unknown_key_rejected(tmp_path, capsys, key):
+    # a grid key belongs under "grid", and "params" names no config key
+    path = write_config(tmp_path, **{key: 1.0})
+    code, out, err = run(capsys, "reduce", "--config", path)
+    assert (code, out, err) == (2, "", f"error: unknown key: {key}\n")
 
 
-def test_missing_key_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("key", PARAM_KEYS + ("grid", "seed"))
+def test_unknown_grid_key_rejected(tmp_path, capsys, key):
+    path = write_config(tmp_path, grid={key: 1.0})
+    code, out, err = run(capsys, "regions", "--config", path, "--out", str(tmp_path / "o"))
+    assert (code, out, err) == (2, "", f"error: unknown grid key: {key}\n")
+
+
+@pytest.mark.parametrize("key", PARAM_KEYS[:-1])
+def test_missing_key_rejected(tmp_path, capsys, key):
     doc = dict(BASE)
-    del doc["k"]
+    del doc[key]
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "reduce", "--config", str(path))
-    assert code == 2 and "k" in err
+    code, out, err = run(capsys, "reduce", "--config", str(path))
+    assert (code, out, err) == (2, "", f"error: missing required key: {key}\n")
+
+
+COMMANDS = ("reduce", "simulate", "spectrum", "regions", "verify")
+
+MAIN_HELP = """\
+usage: coupled-pendula [-h] {reduce,simulate,spectrum,regions,verify} ...
+
+Beam-and-pendula dynamics, spectrum localization, and synchronization region
+maps
+
+positional arguments:
+  {reduce,simulate,spectrum,regions,verify}
+    reduce              print dimensionless and derived constants
+    simulate            integrate the nonlinear system to CSV
+    spectrum            characteristic polynomial report (JSON)
+    regions             sweep the (X, Y) quadrant to CSV
+    verify              run the cross-module oracle checks
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+COMMAND_HELP = """\
+usage: coupled-pendula {} [-h] --config CONFIG [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  JSON configuration file
+  --out OUT        output file path
+"""
+
+
+@pytest.mark.parametrize("command", (None,) + COMMANDS)
+def test_help_golden(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command is None else [command, "--help"])
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    assert out.out == (MAIN_HELP if command is None else COMMAND_HELP.format(command))
+
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    # the parser is built once, at import: a main call only parses its argv
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = write_config(tmp_path)
+    for _ in range(3):
+        assert run(capsys, "reduce", "--config", path)[0] == 0
+    assert built == []
 
 
 @pytest.mark.parametrize("command, field, overrides", [
@@ -611,6 +691,7 @@ def test_regions_rejects_rotational_damping(tmp_path, capsys):
     ({"grid": {"x_min": 0.0}}, "x_min"),
     ({"grid": {"x_max": 1e155}}, "x_max"),
     ({"grid": {"nx": 2001, "ny": 2000}}, "nx*ny"),
+    ({"beta1": 0.0, "beta2": 0.0}, "beta1"),
 ])
 def test_regions_refusal_leaves_an_existing_csv_alone(tmp_path, capsys, overrides, field):
     # a refused config exits 2 before the CSV is opened, so a file already

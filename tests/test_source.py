@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -156,6 +157,42 @@ def test_one_block_size_for_sweep_and_writer():
     sizes = [v for name in ("_csvio.py", "regions.py")
              for v in _int_literals(PACKAGE_DIR / name) if v >= 1024 and v & (v - 1) == 0]
     assert sizes == [BLOCK_ROWS], f"block-size literals in the writer and sweep: {sizes}"
+
+
+def test_gravity_default_is_written_once():
+    # g defaults in PhysicalParams alone; a second 9.81 would be a second default
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and node.value == 9.81]
+    [cls] = [node for node in ast.walk(_parse(PACKAGE_DIR / "params.py"))
+             if isinstance(node, ast.ClassDef) and node.name == "PhysicalParams"]
+    [g] = [node for node in cls.body
+           if isinstance(node, ast.AnnAssign) and node.target.id == "g"]
+    assert found == [f"params.py:{g.value.lineno}"]
+
+
+def test_cli_lists_no_parameter_names():
+    # the CLI reads its config keys off the dataclass fields; a tuple, list,
+    # set or dict of PhysicalParams field names in cli.py would be a second schema
+    names = {f.name for f in dataclasses.fields(coupled_pendula.PhysicalParams)}
+    found = [node.lineno for node in ast.walk(_parse(PACKAGE_DIR / "cli.py"))
+             if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict))
+             and sum(isinstance(e, ast.Constant) and e.value in names
+                     for e in (node.keys if isinstance(node, ast.Dict) else node.elts)) >= 2]
+    assert not found, f"PhysicalParams field names spelled out in cli.py at lines {found}"
+
+
+def test_main_compares_no_command_name():
+    # main looks its command up in the command table; comparing args.command
+    # with a string would be a second list of command names
+    [main] = [node for node in ast.walk(_parse(PACKAGE_DIR / "cli.py"))
+              if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    found = [node.lineno for node in ast.walk(main) if isinstance(node, ast.Compare)
+             and any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                     for n in (node.left, *node.comparators))]
+    assert not found, f"string comparisons in cli.main at lines {found}"
 
 
 PERFBENCH_DIR = Path(__file__).parents[1] / "perfbench"
