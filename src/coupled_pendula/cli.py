@@ -8,34 +8,45 @@ printed with 17 significant digits, so identical runs are byte-identical.
 
 Exit codes: 0 success, 2 validation failure (also a massless pendulum or
 a field outside [1e-40, 1e40], a config or output path that cannot be
-opened, a config that is not UTF-8, and, as a backstop, any floating-point
-error), 3 integration failure, 4 method inapplicable (reported, other
-results still emitted), 5 internal cross-check violation.
+opened, a config that is not UTF-8, and, as a backstop, a floating-point
+error in a command's array arithmetic), 3 integration failure, 4 method
+inapplicable (reported, other results still emitted), 5 internal
+cross-check violation.
+
+Each command imports the modules it runs when it is called, so a command
+loads only what it needs: ``reduce`` runs on this module and
+:mod:`.params` alone, without numpy.  The floating-point backstop is
+numpy's ``errstate(over, divide, invalid="raise")`` around the four
+commands that do array arithmetic (``simulate``, ``spectrum``,
+``regions``, ``verify``; see ``_COMMANDS``): an overflow, a division by
+zero or an invalid operation there raises FloatingPointError, which exits
+2.  Config loading and ``reduce`` compute on Python floats, which raise
+or return inf on their own and which ``errstate`` does not govern.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .dynamics import CrossCheckError, DampingModel, StiffnessError, integrate
 from .params import (
+    CrossCheckError,
+    DampingModel,
+    GridSpec,
     ParamError,
     PhysicalParams,
+    StiffnessError,
     SystemState,
     derived_constants,
     identical_pendula,
     reduce_params,
 )
-from .regions import GridSpec, region_map
-from .spectral import linear_system, spectrum_report
-from .verification import run_verification
 
 __all__ = ["RunConfig", "ConfigError", "MAX_SAMPLES", "load_config", "canonical_json", "main"]
 
@@ -56,25 +67,30 @@ class ConfigError(ValueError):
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    numpy scalars are numbers.Integral or numbers.Real and arrays convert
+    through ``tolist``, so that this needs no numpy import."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         f = float(obj)
         if f != f or f in (float("inf"), float("-inf")):
             return "null"
         return format(f, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: kv[0])
         return "{" + ",".join(json.dumps(k) + ":" + canonical_json(v) for k, v in items) + "}"
+    if hasattr(obj, "tolist"):  # a numpy array
+        return canonical_json(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -182,15 +198,41 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _emit(text: str, out: Optional[str]) -> None:
+    """Write ``text`` and a newline to the file ``out``, or to stdout when there is none."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
+def _trapping_fp_errors(command):
+    """``command`` run with numpy's overflow, division by zero and invalid
+    operations raising FloatingPointError instead of warning."""
+    @functools.wraps(command)
+    def trapped(cfg: RunConfig, out: Optional[str]) -> int:
+        import numpy as np
+
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return command(cfg, out)
+    return trapped
+
+
 def cmd_reduce(cfg: RunConfig, out: Optional[str]) -> int:
     rp = reduce_params(cfg.params)
     dc = derived_constants(cfg.params)
-    print(canonical_json({"reduced": dataclasses.asdict(rp),
-                          "derived": dataclasses.asdict(dc)}))
+    _emit(canonical_json({"reduced": dataclasses.asdict(rp),
+                          "derived": dataclasses.asdict(dc)}), out)
     return EXIT_OK
 
 
 def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
+    import numpy as np
+
+    from .dynamics import integrate
+    from .spectral import linear_system
+
     path = out or "trajectory.csv"
     p, y0 = cfg.params, cfg.initial_state.to_y()
     omega, length = reduce_params(p).omega, 0.5 * (p.l1 + p.l2)
@@ -217,13 +259,10 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Optional[str]) -> int:
+    from .spectral import spectrum_report
+
     doc = spectrum_report(cfg.params, cfg.damping)
-    text = canonical_json(doc)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(canonical_json(doc), out)
     if doc["rho_m"] is None:
         print("annulus localization inapplicable: some coefficients are not positive",
               file=sys.stderr)
@@ -232,6 +271,8 @@ def cmd_spectrum(cfg: RunConfig, out: Optional[str]) -> int:
 
 
 def cmd_regions(cfg: RunConfig, out: Optional[str]) -> int:
+    from .regions import region_map
+
     if not identical_pendula(cfg.params):
         raise ParamError("m2", "region analysis requires identical pendula")
     if cfg.damping is not DampingModel.FULL_VELOCITY:
@@ -254,11 +295,15 @@ def cmd_regions(cfg: RunConfig, out: Optional[str]) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Optional[str]) -> int:
+    from .verification import run_verification
+
     results = run_verification(cfg.seed)
-    for res in results:
-        print(f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}")
-    if all(r.ok for r in results):
-        print(f"verify: {len(results)}/{len(results)} checks passed")
+    lines = [f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}" for res in results]
+    passed = all(r.ok for r in results)
+    if passed:
+        lines.append(f"verify: {len(results)}/{len(results)} checks passed")
+    _emit("\n".join(lines), out)
+    if passed:
         return EXIT_OK
     print("verify: FAILURES detected", file=sys.stderr)
     return EXIT_CROSSCHECK
@@ -270,13 +315,14 @@ def cmd_verify(cfg: RunConfig, out: Optional[str]) -> int:
 
 
 #: Each command's function, called as ``fn(cfg, out)`` with ``--out`` or else the
-#: config's ``out``, and its help line.
+#: config's ``out``, and its help line.  The commands that do array arithmetic
+#: run under the floating-point trap.
 _COMMANDS = {
     "reduce": (cmd_reduce, "print dimensionless and derived constants"),
-    "simulate": (cmd_simulate, "integrate the nonlinear system to CSV"),
-    "spectrum": (cmd_spectrum, "characteristic polynomial report (JSON)"),
-    "regions": (cmd_regions, "sweep the (X, Y) quadrant to CSV"),
-    "verify": (cmd_verify, "run the cross-module oracle checks"),
+    "simulate": (_trapping_fp_errors(cmd_simulate), "integrate the nonlinear system to CSV"),
+    "spectrum": (_trapping_fp_errors(cmd_spectrum), "characteristic polynomial report (JSON)"),
+    "regions": (_trapping_fp_errors(cmd_regions), "sweep the (X, Y) quadrant to CSV"),
+    "verify": (_trapping_fp_errors(cmd_verify), "run the cross-module oracle checks"),
 }
 
 # Built once, at import: a main call only parses its argv.
@@ -295,9 +341,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     command, _ = _COMMANDS[args.command]
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            cfg = load_config(args.config)
-            return command(cfg, args.out or cfg.out)
+        cfg = load_config(args.config)
+        return command(cfg, args.out or cfg.out)
     except (ConfigError, ParamError, OSError, UnicodeDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -60,7 +60,6 @@ imports scipy; the test suite keeps scipy's ``solve_ivp`` as the oracle.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -68,52 +67,16 @@ import numpy as np
 
 from ._csvio import BLOCK_ROWS, e9_column, write_csv
 from ._dop853 import solve_ivp
-from .params import PhysicalParams, SystemState
+from .params import DampingModel, PhysicalParams, StiffnessError, SystemState
 
 __all__ = [
-    "DampingModel",
     "MAX_RHS_EVALS",
-    "StiffnessError",
-    "CrossCheckError",
     "Trajectory",
     "accel_q",
     "accel_y",
     "energy",
     "integrate",
 ]
-
-
-class DampingModel(enum.Enum):
-    """Which viscous-friction model generates the damping forces.
-
-    FULL_VELOCITY damps each mass against its full velocity; the
-    generalized force on (x, θ1, θ2) is
-
-        (−β ẋ − Σ β_j l_j θ̇_j cos θ_j,
-         −β_1 l_1 (ẋ cos θ_1 + l_1 θ̇_1),
-         −β_2 l_2 (ẋ cos θ_2 + l_2 θ̇_2)),       β = β0 + β1 + β2.
-
-    ROTATIONAL_ONLY damps the bobs along their rotational direction only:
-
-        (−β0 ẋ − Σ β_j l_j θ̇_j cos θ_j, −β_1 l_1² θ̇_1, −β_2 l_2² θ̇_2).
-    """
-
-    FULL_VELOCITY = "full"
-    ROTATIONAL_ONLY = "rotational"
-
-
-class StiffnessError(RuntimeError):
-    """The integration could not go on: the right-hand side was not finite
-    at t = 0, the step size fell below 10 ulps of t, or the evaluation
-    budget ran out.  ``t_reached`` is the last time reached."""
-
-    def __init__(self, message: str, t_reached: float):
-        super().__init__(message)
-        self.t_reached = t_reached
-
-
-class CrossCheckError(RuntimeError):
-    """Two independent computations of one quantity disagreed beyond tolerance."""
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import CrossCheckError
 from .params import (
+    CrossCheckError,
     ParamError,
     PhysicalParams,
     ReducedParams,

@@ -41,14 +41,25 @@ use is safe.
 
 :class:`PhysicalParams` alone decides the parameter domain; nothing
 downstream checks masses or scales again.
+
+The module also holds every type a run configuration is built from, so
+that reading and checking a config needs no other module of the package:
+the damping model (:class:`DampingModel`), the two failure types the CLI
+maps to exit codes (:class:`StiffnessError`, :class:`CrossCheckError`),
+and the quadrant box of the region analysis (:data:`MAX_XY`,
+:data:`MIN_ETA`, :data:`MAX_ETA`) with the region grid
+(:class:`GridSpec`, at most :data:`MAX_GRID_NODES` nodes).  Nothing here
+imports numpy at module level; the two methods that return arrays
+(:meth:`GridSpec.axis`, :meth:`SystemState.as_vector`) import it when
+called, so ``reduce`` starts without it.
 """
 
 from __future__ import annotations
 
+import enum
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "ParamError",
@@ -60,6 +71,14 @@ __all__ = [
     "derived_constants",
     "params_from_dimensionless",
     "identical_pendula",
+    "DampingModel",
+    "StiffnessError",
+    "CrossCheckError",
+    "GridSpec",
+    "MAX_XY",
+    "MIN_ETA",
+    "MAX_ETA",
+    "MAX_GRID_NODES",
 ]
 
 #: Relative tolerance below which two pendula count as identical.
@@ -251,6 +270,127 @@ def params_from_dimensionless(eta: float, X: float, Y: float, mu: float,
 
 
 # ---------------------------------------------------------------------------
+# Damping model and failure types
+# ---------------------------------------------------------------------------
+
+
+class DampingModel(enum.Enum):
+    """Which viscous-friction model generates the damping forces.
+
+    FULL_VELOCITY damps each mass against its full velocity; the
+    generalized force on (x, θ1, θ2) is
+
+        (−β ẋ − Σ β_j l_j θ̇_j cos θ_j,
+         −β_1 l_1 (ẋ cos θ_1 + l_1 θ̇_1),
+         −β_2 l_2 (ẋ cos θ_2 + l_2 θ̇_2)),       β = β0 + β1 + β2.
+
+    ROTATIONAL_ONLY damps the bobs along their rotational direction only:
+
+        (−β0 ẋ − Σ β_j l_j θ̇_j cos θ_j, −β_1 l_1² θ̇_1, −β_2 l_2² θ̇_2).
+    """
+
+    FULL_VELOCITY = "full"
+    ROTATIONAL_ONLY = "rotational"
+
+
+class StiffnessError(RuntimeError):
+    """The integration could not go on: the right-hand side was not finite
+    at t = 0, the step size fell below 10 ulps of t, or the evaluation
+    budget ran out.  ``t_reached`` is the last time reached."""
+
+    def __init__(self, message: str, t_reached: float):
+        super().__init__(message)
+        self.t_reached = t_reached
+
+
+class CrossCheckError(RuntimeError):
+    """Two independent computations of one quantity disagreed beyond tolerance."""
+
+
+# ---------------------------------------------------------------------------
+# The quadrant box and the region grid
+# ---------------------------------------------------------------------------
+
+#: The quadrant box: X, Y ∈ (0, MAX_XY], η ∈ [MIN_ETA, MAX_ETA], μ ∈ (0, ½).
+MAX_XY, MIN_ETA, MAX_ETA = 1e30, 1e-121, 1e121
+
+
+def _check_box(**fields) -> dict:
+    """The fields as Python floats, so that the kernel runs in float64 (a
+    numpy float32 would keep it in float32); refuse a bool, a non-real or
+    an out-of-box value, naming the field.  Each field but η and μ is an
+    X or a Y, grid bounds included."""
+    checked = {}
+    for name, v in fields.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ParamError(name, "must be a real number")
+        try:
+            v = float(v)
+        except OverflowError:  # a number beyond the float range: refused below
+            v = math.nan
+        if name == "mu":
+            inside, span = 0.0 < v < 0.5, "(0, 1/2)"
+        elif name == "eta":
+            inside, span = MIN_ETA <= v <= MAX_ETA, f"[{MIN_ETA:g}, {MAX_ETA:g}]"
+        else:
+            inside, span = 0.0 < v <= MAX_XY, f"(0, {MAX_XY:g}]"
+        if not inside:
+            raise ParamError(name, f"must lie in {span}")
+        checked[name] = v
+    return checked
+
+
+#: Most grid nodes (nx·ny) a sweep accepts: 2000×2000.  The sweep streams
+#: its blocks into the CSV, so its memory is set by the block size alone,
+#: not by the grid; it writes about 112 bytes per CSV row.
+MAX_GRID_NODES = 4_000_000
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Rectangular grid inside the quadrant box, of at most :data:`MAX_GRID_NODES` nodes."""
+
+    x_min: float
+    x_max: float
+    y_min: float
+    y_max: float
+    nx: int
+    ny: int
+    spacing: str = "log"
+
+    def __post_init__(self):
+        bounds = _check_box(x_min=self.x_min, x_max=self.x_max,
+                            y_min=self.y_min, y_max=self.y_max)
+        for name, v in bounds.items():
+            object.__setattr__(self, name, v)
+        if not self.x_min <= self.x_max:
+            raise ParamError("x_min", "grid must satisfy x_min <= x_max")
+        if not self.y_min <= self.y_max:
+            raise ParamError("y_min", "grid must satisfy y_min <= y_max")
+        for name in ("nx", "ny"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ParamError(name, "must be an integer")
+            if v < 1:
+                raise ParamError(name, "grid must have at least one node per axis")
+        nodes = int(self.nx) * int(self.ny)
+        if nodes > MAX_GRID_NODES:
+            raise ParamError("nx*ny", f"grid has {nodes} nodes; the limit is {MAX_GRID_NODES}")
+        if self.spacing not in ("log", "linear"):
+            raise ParamError("spacing", "must be 'log' or 'linear'")
+
+    def axis(self, which: str):
+        """The x or y nodes as a numpy array."""
+        import numpy as np
+
+        lo, hi, n = ((self.x_min, self.x_max, self.nx) if which == "x"
+                     else (self.y_min, self.y_max, self.ny))
+        if self.spacing == "log":
+            return np.geomspace(lo, hi, n)
+        return np.linspace(lo, hi, n)
+
+
+# ---------------------------------------------------------------------------
 # System state and the q <-> y coordinate change
 # ---------------------------------------------------------------------------
 
@@ -277,8 +417,10 @@ class SystemState:
         return cls("y", (float(x), float(sigma), float(delta)),
                    (float(xdot), float(sigmadot), float(deltadot)))
 
-    def as_vector(self) -> np.ndarray:
-        """Six-vector (coords, vels) in this state's own form."""
+    def as_vector(self):
+        """Six-vector (coords, vels) in this state's own form, a numpy array."""
+        import numpy as np
+
         return np.array(self.coords + self.vels)
 
     def to_y(self) -> "SystemState":

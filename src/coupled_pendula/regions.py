@@ -23,7 +23,8 @@ a3 = X + (1−2μ)η and a4 = 1 − 2μ, ρM ≥ a3/a4 = η + X/(1−2μ) > η, 
 2ρM − η > 0 and the δ pair never out-decays the whole x/σ spectrum.
 
 The quadrant domain is a fixed box, checked once where X, Y, η and μ
-enter: X, Y ∈ (0, 1e30], η ∈ [1e-121, 1e121] and μ ∈ (0, ½).  It holds
+enter (``params._check_box``, which :class:`~.params.GridSpec` also
+calls): X, Y ∈ (0, 1e30], η ∈ [1e-121, 1e121] and μ ∈ (0, ½).  It holds
 every η of an in-domain ``PhysicalParams`` (η = (β/m)/ω, β/m ≤ 1e80,
 1/ω ≤ 1e40), and inside it the kernel is plain arithmetic.  Each conic
 and quartic coefficient is a sum of monomials, largest at a corner of
@@ -43,8 +44,6 @@ block size alone, not the grid, sets the sweep's memory.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -53,47 +52,18 @@ import numpy as np
 from . import spectral
 from .spectral import _ZONES
 from ._csvio import BLOCK_ROWS, byte_cells, e9_column, write_csv
-from .dynamics import DampingModel, _integrate_rows
-from .params import ParamError, identical_pendula
+from .dynamics import _integrate_rows
+from .params import DampingModel, GridSpec, ParamError, _check_box, identical_pendula
 
 __all__ = [
-    "BranchUnsupportedError", "QuadrantPoint", "AntiphaseVerdict", "RootBound",
-    "GridSpec", "MAX_XY", "MIN_ETA", "MAX_ETA", "MAX_GRID_NODES", "RegionMap",
+    "BranchUnsupportedError", "QuadrantPoint", "AntiphaseVerdict", "RootBound", "RegionMap",
     "classify_zone", "conic_conditions", "antiphase_conditions", "semicircle_condition",
     "complex_root_bound", "region_map", "empirical_decay_rates",
 ]
 
-#: The quadrant box: X, Y ∈ (0, MAX_XY], η ∈ [MIN_ETA, MAX_ETA], μ ∈ (0, ½).
-MAX_XY, MIN_ETA, MAX_ETA = 1e30, 1e-121, 1e121
-
 
 class BranchUnsupportedError(ValueError):
     """Requested verdict is only analyzed for η ≤ 1."""
-
-
-def _check_box(**fields) -> dict:
-    """The fields as Python floats, so that the kernel runs in float64 (a
-    numpy float32 would keep it in float32); refuse a bool, a non-real or
-    an out-of-box value, naming the field.  Each field but η and μ is an
-    X or a Y, grid bounds included."""
-    checked = {}
-    for name, v in fields.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ParamError(name, "must be a real number")
-        try:
-            v = float(v)
-        except OverflowError:  # a number beyond the float range: refused below
-            v = math.nan
-        if name == "mu":
-            inside, span = 0.0 < v < 0.5, "(0, 1/2)"
-        elif name == "eta":
-            inside, span = MIN_ETA <= v <= MAX_ETA, f"[{MIN_ETA:g}, {MAX_ETA:g}]"
-        else:
-            inside, span = 0.0 < v <= MAX_XY, f"(0, {MAX_XY:g}]"
-        if not inside:
-            raise ParamError(name, f"must lie in {span}")
-        checked[name] = v
-    return checked
 
 
 @dataclass(frozen=True)
@@ -229,53 +199,6 @@ def complex_root_bound(q: QuadrantPoint) -> RootBound:
 # ---------------------------------------------------------------------------
 # Grid sweeps
 # ---------------------------------------------------------------------------
-
-
-#: Most grid nodes (nx·ny) a sweep accepts: 2000×2000.  The sweep streams
-#: its blocks into the CSV, so its memory is set by the block size alone,
-#: not by the grid; it writes about 112 bytes per CSV row.
-MAX_GRID_NODES = 4_000_000
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular grid inside the quadrant box, of at most :data:`MAX_GRID_NODES` nodes."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    nx: int
-    ny: int
-    spacing: str = "log"
-
-    def __post_init__(self):
-        bounds = _check_box(x_min=self.x_min, x_max=self.x_max,
-                            y_min=self.y_min, y_max=self.y_max)
-        for name, v in bounds.items():
-            object.__setattr__(self, name, v)
-        if not self.x_min <= self.x_max:
-            raise ParamError("x_min", "grid must satisfy x_min <= x_max")
-        if not self.y_min <= self.y_max:
-            raise ParamError("y_min", "grid must satisfy y_min <= y_max")
-        for name in ("nx", "ny"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ParamError(name, "must be an integer")
-            if v < 1:
-                raise ParamError(name, "grid must have at least one node per axis")
-        nodes = int(self.nx) * int(self.ny)
-        if nodes > MAX_GRID_NODES:
-            raise ParamError("nx*ny", f"grid has {nodes} nodes; the limit is {MAX_GRID_NODES}")
-        if self.spacing not in ("log", "linear"):
-            raise ParamError("spacing", "must be 'log' or 'linear'")
-
-    def axis(self, which: str) -> np.ndarray:
-        lo, hi, n = ((self.x_min, self.x_max, self.nx) if which == "x"
-                     else (self.y_min, self.y_max, self.ny))
-        if self.spacing == "log":
-            return np.geomspace(lo, hi, n)
-        return np.linspace(lo, hi, n)
 
 
 _CSV_HEADER = ("X,Y,zone,conic1,conic2,conic3,conic4,condA,condB,inA,"

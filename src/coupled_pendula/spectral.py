@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CrossCheckError, DampingModel
-from .params import ParamError, PhysicalParams, _reduced_groups, _rel_close, identical_pendula
+from .params import (CrossCheckError, DampingModel, ParamError, PhysicalParams, _reduced_groups,
+                     _rel_close, identical_pendula)
 
 __all__ = [
     "ANNULUS_SLACK",

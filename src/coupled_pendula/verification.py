@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .dynamics import DampingModel, _accel_q_arrays, _accel_y_arrays, _y_constants
-from .params import PhysicalParams, SystemState, params_from_dimensionless
+from .dynamics import _accel_q_arrays, _accel_y_arrays, _y_constants
+from .params import DampingModel, PhysicalParams, SystemState, params_from_dimensionless
 from .regions import empirical_decay_rates
 
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -18,8 +19,7 @@ from hypothesis import strategies as st
 import coupled_pendula
 from coupled_pendula import DampingModel, spectral, verification
 from coupled_pendula.cli import MAX_SAMPLES, canonical_json, load_config, main
-from coupled_pendula.params import PhysicalParams
-from coupled_pendula.regions import MAX_GRID_NODES, MAX_XY, GridSpec
+from coupled_pendula.params import MAX_GRID_NODES, MAX_XY, GridSpec, PhysicalParams
 from coupled_pendula.verification import check_decay_panel, run_verification
 
 BASE = {
@@ -221,6 +221,28 @@ def test_file_error_exits_2(tmp_path, capsys, command, config, out_is_dir):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, module, function", [
+    ("simulate", "dynamics", "integrate"),
+    ("spectrum", "spectral", "spectrum_report"),
+    ("regions", "regions", "region_map"),
+    ("verify", "verification", "run_verification"),
+])
+def test_floating_point_error_exits_2(tmp_path, capsys, monkeypatch, command, module, function):
+    # the commands that do array arithmetic run with numpy's floating-point
+    # errors raised: an overflow in their numpy code exits 2 in one line,
+    # not with a warning, an inf in the output or a traceback
+    def overflowing(*args, **kwargs):
+        return np.float64(1e308) * np.float64(10.0)
+
+    monkeypatch.setattr(importlib.import_module(f"coupled_pendula.{module}"), function,
+                        overflowing)
+    path = write_config(tmp_path, grid={"nx": 2, "ny": 2}, t_end=1.0, samples=3)
+    code, out, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "o"))
+    assert code == 2 and out == ""
+    assert err == "error: overflow encountered in scalar multiply\n"
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------
@@ -247,6 +269,22 @@ def test_reduce_output_idempotent(tmp_path, capsys):
     assert canonical_json(json.loads(out)) == out.strip()
     code2, out2, _ = run(capsys, "reduce", "--config", path)
     assert out2 == out  # byte-identical reruns
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_out_receives_what_stdout_would(tmp_path, capsys, command):
+    # like spectrum, reduce and verify write their report to --out, or
+    # else to the config's out, in place of stdout
+    path = write_config(tmp_path)
+    code, printed, _ = run(capsys, command, "--config", path)
+    assert code == 0 and printed
+    flag_out = tmp_path / "flag.out"
+    assert run(capsys, command, "--config", path, "--out", str(flag_out)) == (0, "", "")
+    assert flag_out.read_text() == printed
+    config_out = tmp_path / "config.out"
+    path = write_config(tmp_path, name="with_out.json", out=str(config_out))
+    assert run(capsys, command, "--config", path) == (0, "", "")
+    assert config_out.read_text() == printed
 
 
 # ---------------------------------------------------------------------------
@@ -908,38 +946,62 @@ def test_decay_panel_short_trajectory_counts_as_failed():
 # start-up
 # ---------------------------------------------------------------------------
 
-SCIPY_PROBE = """
+START_PROBE = """
 import json, sys
 from coupled_pendula.cli import main
 codes = [main([c, "--config", sys.argv[1], "--out", c + ".out"]) for c in sys.argv[2:]]
 print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "numpy": "numpy" in sys.modules,
+                  "package": sorted(m for m in sys.modules
+                                    if m.split(".")[0] == "coupled_pendula")}))
 """
 
 
 def run_fresh(tmp_path, config, *commands):
     """Run ``main`` for each command in one fresh interpreter importing the
-    package from the same directory as this suite; returns the exit codes
-    and the scipy modules loaded afterwards."""
+    package from the same directory as this suite; returns the exit codes,
+    the scipy modules, whether numpy is loaded and the package modules
+    loaded afterwards."""
     src = str(Path(coupled_pendula.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, config, *commands],
+    proc = subprocess.run([sys.executable, "-c", START_PROBE, config, *commands],
                           capture_output=True, text=True, env=env, cwd=tmp_path,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout.splitlines()[-1])
-    return doc["codes"], doc["scipy"]
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_non_integrating_commands_never_import_scipy(tmp_path):
     # scipy is a test-only dependency: no command imports it, the two that
-    # integrate included
+    # integrate included; nor does any command load linear_analysis, a
+    # library module no command runs
     path = write_config(tmp_path, grid={"nx": 3, "ny": 3}, t_end=1.0, samples=3)
-    codes, loaded = run_fresh(tmp_path, path, "reduce", "spectrum", "regions", "simulate",
-                              "verify")
-    assert codes == [0, 0, 0, 0, 0]
-    assert loaded == []
+    loaded = run_fresh(tmp_path, path, "reduce", "spectrum", "regions", "simulate", "verify")
+    assert loaded["codes"] == [0, 0, 0, 0, 0]
+    assert loaded["scipy"] == []
+    assert "coupled_pendula.linear_analysis" not in loaded["package"]
+
+
+def test_reduce_starts_without_numpy(tmp_path):
+    # reduce is Python-float arithmetic on the parameter types: a fresh
+    # start loads the package, its parameter module and the CLI, no more
+    loaded = run_fresh(tmp_path, write_config(tmp_path), "reduce")
+    assert loaded["codes"] == [0]
+    assert loaded["numpy"] is False
+    assert loaded["package"] == ["coupled_pendula", "coupled_pendula.cli",
+                                 "coupled_pendula.params"]
+
+
+def test_spectrum_loads_no_integrator_or_sweep(tmp_path):
+    # spectrum runs the spectral layer alone: none of the integrator, the
+    # CSV writer, the region sweep or the oracle checks
+    loaded = run_fresh(tmp_path, write_config(tmp_path), "spectrum")
+    assert loaded["codes"] == [0]
+    unused = {f"coupled_pendula.{m}" for m in ("dynamics", "_dop853", "_csvio", "regions",
+                                               "verification", "linear_analysis")}
+    assert not unused & set(loaded["package"]), loaded["package"]
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from coupled_pendula import (
     semicircle_condition,
 )
 from coupled_pendula._csvio import BLOCK_ROWS, _EXP_WORDS, _LEAD_WORDS, _MID_WORDS, _e9_words
-from coupled_pendula.regions import (MAX_ETA, MAX_GRID_NODES, MAX_XY, MIN_ETA, _conic_values,
-                                     _flag_codes, _strict_peaks, _verdicts)
+from coupled_pendula.params import MAX_ETA, MAX_GRID_NODES, MAX_XY, MIN_ETA
+from coupled_pendula.regions import _conic_values, _flag_codes, _strict_peaks, _verdicts
 from coupled_pendula.spectral import ek_ratios_dimensionless
 from coupled_pendula.verification import DECAY_PANEL
 from oracles import map_columns, quadrant_oracle, quartic, reference_region_csv

@@ -4,6 +4,9 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import coupled_pendula
@@ -37,21 +40,46 @@ def test_scipy_not_imported_at_module_level():
 
 
 def test_exports_resolve():
-    # a name deleted from a module must leave its __all__ and the package
-    # imports too; the package re-exports only names a module declares
+    # a name deleted from a module must leave its __all__ and the package's
+    # export table too; the package re-exports only names a module declares
     modules = {path.stem: importlib.import_module(f"coupled_pendula.{path.stem}")
                for path in sorted(PACKAGE_DIR.glob("*.py")) if path.stem != "__init__"}
     stale = [f"{name}.{entry}" for name, module in modules.items()
              for entry in getattr(module, "__all__", ())
              if not hasattr(module, entry)]
-    init = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
-    undeclared = [f"{node.module}.{alias.name}"
-                  for node in ast.walk(init)
-                  if isinstance(node, ast.ImportFrom) and node.level == 1
-                  for alias in node.names
-                  if alias.name not in getattr(modules[node.module], "__all__", ())]
+    undeclared = [f"{module}.{name}"
+                  for module, names in coupled_pendula._EXPORTS.items() for name in names
+                  if name not in getattr(modules[module], "__all__", ())]
     assert not stale, f"__all__ entries with no attribute: {stale}"
-    assert not undeclared, f"package imports missing from their module's __all__: {undeclared}"
+    assert not undeclared, f"package exports missing from their module's __all__: {undeclared}"
+
+
+LAZY_PROBE = """
+import sys
+import coupled_pendula
+assert [m for m in sys.modules if m.startswith("coupled_pendula")] == ["coupled_pendula"]
+assert not hasattr(coupled_pendula, "no_such_name")
+from coupled_pendula import {names}
+print(coupled_pendula.spectral.__name__)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("coupled_pendula."))))
+"""
+
+
+def test_exports_load_on_first_use():
+    # importing the package runs no module; the first public name asked of
+    # it loads every library module, verification included, and binds every
+    # name, and the submodules are then attributes of the package
+    names = [name for names in coupled_pendula._EXPORTS.values() for name in names]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE.format(names=", ".join(names))],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spectral, loaded = proc.stdout.splitlines()
+    assert spectral == "coupled_pendula.spectral"
+    library = {f"coupled_pendula.{path.stem}" for path in PACKAGE_DIR.glob("*.py")
+               if path.stem not in ("__init__", "cli")}
+    assert set(loaded.split()) == library
 
 
 def test_one_module_holds_the_e9_cell_format():
