@@ -106,6 +106,8 @@ MAX_SAMPLES = 1_000_000
 #: Largest t_end·ρ(J), ρ the linearization's spectral radius, and |component| of
 #: the dimensionless initial state (x/l, σ, δ, ẋ/(lω), σ̇/ω, δ̇/ω) ``simulate`` accepts;
 #: at 12 to 43 evaluations per unit of t_end·ρ such a run stays inside MAX_RHS_EVALS.
+#: ρ(J) is the largest root modulus of the sextic, from the ``poly_roots`` solve
+#: whose roots ``spectrum`` prints.
 MAX_T_END_RHO = 1e4
 MAX_STATE_SCALE = 1e3
 
@@ -231,7 +233,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     import numpy as np
 
     from .dynamics import integrate
-    from .spectral import linear_system
+    from .spectral import char_poly_general, poly_roots
 
     path = out or "trajectory.csv"
     p, y0 = cfg.params, cfg.initial_state.to_y()
@@ -239,7 +241,8 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     scales = (length, 1.0, 1.0, length * omega, omega, omega)
     if not all(abs(v) <= MAX_STATE_SCALE * s for v, s in zip(y0.coords + y0.vels, scales)):
         raise ParamError("initial_state", f"a dimensionless component exceeds {MAX_STATE_SCALE:g}")
-    rho = float(np.abs(np.linalg.eigvals(linear_system(p, cfg.damping))).max())
+    row = np.array([dataclasses.astuple(p)])
+    rho = float(np.abs(poly_roots(char_poly_general(row, cfg.damping))).max())
     if not cfg.t_end * rho <= MAX_T_END_RHO:
         raise ParamError("t_end", f"t_end * rho(J) = {cfg.t_end * rho:.6g} > {MAX_T_END_RHO:g}")
     traj = integrate(cfg.initial_state, cfg.params, cfg.damping, cfg.t_end,

@@ -231,7 +231,7 @@ MAX_RHS_EVALS = 1_000_000
 RTOL, ATOL = 1e-10, 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled solution in y-form with energies.
 

@@ -105,7 +105,7 @@ def _zetas(Y, mu):
     return np.where(d >= 0, -small, -large), np.where(d >= 0, large, small)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FundamentalFrequencies:
     """Squared mode frequencies, ascending; closed forms when l1 = l2."""
 
@@ -162,7 +162,7 @@ def _amp_phase(a: float, b_over_w: float) -> tuple[float, float]:
     return math.hypot(a, b_over_w), math.atan2(b_over_w, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedFormSolution:
     """Three-mode solution: coordinate i of (x, σ, δ) is
     Σ_k amps[i, k] cos(mode_freqs[k] t − phases[i, k]).

@@ -40,6 +40,11 @@ is a one-row call.  Analyses specific to the η ≤ 1 branch refuse η > 1
 rather than guess.  The sweep is a stream: each block goes straight into
 the shared ``.9e`` block writer of ``_csvio`` and is then dropped, so the
 block size alone, not the grid, sets the sweep's memory.
+
+The module also fits σ/δ decay rates to nonlinear trajectories
+(``empirical_decay_rates``, the decay panel's fit).  That function alone
+integrates, and it imports the integrator when called, so a sweep loads
+neither :mod:`.dynamics` nor :mod:`._dop853`.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ import numpy as np
 from . import spectral
 from .spectral import _ZONES
 from ._csvio import BLOCK_ROWS, byte_cells, e9_column, write_csv
-from .dynamics import _integrate_rows
 from .params import DampingModel, GridSpec, ParamError, _check_box, identical_pendula
 
 __all__ = [
@@ -226,7 +230,7 @@ def _flag_codes(flags: np.ndarray) -> np.ndarray:
     return u * np.uint32(0x01020408) >> 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionMap:
     """Verdicts over a grid, row-major in Y then X, as a stream of blocks.
 
@@ -242,7 +246,7 @@ class RegionMap:
     xs: np.ndarray
     ys: np.ndarray
     # zone and inA fractions of the last full sweep (inA None when η > 1)
-    _summary: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _summary: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def blocks(self):
         """Yield ``(ix, iy, verdicts)`` for each block of :data:`BLOCK_ROWS`
@@ -338,6 +342,9 @@ def empirical_decay_rates(p, y0, t_end, samples: int = 4001) -> list:
     the fit window holds fewer than five peaks, so that one short
     trajectory does not hide the rates of the others.
     """
+    # imported here, so that a sweep alone never loads the integrator
+    from .dynamics import _integrate_rows
+
     params, states, t_ends = list(p), list(y0), list(t_end)
     if not len(params) == len(states) == len(t_ends):
         raise ValueError("one initial state and one end time per parameter set")

@@ -262,7 +262,7 @@ def poly_roots(c) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RouthHurwitzReport:
     """Seven-entry chains, one row per polynomial; stable iff all entries
     positive.
@@ -288,7 +288,10 @@ def routh_hurwitz(c) -> RouthHurwitzReport:
     ``c`` is an (n, 7) array of ascending coefficients with nonzero
     leading terms; the chain runs on all rows at once, each row stopping
     its pivot tests at its first zero pivot.  Only degenerate rows are
-    solved with :func:`poly_roots`.
+    solved with :func:`poly_roots`: a row whose chain meets a zero pivot
+    takes its verdict from the signs of its roots' real parts.  So for
+    that row the chain-vs-roots checks (``verify``'s ``rh_vs_roots`` and
+    the one in :func:`spectrum_report`) compare its roots with themselves.
     """
     asc = np.asarray(c, dtype=float)
     if asc.ndim != 2 or asc.shape[1] != 7:

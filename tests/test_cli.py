@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import coupled_pendula
 from coupled_pendula import DampingModel, spectral, verification
-from coupled_pendula.cli import MAX_SAMPLES, canonical_json, load_config, main
+from coupled_pendula.cli import MAX_SAMPLES, MAX_T_END_RHO, canonical_json, load_config, main
 from coupled_pendula.params import MAX_GRID_NODES, MAX_XY, GridSpec, PhysicalParams
 from coupled_pendula.verification import check_decay_panel, run_verification
 
@@ -374,6 +374,30 @@ def test_simulate_run_size_refused(tmp_path, capsys, monkeypatch, field, overrid
     assert code == 2 and out == ""
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_simulate_run_size_bound_at_its_edge(tmp_path, capsys, monkeypatch, factor):
+    # rho(J) is the largest modulus of the roots spectrum prints: a run 1%
+    # inside the bound is integrated (and spends the lowered budget), one
+    # 1% outside is refused before integrating
+    from coupled_pendula import dynamics
+    monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 5000)
+    code, out, _ = run(capsys, "spectrum", "--config",
+                       write_config(tmp_path, initial_state=README_STATE))
+    assert code == 0
+    rho = max(math.hypot(r["re"], r["im"]) for r in json.loads(out)["roots"])
+    path = write_config(tmp_path, "edge.json", initial_state=README_STATE, samples=11,
+                        t_end=factor * MAX_T_END_RHO / rho)
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run(capsys, "simulate", "--config", path, "--out", str(out_csv))
+    assert out == "" and not out_csv.exists()
+    if factor < 1:
+        assert code == 3
+        assert err.startswith("integration error: integration stopped at t=")
+    else:
+        assert code == 2
+        assert err == f"error: t_end: t_end * rho(J) = {factor * MAX_T_END_RHO:.6g} > 10000\n"
 
 
 # ---------------------------------------------------------------------------
@@ -958,16 +982,20 @@ print(json.dumps({"codes": codes,
 """
 
 
-def run_fresh(tmp_path, config, *commands):
-    """Run ``main`` for each command in one fresh interpreter importing the
-    package from the same directory as this suite; returns the exit codes,
-    the scipy modules, whether numpy is loaded and the package modules
-    loaded afterwards."""
+def child_env(**settings):
+    """The environment of a child interpreter that imports the package from
+    the same directory as this suite, with ``settings`` added."""
     src = str(Path(coupled_pendula.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **settings)
+
+
+def run_fresh(tmp_path, config, *commands):
+    """Run ``main`` for each command in one fresh interpreter; returns the
+    exit codes, the scipy modules, whether numpy is loaded and the package
+    modules loaded afterwards."""
     proc = subprocess.run([sys.executable, "-c", START_PROBE, config, *commands],
-                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          capture_output=True, text=True, env=child_env(), cwd=tmp_path,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -1002,6 +1030,70 @@ def test_spectrum_loads_no_integrator_or_sweep(tmp_path):
     unused = {f"coupled_pendula.{m}" for m in ("dynamics", "_dop853", "_csvio", "regions",
                                                "verification", "linear_analysis")}
     assert not unused & set(loaded["package"]), loaded["package"]
+
+
+def test_regions_loads_no_integrator(tmp_path):
+    # the sweep classifies the quadrant from the quartic's coefficients;
+    # only the decay fit, which no region sweep runs, needs the integrator
+    loaded = run_fresh(tmp_path, write_config(tmp_path, grid={"nx": 3, "ny": 3}), "regions")
+    assert loaded["codes"] == [0]
+    assert loaded["package"] == [f"coupled_pendula{m}" for m in (
+        "", "._csvio", ".cli", ".params", ".regions", ".spectral")]
+
+
+# (command, config overrides, out path) of each run whose bytes are the
+# same under every kernel setting below: reduce, and a region sweep on
+# each branch, η ≤ 1 on a log grid and η > 1 on a linear one
+PORTABLE_RUNS = (
+    ("reduce", {}, None),
+    ("regions", {"grid": {"nx": 100, "ny": 100, "spacing": "log"}}, "log.csv"),
+    ("regions", {"beta1": 5.0, "beta2": 5.0,
+                 "grid": {"nx": 100, "ny": 100, "spacing": "linear"}}, "linear.csv"),
+)
+
+PORTABLE_PROBE = """
+import contextlib, io, json, sys
+from coupled_pendula.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main(argv)
+    results.append([code, stdout.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.parametrize("settings", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"},
+], ids=["openblas_haswell", "openblas_prescott", "numpy_baseline_simd"])
+def test_portable_outputs_same_under_other_kernels(tmp_path, capsys, monkeypatch, settings):
+    # reduce and regions print and write the same bytes whatever BLAS kernel
+    # or numpy SIMD level runs them: a child interpreter with another one
+    # reproduces this process's stdout and CSV files.  The variables are set
+    # on the child alone; a setting this numpy or OpenBLAS build refuses
+    # is skipped.
+    env = child_env(**settings)
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                           text=True, env=env, timeout=120)
+    if probe.returncode or probe.stderr:
+        pytest.skip(f"this build refuses {settings}: {probe.stderr.strip()[-300:]}")
+    here, child = tmp_path / "here", tmp_path / "child"
+    here.mkdir()
+    child.mkdir()
+    argvs = [[command, "--config", write_config(tmp_path, f"run{i}.json", **overrides)]
+             + (["--out", out] if out else [])
+             for i, (command, overrides, out) in enumerate(PORTABLE_RUNS)]
+    monkeypatch.chdir(here)
+    want = [list(run(capsys, *argv)[:2]) for argv in argvs]
+    assert [code for code, _ in want] == [0, 0, 0]
+    proc = subprocess.run([sys.executable, "-c", PORTABLE_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, cwd=child, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == want
+    for _, _, out in PORTABLE_RUNS[1:]:
+        assert (child / out).read_bytes() == (here / out).read_bytes(), out
 
 
 # ---------------------------------------------------------------------------

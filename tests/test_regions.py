@@ -697,6 +697,22 @@ def test_summary_same_whether_or_not_written(tmp_path, eta):
         assert rmap.in_a_fraction() == want_in_a
 
 
+def test_array_records_compare_by_identity():
+    # a generated field-wise __eq__ would compare numpy arrays and raise on
+    # the ambiguous truth value; records holding arrays compare and hash as
+    # objects instead
+    grid = GridSpec(0.01, 10.0, 0.01, 10.0, 4, 3, "log")
+    p = PhysicalParams(2.0, 1.0, 1.0, 1.0, 1.0, 0.3, 0.1, 0.1, 5.0)
+    start = SystemState.from_y(0.01, 0.02, 0.015)
+    maps = [region_map(grid, 0.5, 0.25) for _ in range(2)]
+    trajs = [integrate(start, p, DampingModel.FULL_VELOCITY, 1.0, samples=5) for _ in range(2)]
+    assert np.array_equal(maps[0].xs, maps[1].xs) and np.array_equal(maps[0].ys, maps[1].ys)
+    assert np.array_equal(trajs[0].states, trajs[1].states)
+    for a, b in (maps, trajs):
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_grid_touching_axes_rejected():
     with pytest.raises(ParamError):
         GridSpec(0.0, 1.0, 0.1, 1.0, 5, 5, "linear")

@@ -127,6 +127,24 @@ def test_poly_roots_is_one_companion_solve():
     assert sum(isinstance(n, ast.Attribute) and n.attr == "eigvals" for n in nodes) == 1
 
 
+def test_one_eigenvalue_solve_in_the_package():
+    # every spectrum number, simulate's rho(J) bound included, comes from
+    # poly_roots' companion solve; an eigvals call elsewhere, or the CLI
+    # taking linear_system, would be a second route with other bits
+    found = [(path.name, node.lineno)
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Attribute) and node.attr == "eigvals"]
+    [fn] = [node for node in ast.walk(_parse(PACKAGE_DIR / "spectral.py"))
+            if isinstance(node, ast.FunctionDef) and node.name == "poly_roots"]
+    assert len(found) == 1, f"eigvals in the package: {found}"
+    [(name, line)] = found
+    assert name == "spectral.py" and fn.lineno <= line <= fn.end_lineno, found
+    cli_imports = [alias.name for node in ast.walk(_parse(PACKAGE_DIR / "cli.py"))
+                   if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert "linear_system" not in cli_imports
+
+
 def test_zone_comes_from_the_conics_in_regions():
     # the region kernel reads the zone off its conic1/conic4 values; a
     # ratio-comparison zone helper would let the two disagree
