@@ -8,10 +8,9 @@ printed with 17 significant digits, so identical runs are byte-identical.
 
 Exit codes: 0 success, 2 validation failure (also a massless pendulum or
 a field outside [1e-40, 1e40], a config or output path that cannot be
-opened, a config that is not UTF-8, and, as a backstop, a floating-point
-error in a command's array arithmetic), 3 integration failure, 4 method
-inapplicable (reported, other results still emitted), 5 internal
-cross-check violation.
+opened, a config that is not UTF-8, or the floating-point backstop below),
+3 integration failure, 4 method inapplicable (reported, other results
+still emitted), 5 internal cross-check violation.
 
 Each command imports the modules it runs when it is called, so a command
 loads only what it needs: ``reduce`` runs on this module and
@@ -98,8 +97,6 @@ def canonical_json(obj) -> str:
 # Config ingestion
 # ---------------------------------------------------------------------------
 
-# Grid bounds and size when the config omits them; GridSpec defaults the spacing.
-_GRID_DEFAULTS = {"x_min": 0.01, "x_max": 10.0, "y_min": 0.01, "y_max": 10.0, "nx": 50, "ny": 50}
 #: Most trajectory samples ``simulate`` accepts; a sample costs about 130
 #: bytes in memory and as many in the CSV.
 MAX_SAMPLES = 1_000_000
@@ -114,17 +111,19 @@ MAX_STATE_SCALE = 1e3
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A checked run; a config that omits a key gets that field's default."""
+
     params: PhysicalParams
-    damping: DampingModel
-    initial_state: SystemState
-    t_end: float
-    samples: int
-    grid: GridSpec
-    seed: int
+    damping: DampingModel = DampingModel.FULL_VELOCITY
+    initial_state: SystemState = SystemState.from_y(0.0, 0.0, 0.0)  # at rest
+    t_end: float = 60.0
+    samples: int = 2001
+    grid: GridSpec = GridSpec()
+    seed: int = 1
     out: Optional[str] = None
 
 
-def _number(doc: dict, key: str, default=dataclasses.MISSING) -> float:
+def _number(doc: dict, key: str, default) -> float:
     v = doc.get(key, default)
     if v is dataclasses.MISSING:
         raise ConfigError(f"missing required key: {key}")
@@ -158,35 +157,36 @@ def load_config(path: str) -> RunConfig:
     params = PhysicalParams(**{f.name: _number(doc, f.name, f.default) for f in param_fields})
 
     try:
-        damping = DampingModel(doc.get("damping", "full"))
+        damping = DampingModel(doc.get("damping", RunConfig.damping))
     except ValueError:
         raise ConfigError(f"damping: expected one of {sorted(m.value for m in DampingModel)}")
 
-    state_raw = doc.get("initial_state", [0.0] * 6)
-    if (not isinstance(state_raw, list) or len(state_raw) != 6
-            or not all(map(_is_finite_number, state_raw))):
-        raise ConfigError("initial_state: expected a list of 6 finite numbers (x, sigma, "
-                          "delta, xdot, sigmadot, deltadot)")
-    state = SystemState.from_y(*(float(v) for v in state_raw))
+    state = doc.get("initial_state", RunConfig.initial_state)
+    if state is not RunConfig.initial_state:
+        if not (isinstance(state, list) and len(state) == 6 and all(map(_is_finite_number, state))):
+            raise ConfigError("initial_state: expected a list of 6 finite numbers (x, sigma, "
+                              "delta, xdot, sigmadot, deltadot)")
+        state = SystemState.from_y(*state)
 
-    grid_raw = doc.get("grid", {})
-    if not isinstance(grid_raw, dict):
-        raise ConfigError("grid: expected an object")
-    unknown = sorted(set(grid_raw) - {f.name for f in dataclasses.fields(GridSpec)})
-    if unknown:
-        raise ConfigError(f"unknown grid key: {unknown[0]}")
-    grid = GridSpec(**{**_GRID_DEFAULTS, **grid_raw})
+    grid = doc.get("grid", RunConfig.grid)
+    if grid is not RunConfig.grid:
+        if not isinstance(grid, dict):
+            raise ConfigError("grid: expected an object")
+        unknown = sorted(set(grid) - {f.name for f in dataclasses.fields(GridSpec)})
+        if unknown:
+            raise ConfigError(f"unknown grid key: {unknown[0]}")
+        grid = GridSpec(**grid)
 
-    samples = doc.get("samples", 2001)
-    seed = doc.get("seed", 1)
+    samples = doc.get("samples", RunConfig.samples)
+    seed = doc.get("seed", RunConfig.seed)
     if not isinstance(samples, int) or not 2 <= samples <= MAX_SAMPLES:
         raise ConfigError(f"samples: expected an integer in [2, {MAX_SAMPLES}]")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed: expected a non-negative integer")
-    t_end = _number(doc, "t_end", 60.0)
+    t_end = _number(doc, "t_end", RunConfig.t_end)
     if not t_end > 0:
         raise ConfigError("t_end: expected a positive number")
-    out = doc.get("out")
+    out = doc.get("out", RunConfig.out)
     if out is not None and not isinstance(out, str):
         raise ConfigError("out: expected a string path")
 

@@ -350,12 +350,12 @@ MAX_GRID_NODES = 4_000_000
 class GridSpec:
     """Rectangular grid inside the quadrant box, of at most :data:`MAX_GRID_NODES` nodes."""
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    nx: int
-    ny: int
+    x_min: float = 0.01
+    x_max: float = 10.0
+    y_min: float = 0.01
+    y_max: float = 10.0
+    nx: int = 50
+    ny: int = 50
     spacing: str = "log"
 
     def __post_init__(self):

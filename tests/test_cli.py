@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import coupled_pendula
 from coupled_pendula import DampingModel, spectral, verification
-from coupled_pendula.cli import MAX_SAMPLES, MAX_T_END_RHO, canonical_json, load_config, main
+from coupled_pendula.cli import (MAX_SAMPLES, MAX_T_END_RHO, RunConfig, canonical_json,
+                                  load_config, main)
 from coupled_pendula.params import MAX_GRID_NODES, MAX_XY, GridSpec, PhysicalParams
 from coupled_pendula.verification import check_decay_panel, run_verification
 
@@ -58,10 +59,16 @@ def test_config_keys_are_the_dataclass_fields():
 
 
 def test_defaults_applied(tmp_path):
+    # an omitted key takes its RunConfig field's default, and the defaults
+    # are the documented values
     cfg = load_config(write_config(tmp_path))
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.name != "params"}
+    assert {name: getattr(cfg, name) for name in defaults} == defaults
     assert cfg.params.g == 9.81
     assert cfg.damping.value == "full"
+    assert cfg.initial_state.form == "y"
     assert cfg.initial_state.as_vector().tolist() == [0.0] * 6
+    assert (cfg.t_end, cfg.samples, cfg.seed, cfg.out) == (60.0, 2001, 1, None)
     assert cfg.grid == GridSpec(x_min=0.01, x_max=10.0, y_min=0.01, y_max=10.0,
                                 nx=50, ny=50, spacing="log")
 

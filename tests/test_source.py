@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import enum
 import importlib
 import inspect
 import os
@@ -219,15 +220,76 @@ def test_gravity_default_is_written_once():
     assert found == [f"params.py:{g.value.lineno}"]
 
 
+def _field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _outside(tree, skip):
+    """The nodes of ``tree`` outside every def or class whose name ``skip`` accepts."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(child for child in ast.iter_child_nodes(node)
+                    if not (isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                            and skip(child.name)))
+
+
+def _is_command(name):
+    return name.startswith("cmd_")
+
+
+def _listing(nodes, names):
+    return [node.lineno for node in nodes
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict))
+            and sum(isinstance(e, ast.Constant) and e.value in names
+                    for e in (node.keys if isinstance(node, ast.Dict) else node.elts)) >= 2]
+
+
 def test_cli_lists_no_parameter_names():
     # the CLI reads its config keys off the dataclass fields; a tuple, list,
-    # set or dict of PhysicalParams field names in cli.py would be a second schema
-    names = {f.name for f in dataclasses.fields(coupled_pendula.PhysicalParams)}
-    found = [node.lineno for node in ast.walk(_parse(PACKAGE_DIR / "cli.py"))
-             if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict))
-             and sum(isinstance(e, ast.Constant) and e.value in names
-                     for e in (node.keys if isinstance(node, ast.Dict) else node.elts)) >= 2]
-    assert not found, f"PhysicalParams field names spelled out in cli.py at lines {found}"
+    # set or dict of PhysicalParams, GridSpec or RunConfig field names in
+    # cli.py would be a second schema.  A command's output document may
+    # share keys with RunConfig ("out", "samples", "t_end"), so RunConfig
+    # names are looked for outside the command functions
+    from coupled_pendula.cli import RunConfig
+    cli = _parse(PACKAGE_DIR / "cli.py")
+    found = _listing(ast.walk(cli), _field_names(coupled_pendula.PhysicalParams)
+                     | _field_names(coupled_pendula.GridSpec))
+    found += _listing(_outside(cli, _is_command), _field_names(RunConfig))
+    assert not found, f"config field names spelled out in cli.py at lines {found}"
+
+
+def _literals(value):
+    """The constants a default is written with: a dataclass's field values,
+    an enum's value, a tuple's items, or the value itself."""
+    if dataclasses.is_dataclass(value):
+        return [c for f in dataclasses.fields(value) for c in _literals(getattr(value, f.name))]
+    if isinstance(value, enum.Enum):
+        return [value.value]
+    if isinstance(value, tuple):
+        return [c for v in value for c in _literals(v)]
+    return [] if value is None else [value]
+
+
+def test_cli_writes_no_config_default():
+    # an omitted key takes the default of the RunConfig or GridSpec field it
+    # fills; a default value written in cli.py outside RunConfig's field
+    # list, and outside the commands, which run on a loaded RunConfig,
+    # would be a second default
+    from coupled_pendula.cli import RunConfig
+    run = dataclasses.fields(RunConfig)
+    assert [f.name for f in run if f.default is dataclasses.MISSING] == ["params"]
+    assert all(f.default is not dataclasses.MISSING
+               for f in dataclasses.fields(coupled_pendula.GridSpec))
+    defaults = {(type(c), c) for f in run[1:] for c in _literals(f.default)}
+    assert {(float, 0.0), (float, 60.0), (int, 2001), (int, 1), (str, "full"),
+            (float, 0.01), (float, 10.0), (int, 50), (str, "log")} <= defaults
+    found = [f"{node.lineno}: {node.value!r}"
+             for node in _outside(_parse(PACKAGE_DIR / "cli.py"),
+                                  lambda name: name == "RunConfig" or _is_command(name))
+             if isinstance(node, ast.Constant) and (type(node.value), node.value) in defaults]
+    assert not found, f"config defaults written in cli.py: {found}"
 
 
 def test_main_compares_no_command_name():
