@@ -12,9 +12,11 @@ alone, and its samples agree with scipy's to rounding.
 The rows advance in lockstep: every pass of the loop makes one step attempt
 on each unfinished row, with that row's own time, step size and
 accept/reject decision.  The stage sums run as numpy operations over all
-rows at once, so their per-call cost is shared; each row's right-hand side
-is called on plain floats, where it costs a few microseconds against tens
-for numpy on a handful of values.
+rows at once, so their per-call cost is shared.  The system is autonomous,
+and the rows share one right-hand side, called once per stage on the
+plain floats of every row in the pass, where it costs a few microseconds a
+row against tens for numpy on a handful of values.  The first row to stop
+ends the batch, and its message and the time it reached are the batch's.
 """
 
 from __future__ import annotations
@@ -26,26 +28,10 @@ import numpy as np
 
 __all__ = ["Solution", "solve_ivp"]
 
-# Nodes, and the stage weights of the twelve stages, the step's final
-# derivative (row 12, the 8th-order weights B) and the three extra stages of
-# the dense output (rows 13-15).
-C = np.array([0.0,
-              0.526001519587677318785587544488e-01,
-              0.789002279381515978178381316732e-01,
-              0.118350341907227396726757197510,
-              0.281649658092772603273242802490,
-              0.333333333333333333333333333333,
-              0.25,
-              0.307692307692307692307692307692,
-              0.651282051282051282051282051282,
-              0.6,
-              0.857142857142857142857142857142,
-              1.0,
-              1.0,
-              0.1,
-              0.2,
-              0.777777777777777777777777777778])
-
+# The stage weights of the twelve stages, the step's final derivative (row
+# 12, the 8th-order weights B) and the three extra stages of the dense
+# output (rows 13-15).  The right-hand side is autonomous, so the nodes are
+# not needed.
 A = np.zeros((16, 16))
 A[1, [0]] = [5.26001519587677318785587544488e-2]
 A[2, [0, 1]] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
@@ -154,19 +140,11 @@ class Solution(NamedTuple):
     """The sampled rows of a :func:`solve_ivp` batch and what the run cost."""
 
     t: np.ndarray  # (N, samples) the sample times
-    y: np.ndarray  # (N, samples, dim); NaN past the point where a row stopped
+    y: np.ndarray  # (N, samples, dim); NaN past where each row stood when the batch ended
     nfev: int  # right-hand-side evaluations over all rows
-    status: int  # 0 when every row reached its end, -1 when one stopped early
-    t_reached: np.ndarray  # (N,) the last time each row reached
-    message: list  # per row: None, or why it stopped
-
-
-def _eval(funs, times, states) -> list:
-    """Each row's right-hand side at its time and state, concatenated."""
-    out = []
-    for fun, t, y in zip(funs, times, states):
-        out += fun(t, y)
-    return out
+    status: int  # 0 when every row reached its end, -1 when one stopped the batch
+    t_reached: float | None  # the last time the stopped row reached, or None
+    message: str | None  # why that row stopped, or None
 
 
 def _columns(rows, dim: int) -> np.ndarray:
@@ -179,14 +157,14 @@ def _rms(v: np.ndarray, dim: int) -> np.ndarray:
     return np.sqrt(np.sum((v * v).reshape(-1, dim), axis=1)) / dim ** 0.5
 
 
-def _initial_step(funs, y, f, t_bound, dim, rtol, atol) -> np.ndarray:
+def _initial_step(rhs, y, f, t_bound, dim, rtol, atol) -> np.ndarray:
     """Each row's first step size, by scipy's ``select_initial_step``
     (Hairer, Nørsett & Wanner §II.4); costs one evaluation per row."""
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale, dim), _rms(f / scale, dim)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, t_bound)
-    f1 = np.array(_eval(funs, h0.tolist(), (y + h0.repeat(dim) * f).reshape(-1, dim).tolist()))
+    f1 = np.array(rhs(range(len(h0)), (y + h0.repeat(dim) * f).reshape(-1, dim).tolist()))
     d2 = _rms((f1 - f) / scale, dim) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.fmax(d1, d2)) ** (1 / 8))
@@ -207,10 +185,10 @@ def _error_norm(h: float, e5: float, e3: float, dim: int) -> float:
 class _Row:
     """The step control of one row."""
 
-    __slots__ = ("index", "fun", "t", "t_end", "h_abs", "rejected", "nfev", "next_sample")
+    __slots__ = ("index", "t", "t_end", "h_abs", "rejected", "nfev", "next_sample")
 
-    def __init__(self, index, fun, t_end, h_abs):
-        self.index, self.fun, self.t_end, self.h_abs = index, fun, t_end, h_abs
+    def __init__(self, index, t_end, h_abs):
+        self.index, self.t_end, self.h_abs = index, t_end, h_abs
         self.t, self.rejected, self.next_sample = 0.0, False, 0
         self.nfev = 2  # the derivative at t = 0 and the initial step's probe
 
@@ -222,8 +200,8 @@ class _Dense:
     7th-order interpolant run for all waiting steps at once, in numpy
     calls whose cost up to ``SAMPLE_BLOCK`` samples share."""
 
-    def __init__(self, t_eval: np.ndarray, out: np.ndarray):
-        self.t_eval, self.out = t_eval, out
+    def __init__(self, rhs, t_eval: np.ndarray, out: np.ndarray):
+        self.rhs, self.t_eval, self.out = rhs, t_eval, out
         self._clear()
 
     def _clear(self) -> None:
@@ -231,8 +209,8 @@ class _Dense:
 
     def add(self, K, y_old, y_new, steps) -> None:
         """Queue the steps of one pass: their stages (13, cols), their states
-        at both ends, and per step (function, t, h, row, first, last), the
-        step holding samples ``first:last`` of its row."""
+        at both ends, and per step (t, h, row, first, last), the step
+        holding samples ``first:last`` of its row."""
         self.K.append(K)
         self.y_old.append(y_old)
         self.y_new.append(y_new)
@@ -246,16 +224,14 @@ class _Dense:
         if not self.steps:
             return
         _, samples, dim = self.out.shape
-        funs, t, h, rows, first, last = zip(*self.steps)
+        t, h, rows, first, last = zip(*self.steps)
         t, h, first = np.array(t), np.array(h), np.array(first)
         K = np.empty((16, len(self.steps) * dim))
         K[:13] = np.concatenate(self.K, axis=1)
         y_old, y_new = np.concatenate(self.y_old), np.concatenate(self.y_new)
         hr = h.repeat(dim)
-        times = (t + C[:, None] * h).tolist()
         for s in range(13, 16):
-            K[s] = _eval(funs, times[s],
-                         (y_old + _WEIGHTS[s].dot(K[:s]) * hr).reshape(-1, dim).tolist())
+            K[s] = self.rhs(rows, (y_old + _WEIGHTS[s].dot(K[:s]) * hr).reshape(-1, dim).tolist())
         delta = y_new - y_old
         F = np.empty((7, len(y_old)))
         F[0] = delta
@@ -277,80 +253,67 @@ class _Dense:
         self._clear()
 
 
-def solve_ivp(funs, y0: np.ndarray, t_end, samples: int, *,
+def solve_ivp(rhs, y0: np.ndarray, t_end, samples: int, *,
               rtol: float, atol: float, max_evals: int) -> Solution:
-    """Integrate N independent rows y' = funs[i](t, y) from t = 0.
+    """Integrate N independent rows of the autonomous system y' = rhs from t = 0.
 
     ``y0`` is (N, dim); row i runs to ``t_end[i]`` and is sampled at
-    ``np.linspace(0, t_end[i], samples)`` by the dense output.  Each
-    ``funs[i]`` takes a float and a list of ``dim`` floats and returns
-    ``dim`` floats.  A row stops early, with a message and the last time
-    it reached, when its right-hand side is not finite at t = 0, when its
-    step size falls below 10 ulps of t (its state blew up, or the problem
-    is too stiff), or before a step attempt that could take its
-    evaluations past ``max_evals``.  The other rows run on.
+    ``np.linspace(0, t_end[i], samples)`` by the dense output.  All rows
+    share ``rhs(rows, states)``: ``rows`` are row indices (a row may
+    repeat), ``states`` one list of ``dim`` floats per index, and it
+    returns their derivatives concatenated into one flat list.  The first
+    row to stop ends the batch, with its message and the last time it
+    reached: when a right-hand side is not finite at t = 0, when a step
+    size falls below 10 ulps of t (the state blew up, or the problem is
+    too stiff), or before a step attempt that could take a row's
+    evaluations past ``max_evals``.
     """
     n, dim = y0.shape
     t_end = [float(te) for te in t_end]
     t_eval = np.array([np.linspace(0.0, te, samples) for te in t_end])
     out = np.full((n, samples, dim), np.nan)
-    t_reached, message, nfev = [0.0] * n, [None] * n, 0
-    with np.errstate(all="ignore"):  # a row that blows up is rejected, then stopped
+    with np.errstate(all="ignore"):  # a row that blows up is rejected until it stalls
         y = np.asarray(y0, dtype=float).ravel()
-        f = np.array(_eval(funs, [0.0] * n, y.reshape(n, dim).tolist()))
-        live = np.isfinite(f.reshape(n, dim)).all(axis=1).tolist()
-        for i in range(n):
-            if not live[i]:
-                message[i] = "right-hand side is not finite at t=0"
-                nfev += 1
-        index = [i for i in range(n) if live[i]]
-        cols = _columns(index, dim)
-        y, f = y[cols], f[cols]
-        t_bound = np.array(t_end)[index]
-        h_abs = _initial_step([funs[i] for i in index], y, f, t_bound, dim, rtol, atol)
-        rows = started = [_Row(i, funs[i], te, h)
-                          for i, te, h in zip(index, t_bound.tolist(), h_abs.tolist())]
-        dense = _Dense(t_eval, out)
+        f = np.array(rhs(range(n), y.reshape(n, dim).tolist()))
+        if not np.isfinite(f).all():
+            return Solution(t_eval, out, n, -1, 0.0, "right-hand side is not finite at t=0")
+        h_abs = _initial_step(rhs, y, f, np.array(t_end), dim, rtol, atol)
+        rows = started = [_Row(i, te, h) for i, (te, h) in enumerate(zip(t_end, h_abs.tolist()))]
+        dense = _Dense(rhs, t_eval, out)
 
         while rows:
             # scipy's bounds on each row's step size
-            t_news, stopped = [], []
+            t_news = []
             for r in rows:
                 min_step = 10 * (math.nextafter(r.t, math.inf) - r.t)
                 h_abs = r.h_abs if r.rejected else max(r.h_abs, min_step)
                 if h_abs < min_step:
-                    message[r.index] = (f"integration stalled at t={r.t:.6g}: "
-                                        "step size below 10 ulps of t")
+                    message = f"integration stalled at t={r.t:.6g}: step size below 10 ulps of t"
                 elif r.nfev + ATTEMPT_EVALS > max_evals:
-                    message[r.index] = (f"integration stopped at t={r.t:.6g}: "
-                                        f"{max_evals} right-hand-side evaluations spent")
+                    message = (f"integration stopped at t={r.t:.6g}: "
+                               f"{max_evals} right-hand-side evaluations spent")
                 else:
                     t_news.append(min(r.t + h_abs, r.t_end))
                     continue
-                stopped.append(r)
-            if stopped:
-                rows, y, f = _without(stopped, rows, y, f, dim)
-                continue
+                dense.flush()
+                return Solution(t_eval, out, sum(row.nfev for row in started), -1, r.t, message)
 
             # one step attempt on every row
-            funs = [r.fun for r in rows]
-            t = np.array([r.t for r in rows])
-            h = np.array(t_news) - t
+            index = [r.index for r in rows]
+            h = np.array(t_news) - np.array([r.t for r in rows])
             hr = h.repeat(dim)
-            times = (t + C[:13, None] * h).tolist()
             K = np.empty((13, len(y)))
             K[0] = f
             for s in range(1, 12):
-                K[s] = _eval(funs, times[s],
-                             (y + _WEIGHTS[s].dot(K[:s]) * hr).reshape(-1, dim).tolist())
+                K[s] = rhs(index, (y + _WEIGHTS[s].dot(K[:s]) * hr).reshape(-1, dim).tolist())
             y_new = y + hr * B.dot(K[:12])
-            K[12] = _eval(funs, times[12], y_new.reshape(-1, dim).tolist())
+            K[12] = rhs(index, y_new.reshape(-1, dim).tolist())
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err = E53.dot(K) / scale
             e5s, e3s = (err * err).reshape(2, -1, dim).sum(axis=2).tolist()
 
             # scipy's step-size controller on each row
-            accepted, sampled, steps, done = [], [], [], []
+            accepted, sampled, steps = [], [], []
             for i, (r, h_i, t_new, e5, e3) in enumerate(zip(rows, h.tolist(), t_news, e5s, e3s)):
                 r.nfev += 12
                 error_norm = _error_norm(h_i, e5, e3, dim)
@@ -370,12 +333,10 @@ def solve_ivp(funs, y0: np.ndarray, t_end, samples: int, *,
                 last = int(t_eval[r.index].searchsorted(t_new, side="right"))
                 if last > r.next_sample:
                     sampled.append(i)
-                    steps.append((r.fun, r.t, h_i, r.index, r.next_sample, last))
+                    steps.append((r.t, h_i, r.index, r.next_sample, last))
                     r.next_sample = last
                     r.nfev += 3
                 r.t = t_new
-                if t_new >= r.t_end:
-                    done.append(r)
 
             if len(sampled) == len(rows):
                 dense.add(K, y, y_new, steps)
@@ -388,18 +349,9 @@ def solve_ivp(funs, y0: np.ndarray, t_end, samples: int, *,
                 cols = _columns(accepted, dim)
                 y, f = y.copy(), f.copy()
                 y[cols], f[cols] = y_new[cols], K[12, cols]
-            if done:
-                rows, y, f = _without(done, rows, y, f, dim)
+            keep = [i for i, r in enumerate(rows) if r.t < r.t_end]
+            if len(keep) < len(rows):
+                cols = _columns(keep, dim)
+                rows, y, f = [rows[i] for i in keep], y[cols], f[cols]
         dense.flush()
-    for r in started:  # a row keeps its last t and nfev after it leaves ``rows``
-        t_reached[r.index] = r.t
-        nfev += r.nfev
-    status = -1 if any(m is not None for m in message) else 0
-    return Solution(t_eval, out, nfev, status, np.array(t_reached), message)
-
-
-def _without(gone, rows, y, f, dim):
-    """The rows, states and derivatives without the rows in ``gone``."""
-    keep = [i for i, r in enumerate(rows) if r not in gone]
-    cols = _columns(keep, dim)
-    return [rows[i] for i in keep], y[cols], f[cols]
+    return Solution(t_eval, out, sum(row.nfev for row in started), 0, None, None)

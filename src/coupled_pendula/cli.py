@@ -138,11 +138,22 @@ def _is_finite_number(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members; a repeated key is refused, where ``json``
+    would keep its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"duplicate key: {key}")
+        doc[key] = value
+    return doc
+
+
 def load_config(path: str) -> RunConfig:
-    """Parse and validate a JSON run configuration; unknown keys rejected."""
-    with open(path) as fh:
+    """Parse and validate a UTF-8 JSON run config; unknown and repeated keys rejected."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -41,20 +41,21 @@ Ordinary Differential Equations I*, §II.5) stepped as scipy's
 at these the eighth-order pair takes far fewer steps than a fifth-order
 one, and the system is non-stiff for physically sensible damping.  It
 steps a batch of trajectories in lockstep, each with its own step-size
-control, and calls each trajectory's right-hand side on plain floats; the
-decay-rate fits integrate their trajectories as one batch.  A trajectory
-whose right-hand side is not finite at t = 0, whose state blows up to inf
-or nan (the solver then rejects steps until the step size falls below 10
-ulps of t), or that spends :data:`MAX_RHS_EVALS` right-hand-side
-evaluations without reaching its end raises :class:`StiffnessError`.
-Right-hand sides are pure functions and each integration owns its state,
-so separate integrations may run concurrently.
+control, through one autonomous right-hand side that the rows share and
+that evaluates each row on plain floats; the decay-rate fits integrate
+their trajectories as one batch.  The first trajectory whose right-hand
+side is not finite at t = 0, whose state blows up to inf or nan (the
+solver then rejects steps until the step size falls below 10 ulps of t),
+or that spends :data:`MAX_RHS_EVALS` evaluations short of its end stops
+the batch and raises :class:`StiffnessError`.  The right-hand side is
+pure and each integration owns its state, so integrations may run
+concurrently.
 
 Integrations reach the solver through the module attribute ``solve_ivp``,
 read from the module globals on every call, so a rebinding of
 ``dynamics.solve_ivp`` (a tracer's wrapper, a test's counter) sees every
 integration.  It returns the total right-hand-side evaluations as
-``nfev`` and ``status`` −1 when a trajectory stopped early.  No command
+``nfev`` and ``status`` −1 when a trajectory ended the batch.  No command
 imports scipy; the test suite keeps scipy's ``solve_ivp`` as the oracle.
 """
 
@@ -274,21 +275,23 @@ def integrate(state0: SystemState, p: PhysicalParams,
     return _integrate_rows([state0], [p], model, [t_end], samples, rtol, atol)[0]
 
 
-def _rhs(p: PhysicalParams, model: DampingModel):
-    """One trajectory's right-hand side y' on the plain floats the solver
-    passes, with the parameters read once."""
-    c = _y_constants(p, model)
+def _rhs(params, model: DampingModel):
+    """The right-hand side y' that a batch of trajectories shares, on the
+    plain floats the solver passes, with each one's parameters read once."""
+    consts = [_y_constants(p, model) for p in params]
 
-    def rhs(t, y):
-        x, sg, dl, xd, sgd, dld = y
-        try:
-            return (xd, sgd, dld, *_accel_y_arrays(x, sg, dl, xd, sgd, dld, c, math))
-        except (ValueError, OverflowError):
-            # The state has blown up: math.cos(inf) and float ** overflow
-            # raise where numpy returns nan or inf.  NaN derivatives make
-            # the solver reject every step until it stalls, which is
-            # reported as StiffnessError.
-            return (xd, sgd, dld, math.nan, math.nan, math.nan)
+    def rhs(rows, states):
+        out = []
+        for i, (x, sg, dl, xd, sgd, dld) in zip(rows, states):
+            try:
+                out += (xd, sgd, dld, *_accel_y_arrays(x, sg, dl, xd, sgd, dld, consts[i], math))
+            except (ValueError, OverflowError):
+                # The state has blown up: math.cos(inf) and float ** overflow
+                # raise where numpy returns nan or inf.  NaN derivatives make
+                # the solver reject every step until it stalls, which is
+                # reported as StiffnessError.
+                out += (xd, sgd, dld, math.nan, math.nan, math.nan)
+        return out
     return rhs
 
 
@@ -296,16 +299,15 @@ def _integrate_rows(states, params, model: DampingModel, t_ends, samples: int,
                     rtol: float = RTOL, atol: float = ATOL) -> list[Trajectory]:
     """:func:`integrate` for several trajectories at once, stepped as one
     batch: each takes the steps it would take alone, and its samples agree
-    with its lone run to rounding.  The first trajectory that stops early
-    raises its :class:`StiffnessError`."""
+    with its lone run to rounding.  The first trajectory to stop ends the
+    batch and raises its :class:`StiffnessError`."""
     for t_end in t_ends:
         if not 0 < t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
     y0 = np.array([s.to_y().as_vector() for s in states])
-    sol = solve_ivp([_rhs(p, model) for p in params], y0, t_ends, samples,
+    sol = solve_ivp(_rhs(params, model), y0, t_ends, samples,
                     rtol=rtol, atol=atol, max_evals=MAX_RHS_EVALS)
-    for message, t_reached in zip(sol.message, sol.t_reached.tolist()):
-        if message is not None:
-            raise StiffnessError(message, t_reached=t_reached)
+    if sol.message is not None:
+        raise StiffnessError(sol.message, t_reached=sol.t_reached)
     return [Trajectory(times=times, states=states, energies=_energy_arrays(states, p))
             for times, states, p in zip(sol.t, sol.y, params)]

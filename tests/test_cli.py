@@ -98,6 +98,33 @@ def test_missing_key_rejected(tmp_path, capsys, key):
     assert (code, out, err) == (2, "", f"error: missing required key: {key}\n")
 
 
+@pytest.mark.parametrize("members, key", [
+    ('"k": 50.0', "k"),
+    ('"grid": {"nx": 10, "ny": 10, "nx": 20}', "nx"),
+])
+def test_duplicate_key_rejected(tmp_path, capsys, members, key):
+    # json keeps the last of two equal keys; a config must not run with
+    # one of two values silently dropped
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BASE)[:-1] + ", " + members + "}")
+    code, out, err = run(capsys, "regions", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert (code, out, err) == (2, "", f"error: duplicate key: {key}\n")
+
+
+@pytest.mark.parametrize("encoding, code", [("utf-8", 0), ("latin-1", 2)])
+def test_config_is_read_as_utf8_in_any_locale(tmp_path, encoding, code):
+    # under an ASCII locale a UTF-8 config still loads; one that is not
+    # UTF-8 is a bad input
+    doc = dict(BASE, out="caf\u00e9.json")
+    (tmp_path / "config.json").write_bytes(json.dumps(doc, ensure_ascii=False).encode(encoding))
+    env = child_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run([sys.executable, "-m", "coupled_pendula.cli", "reduce", "--config",
+                           "config.json", "--out", "reduce.json"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert (tmp_path / "reduce.json").exists() == (code == 0)
+
+
 COMMANDS = ("reduce", "simulate", "spectrum", "regions", "verify")
 
 MAIN_HELP = """\

@@ -286,9 +286,9 @@ def test_solve_ivp_seam_honours_rebinding(monkeypatch, identical_params):
     ref = integrate(state, identical_params, FULL, 2.0, samples=21)
     calls = []
 
-    def counting(funs, *args, **kwargs):
-        calls.append(len(funs))
-        return _dop853.solve_ivp(funs, *args, **kwargs)
+    def counting(rhs, y0, *args, **kwargs):
+        calls.append(len(y0))
+        return _dop853.solve_ivp(rhs, y0, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "solve_ivp", counting)
     traj = integrate(state, identical_params, FULL, 2.0, samples=21)
@@ -319,40 +319,49 @@ def test_non_finite_rhs_at_start_raises_before_solving(identical_params, sigmado
 
 
 def _forced_solver(force):
-    # the in-repo solver on the right-hand sides as ``force`` rewrites them
+    # the in-repo solver on the right-hand side as ``force`` rewrites it
     from coupled_pendula import _dop853
 
-    def solver(funs, *args, **kwargs):
-        return _dop853.solve_ivp([lambda t, y, fun=fun: force(fun, t, y) for fun in funs],
+    def solver(rhs, *args, **kwargs):
+        return _dop853.solve_ivp(lambda rows, states: force(rhs, rows, states),
                                  *args, **kwargs)
     return solver
 
 
 def test_finite_time_blowup_raises_stiffness_error(identical_params, monkeypatch):
-    # a forcing 1/(1 - t) on sigma'' sends sigma' = -ln(1 - t) to infinity
-    # at t=1, where the step size falls below 10 ulps of t; the solver must
-    # stall there, long before its evaluation budget runs out
+    # sigma'' = 1 + sigma'^2, in place of the equations of motion, sends
+    # sigma' = tan t to infinity at t = pi/2, where the step size falls
+    # below 10 ulps of t; the solver must stall there (at t = 1.5707963268,
+    # 6,023 evaluations), long before its evaluation budget runs out
     from coupled_pendula import StiffnessError, dynamics
 
-    def blowup(fun, t, y):
-        d = list(fun(t, y))
-        d[4] += 1.0 / (1.0 - t)
+    def blowup(rhs, rows, states):
+        d = rhs(rows, states)
+        for j, y in enumerate(states):
+            d[6 * j + 4] = 1.0 + y[4] * y[4]
         return d
 
     monkeypatch.setattr(dynamics, "solve_ivp", _forced_solver(blowup))
     with pytest.raises(StiffnessError, match="integration stalled") as exc:
         integrate(SystemState.from_y(0, 0, 0), identical_params, FULL,
                   t_end=2.0, samples=101)
-    assert 0.0 < exc.value.t_reached <= 1.05
+    assert abs(exc.value.t_reached - math.pi / 2) <= 1e-6
 
 
 def test_infinite_state_in_solver_raises_stiffness_error(identical_params, monkeypatch):
-    # the state becomes inf (and 0 * inf = nan) on the first trial step;
-    # the plain-float right-hand side must stall the solver, not leak
-    # math's ValueError
+    # the state becomes inf (and 0 * inf = nan) on every call after the
+    # derivative at t=0; the plain-float right-hand side must stall the
+    # solver, not leak math's ValueError
     from coupled_pendula import StiffnessError, dynamics
-    monkeypatch.setattr(dynamics, "solve_ivp", _forced_solver(
-        lambda fun, t, y: fun(t, [v * math.inf for v in y] if t > 0 else y)))
+    calls = []
+
+    def inf_after_first(rhs, rows, states):
+        if calls:
+            states = [[v * math.inf for v in y] for y in states]
+        calls.append(len(rows))
+        return rhs(rows, states)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", _forced_solver(inf_after_first))
     with pytest.raises(StiffnessError) as exc:
         integrate(SystemState.from_y(0.01, 0.02, 0.015), identical_params, FULL,
                   t_end=5.0, samples=11)
