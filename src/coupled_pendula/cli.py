@@ -152,10 +152,14 @@ def _unique_keys(pairs: list) -> dict:
 def load_config(path: str) -> RunConfig:
     """Parse and validate a UTF-8 JSON run config; unknown and repeated keys rejected."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
+        text = fh.read()
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # also an integer literal past the digit limit, or nesting too deep
+        raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 

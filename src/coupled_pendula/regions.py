@@ -331,7 +331,11 @@ def _envelope_rate(times: np.ndarray, signal: np.ndarray, t_start: float) -> flo
     return float(-slope)
 
 
-def empirical_decay_rates(p, y0, t_end, samples: int = 4001) -> list:
+#: Samples per trajectory of the decay-rate fit.
+DECAY_FIT_SAMPLES = 4001
+
+
+def empirical_decay_rates(p, y0, t_end) -> list:
     """Fitted decay rates of σ and δ from nonlinear trajectories.
 
     Takes equal-length sequences of parameters (identical, damped
@@ -353,7 +357,7 @@ def empirical_decay_rates(p, y0, t_end, samples: int = 4001) -> list:
             raise ParamError("m2", "decay-rate fit requires identical pendula")
         if q.frictionless:
             raise ParamError("beta0", "decay-rate fit requires damping")
-    trajs = _integrate_rows(states, params, DampingModel.FULL_VELOCITY, t_ends, samples)
+    trajs = _integrate_rows(states, params, DampingModel.FULL_VELOCITY, t_ends, DECAY_FIT_SAMPLES)
     fits = []
     for traj, t_end_i in zip(trajs, t_ends):
         t_start = 0.4 * t_end_i

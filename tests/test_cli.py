@@ -111,6 +111,27 @@ def test_duplicate_key_rejected(tmp_path, capsys, members, key):
     assert (code, out, err) == (2, "", f"error: duplicate key: {key}\n")
 
 
+# The interpreter's limit on the digits of an integer literal; 0 where it has none.
+INT_DIGITS = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+@pytest.mark.parametrize("document", [
+    "[" * 100_000 + "]" * 100_000,
+    pytest.param(json.dumps(BASE)[:-1] + ', "seed": ' + "7" * (INT_DIGITS + 1) + "}",
+                 marks=pytest.mark.skipif(not INT_DIGITS, reason="no integer digit limit")),
+], ids=["nested_100000_deep", "seed_past_digit_limit"])
+def test_unparseable_config_exits_2(tmp_path, capsys, document):
+    # json raises RecursionError on a deep document and ValueError on an
+    # integer literal past the digit limit; either is a bad input, reported
+    # in one line, not a traceback
+    path = tmp_path / "config.json"
+    path.write_text(document)
+    code, out, err = run(capsys, "reduce", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("encoding, code", [("utf-8", 0), ("latin-1", 2)])
 def test_config_is_read_as_utf8_in_any_locale(tmp_path, encoding, code):
     # under an ASCII locale a UTF-8 config still loads; one that is not

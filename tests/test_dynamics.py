@@ -295,10 +295,9 @@ def test_solve_ivp_seam_honours_rebinding(monkeypatch, identical_params):
     assert calls == [1]
     assert np.array_equal(traj.times, ref.times)
     assert np.array_equal(traj.states, ref.states)
-    regions.empirical_decay_rates([identical_params], [state], [20.0], samples=401)
+    regions.empirical_decay_rates([identical_params], [state], [20.0])
     assert calls == [1, 1]
-    regions.empirical_decay_rates([identical_params] * 2, [state] * 2, [20.0, 10.0],
-                                  samples=401)
+    regions.empirical_decay_rates([identical_params] * 2, [state] * 2, [20.0, 10.0])
     assert calls == [1, 1, 2]
 
 

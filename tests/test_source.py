@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import coupled_pendula
 
 PACKAGE_DIR = Path(coupled_pendula.__file__).parent
@@ -40,26 +42,52 @@ def test_scipy_not_imported_at_module_level():
     assert not found, f"scipy imports in the package: {found}"
 
 
+def _declared():
+    """Each library module in the package's tuple, with its ``__all__``."""
+    return {module: getattr(importlib.import_module(f"coupled_pendula.{module}"), "__all__", ())
+            for module in coupled_pendula._MODULES}
+
+
 def test_exports_resolve():
-    # a name deleted from a module must leave its __all__ and the package's
-    # export table too; the package re-exports only names a module declares
+    # a name deleted from a module must leave its __all__ too; the package
+    # exports exactly the __all__ of the modules in its tuple
     modules = {path.stem: importlib.import_module(f"coupled_pendula.{path.stem}")
                for path in sorted(PACKAGE_DIR.glob("*.py")) if path.stem != "__init__"}
     stale = [f"{name}.{entry}" for name, module in modules.items()
              for entry in getattr(module, "__all__", ())
              if not hasattr(module, entry)]
-    undeclared = [f"{module}.{name}"
-                  for module, names in coupled_pendula._EXPORTS.items() for name in names
-                  if name not in getattr(modules[module], "__all__", ())]
     assert not stale, f"__all__ entries with no attribute: {stale}"
-    assert not undeclared, f"package exports missing from their module's __all__: {undeclared}"
+    declared = {name for names in _declared().values() for name in names}
+    coupled_pendula.PhysicalParams  # binds every exported name
+    exported = {name for name, value in vars(coupled_pendula).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == declared, f"undeclared: {exported - declared}, unbound: {declared - exported}"
+
+
+def test_no_name_is_exported_by_two_modules():
+    # the package binds each module's __all__ in turn; a name in two of
+    # them would be bound from whichever module loads last
+    owners = {}
+    for module, names in _declared().items():
+        for name in names:
+            owners.setdefault(name, []).append(module)
+    twice = {name: found for name, found in owners.items() if len(found) > 1}
+    assert not twice, f"names in two modules' __all__: {twice}"
+
+
+def _probe(source):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", source],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 LAZY_PROBE = """
 import sys
 import coupled_pendula
 assert [m for m in sys.modules if m.startswith("coupled_pendula")] == ["coupled_pendula"]
-assert not hasattr(coupled_pendula, "no_such_name")
+assert not hasattr(coupled_pendula, "_no_such_name")
+assert [m for m in sys.modules if m.startswith("coupled_pendula")] == ["coupled_pendula"]
 from coupled_pendula import {names}
 print(coupled_pendula.spectral.__name__)
 print(" ".join(sorted(m for m in sys.modules if m.startswith("coupled_pendula."))))
@@ -67,20 +95,42 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("coupled_pendula.")
 
 
 def test_exports_load_on_first_use():
-    # importing the package runs no module; the first public name asked of
-    # it loads every library module, verification included, and binds every
-    # name, and the submodules are then attributes of the package
-    names = [name for names in coupled_pendula._EXPORTS.values() for name in names]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE.format(names=", ".join(names))],
-                          capture_output=True, text=True, env=env, timeout=120)
+    # importing the package runs no module, and a private name loads none;
+    # the first public name asked of it loads every library module,
+    # verification included, and binds every name, and the submodules are
+    # then attributes of the package
+    names = [name for names in _declared().values() for name in names]
+    proc = _probe(LAZY_PROBE.format(names=", ".join(names)))
     assert proc.returncode == 0, proc.stderr
     spectral, loaded = proc.stdout.splitlines()
     assert spectral == "coupled_pendula.spectral"
     library = {f"coupled_pendula.{path.stem}" for path in PACKAGE_DIR.glob("*.py")
                if path.stem not in ("__init__", "cli")}
     assert set(loaded.split()) == library
+
+
+SUBMODULE_PROBE = """
+import sys
+from coupled_pendula import params
+print(" ".join(sorted(m for m in sys.modules if m.startswith("coupled_pendula"))))
+print("numpy" in sys.modules)
+"""
+
+
+def test_submodule_import_loads_only_that_module():
+    # a submodule name is not a package export: the import system loads
+    # that module alone, not the library behind the other names
+    proc = _probe(SUBMODULE_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["coupled_pendula coupled_pendula.params", "False"]
+
+
+def test_unknown_public_name_raises():
+    # a name no module declares is no attribute, after the library loads
+    with pytest.raises(AttributeError, match="no_such_name"):
+        coupled_pendula.no_such_name
+    with pytest.raises(ImportError):
+        from coupled_pendula import no_such_name  # noqa: F401
 
 
 def test_one_module_holds_the_e9_cell_format():
